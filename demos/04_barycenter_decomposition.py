@@ -61,4 +61,4 @@ print("\nnon-commuting covariances:")
 print(f"avg aggregate        = {avg:.8f}")
 print(f"barycenter split sum = {split:.8f}")
 print(f"relative deviation   = {abs(avg - split) / avg:.2e}  (curvature term, not roundoff)")
-print("solver residual:", solution.residual, "iterations:", solution.iterations)
+print("solver residual:", dec.solution.residual, "iterations:", dec.solution.iterations)

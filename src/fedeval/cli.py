@@ -149,15 +149,17 @@ def _cmd_kid(args) -> int:
     if not args.clients:
         raise ValueError("kid needs --clients or --ref")
     clients = statkit.load_client_set(args.clients)
+    # One tiled pass; every score below is algebra on its block sums.
+    stats = kernelmmd.kernel_stats(clients, gen, spec, cross=args.agg != "avg" or args.gap)
     out: dict = {}
     if args.agg in ("avg", "both"):
-        result = kernelmmd.kid_avg(clients, gen, spec, estimator=args.estimator)
+        result = stats.kid_avg(args.estimator)
         out["kid_avg"] = result.value
         out["per_client"] = [r.value for r in result.per_client]
     if args.agg in ("all", "both"):
-        out["kid_all"] = kernelmmd.kid_all(clients, gen, spec, estimator=args.estimator)
+        out["kid_all"] = stats.kid_all(args.estimator)
     if args.gap:
-        out["gap"] = kernelmmd.kid_constant_gap(clients, spec)
+        out["gap"] = stats.gap()
     _emit(out, args.out)
     return 0
 

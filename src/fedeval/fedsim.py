@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .frechet import fid_all, fid_avg, frechet_distance, psd_sqrt
-from .kernelmmd import KernelSpec, gram, kid_all, kid_avg, mmd2
+from .kernelmmd import KernelSpec, block_sums, kid_all, kid_avg, mmd2
 from .prdc import prdc_aggregate
 from .statkit import (
     Client,
@@ -332,10 +332,8 @@ def _round_moments(clients, generator, metrics, trace):
 
 def _round_raw(clients, generator, metrics, kernel, k_neighbors, trace):
     rebuilt = []
-    for client, weight in zip(clients, clients.weights):
-        if client.embeddings is None:
-            raise ValueError(f"client {client.id!r} carries no raw embeddings")
-        n, d = client.embeddings.shape
+    for client, weight, x in zip(clients, clients.weights, clients.client_embeddings()):
+        n, d = x.shape
         trace.append(
             Message(
                 sender=client.id,
@@ -346,7 +344,7 @@ def _round_raw(clients, generator, metrics, kernel, k_neighbors, trace):
             )
         )
         rebuilt.append(
-            Client(id=client.id, weight=float(weight), embeddings=client.embeddings)
+            Client(id=client.id, weight=float(weight), embeddings=x)
         )
     rebuilt_set = ClientSet(rebuilt)
     scores: dict = {}
@@ -384,11 +382,7 @@ def _round_raw(clients, generator, metrics, kernel, k_neighbors, trace):
 
 
 def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
-    mats = []
-    for client in clients:
-        if client.embeddings is None:
-            raise ValueError(f"client {client.id!r} carries no raw embeddings")
-        mats.append(client.embeddings)
+    mats = clients.client_embeddings()
     k = len(mats)
     counts = np.array([m.shape[0] for m in mats], dtype=np.float64)
     n_gen = generator.shape[0]
@@ -396,8 +390,8 @@ def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
     within = np.zeros(k)
     cross_gen = np.zeros(k)
     for i, (client, mat) in enumerate(zip(clients, mats)):
-        within[i] = float(gram(kernel, mat, mat).sum())
-        cross_gen[i] = float(gram(kernel, mat, generator).sum())
+        within[i] = float(block_sums(kernel, [mat])[0, 0])
+        cross_gen[i] = float(block_sums(kernel, [mat], [generator])[0, 0])
         trace.append(
             Message(
                 sender=client.id,
@@ -431,7 +425,7 @@ def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
                     )
                 )
                 pair_sums[i, j] = pair_sums[j, i] = float(
-                    gram(kernel, mats[i], mats[j]).sum()
+                    block_sums(kernel, [mats[i]], [mats[j]])[0, 0]
                 )
                 trace.append(
                     Message(
@@ -443,7 +437,7 @@ def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
                     )
                 )
 
-    gen_gen = float(gram(kernel, generator, generator).mean())
+    gen_gen = float(block_sums(kernel, [generator])[0, 0]) / n_gen**2
     w = clients.weights
     per_client_vals = [
         max(

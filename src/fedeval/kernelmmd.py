@@ -14,8 +14,13 @@ therefore the default; the unbiased ``ustat`` estimator is provided for
 parity with standard tooling but satisfies the identity only
 approximately.
 
-Gram matrices are computed in full (no block subsampling), with sample
-counts capped at 20000 per side to keep memory bounded.
+Every score is a function of one sufficient statistic (``KernelStats``):
+the K x K matrix of client block sums, the K client-generator sums and
+the generator-generator sum, plus the diagonal sums ``ustat`` removes.
+It is computed exactly (no block subsampling) in one pass over square
+Gram tiles of side ``TILE``, so memory does not grow with the sample
+count and there is no cap on it; the aggregations are then O(K^2)
+algebra on the sums.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ from .errors import NumericalError, SampleCountError
 from .statkit import ClientSet, as_embeddings
 
 VSTAT_CLAMP = 1e-10
-MAX_GRAM_SIDE = 20000
+# Side of the square tiles of every kernel and distance pass: no larger
+# kernel or distance matrix is ever held, so memory does not grow with N.
+TILE = 256
 
 
 @dataclass
@@ -94,25 +101,96 @@ def load_kernel_spec(path) -> KernelSpec:
         return KernelSpec.from_json_dict(json.load(fh))
 
 
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, |x|^2 + |y|^2 - 2 x.y, clipped at 0."""
+    sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :]
+    cross = x @ y.T
+    cross *= 2.0
+    sq -= cross
+    np.clip(sq, 0.0, None, out=sq)
+    return sq
+
+
 def gram(spec: KernelSpec, x, y) -> np.ndarray:
     """Full kernel Gram matrix between the rows of ``x`` and ``y``."""
     x = as_embeddings(x)
     y = as_embeddings(y)
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    if x.shape[0] > MAX_GRAM_SIDE or y.shape[0] > MAX_GRAM_SIDE:
-        raise ValueError(f"sample count exceeds the {MAX_GRAM_SIDE}-sample Gram cap")
     d = x.shape[1]
     if spec.kind == "polynomial":
         return (spec.resolved_scale(d) * (x @ y.T) + spec.offset) ** spec.degree
     sigma = spec.resolved_bandwidth(d)
-    sq = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(y**2, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
-    np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-sq / (2.0 * sigma**2))
+    return np.exp(-_squared_distances(x, y) / (2.0 * sigma**2))
+
+
+def _tiles(n_rows: int, n_cols: int, symmetric: bool):
+    """``(r0, r1, c0, c1)`` of the TILE x TILE tiles covering an n_rows x n_cols
+    matrix, row tile by row tile; ``symmetric`` keeps those on or above the
+    diagonal."""
+    for r0 in range(0, n_rows, TILE):
+        for c0 in range(r0 if symmetric else 0, n_cols, TILE):
+            yield r0, min(r0 + TILE, n_rows), c0, min(c0 + TILE, n_cols)
+
+
+def _stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stack sample blocks; block ``p`` is rows ``bounds[p]:bounds[p + 1]``."""
+    bounds = np.cumsum([0] + [m.shape[0] for m in mats])
+    return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)), bounds
+
+
+def _segments(bounds: np.ndarray, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+    """Blocks ``first:last`` that meet rows ``lo:hi``, and where each starts
+    within that range."""
+    first = int(np.searchsorted(bounds, lo, side="right")) - 1
+    last = int(np.searchsorted(bounds, hi, side="left"))
+    return first, last, np.maximum(bounds[first:last], lo) - lo
+
+
+def _tiled_sums(spec, x, x_bounds, y=None, y_bounds=None):
+    """Kernel sums over every (row block, column block) pair of validated,
+    stacked samples, plus the diagonal sums of each row block when the
+    blocks are paired with themselves (``y`` None)."""
+    symmetric = y is None
+    if symmetric:
+        y, y_bounds = x, x_bounds
+    elif x.shape[1] != y.shape[1]:
+        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    sums = np.zeros((len(x_bounds) - 1, len(y_bounds) - 1))
+    traces = np.zeros(len(x_bounds) - 1) if symmetric else None
+    for r0, r1, c0, c1 in _tiles(x.shape[0], y.shape[0], symmetric):
+        tile = gram(spec, x[r0:r1], y[c0:c1])
+        p, p_end, row_starts = _segments(x_bounds, r0, r1)
+        q, q_end, col_starts = _segments(y_bounds, c0, c1)
+        if len(row_starts) == 1 and len(col_starts) == 1:
+            part = tile.sum()
+        else:
+            part = np.add.reduceat(np.add.reduceat(tile, row_starts, axis=0), col_starts, axis=1)
+        sums[p:p_end, q:q_end] += part
+        if not symmetric:
+            continue
+        if c0 != r0:
+            sums[q:q_end, p:p_end] += np.transpose(part)
+        else:
+            diag = np.diagonal(tile)
+            traces[p:p_end] += diag.sum() if len(row_starts) == 1 else np.add.reduceat(diag, row_starts)
+    return sums, traces
+
+
+def block_sums(spec: KernelSpec, rows, cols=None) -> np.ndarray:
+    """Kernel sums between sample blocks, in one pass over TILE x TILE Gram tiles.
+
+    ``sums[p, q]`` is the sum of ``gram(spec, rows[p], cols[q])``.  With
+    ``cols=None`` the row blocks are paired with themselves and only the
+    tiles on or above the diagonal are evaluated.  When each side is one
+    block that fits in a tile, the tile is summed whole, so the result
+    equals ``gram(spec, x, y).sum()`` bit for bit.
+    """
+    x, x_bounds = _stack([as_embeddings(m) for m in rows])
+    if cols is None:
+        return _tiled_sums(spec, x, x_bounds)[0]
+    y, y_bounds = _stack([as_embeddings(m) for m in cols])
+    return _tiled_sums(spec, x, x_bounds, y, y_bounds)[0]
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -142,34 +220,31 @@ class MmdResult:
         }
 
 
-def _within_mean(k: np.ndarray, estimator: str, label: str) -> float:
-    n = k.shape[0]
-    if estimator == "vstat":
-        return float(k.mean())
-    if n < 2:
-        raise SampleCountError(f"ustat requires >= 2 samples in {label}")
-    return float((k.sum() - np.trace(k)) / (n * (n - 1)))
-
-
-def mmd2(spec: KernelSpec, ref, gen, estimator: str = "vstat") -> MmdResult:
-    """Squared MMD between two sample sets.
-
-    ``vstat`` is the plug-in estimator (all pairs, diagonal included);
-    ``ustat`` excludes the diagonal in the within blocks and is the
-    standard unbiased estimator.
-    """
+def _check_estimator(estimator: str) -> None:
     if estimator not in ("vstat", "ustat"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    ref = as_embeddings(ref)
-    gen = as_embeddings(gen)
-    within_ref = _within_mean(gram(spec, ref, ref), estimator, "ref")
-    within_gen = _within_mean(gram(spec, gen, gen), estimator, "gen")
-    cross = float(gram(spec, ref, gen).mean())
-    value = within_ref + within_gen - 2.0 * cross
-    if estimator == "vstat" and value < 0.0:
+
+
+def _within_mean(total: float, trace: float, n: int, estimator: str, label: str) -> float:
+    if estimator == "vstat":
+        return float(total / (n * n))
+    if n < 2:
+        raise SampleCountError(f"ustat requires >= 2 samples in {label}")
+    return float((total - trace) / (n * (n - 1)))
+
+
+def _clamp_vstat(value: float) -> float:
+    if value < 0.0:
         if value < -VSTAT_CLAMP:
             raise NumericalError(f"vstat MMD {value!r} below clamp threshold")
         value = 0.0
+    return value
+
+
+def _mmd_result(within_ref, within_gen, cross, estimator) -> MmdResult:
+    value = within_ref + within_gen - 2.0 * cross
+    if estimator == "vstat":
+        value = _clamp_vstat(value)
     return MmdResult(
         value=value,
         within_ref=within_ref,
@@ -177,40 +252,6 @@ def mmd2(spec: KernelSpec, ref, gen, estimator: str = "vstat") -> MmdResult:
         cross=cross,
         estimator=estimator,
     )
-
-
-def _client_matrices(clients: ClientSet) -> list[np.ndarray]:
-    mats = []
-    for c in clients:
-        if c.embeddings is None:
-            raise ValueError(f"client {c.id!r} carries no raw embeddings")
-        mats.append(c.embeddings)
-    return mats
-
-
-def _block_means(spec: KernelSpec, mats: list[np.ndarray], gen: np.ndarray | None):
-    """Mean-kernel blocks between clients (and optionally a generator set).
-
-    Returns ``(b, b_gen, gen_gen)`` where ``b[i, j]`` is the mean kernel
-    value between the samples of clients ``i`` and ``j``.
-    """
-    k = len(mats)
-    pooled = np.concatenate(mats, axis=0)
-    offsets = np.cumsum([0] + [m.shape[0] for m in mats])
-    full = gram(spec, pooled, pooled)
-    b = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            b[i, j] = full[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]].mean()
-    b_gen = None
-    gen_gen = None
-    if gen is not None:
-        cross = gram(spec, pooled, gen)
-        b_gen = np.array(
-            [cross[offsets[i] : offsets[i + 1], :].mean() for i in range(k)]
-        )
-        gen_gen = float(gram(spec, gen, gen).mean())
-    return b, b_gen, gen_gen
 
 
 @dataclass
@@ -221,17 +262,147 @@ class KidAvgResult:
     per_client: list[MmdResult]
 
 
+@dataclass
+class KernelStats:
+    """Kernel block sums of K weighted clients and one generator set.
+
+    Every kernel score is O(K^2) algebra on these numbers.  ``sums[i, j]``
+    is the kernel sum between clients ``i`` and ``j``; when the statistic
+    is built without cross-client blocks only the diagonal is set (the
+    rest is NaN).  ``traces[i]`` is the diagonal of client ``i``'s self
+    block, which the ``ustat`` estimator leaves out.  The ``gen_*`` fields
+    are unset when no generator set was given.
+    """
+
+    weights: np.ndarray
+    natural_weights: bool
+    counts: np.ndarray
+    sums: np.ndarray
+    traces: np.ndarray
+    gen_count: int = 0
+    gen_sums: np.ndarray | None = None
+    gen_sum: float = 0.0
+    gen_trace: float = 0.0
+
+    def client_mmd2(self, i: int, estimator: str = "vstat") -> MmdResult:
+        """Squared MMD between client ``i`` and the generator set."""
+        _check_estimator(estimator)
+        n, m = self.counts[i], self.gen_count
+        return _mmd_result(
+            _within_mean(self.sums[i, i], self.traces[i], n, estimator, "ref"),
+            _within_mean(self.gen_sum, self.gen_trace, m, estimator, "gen"),
+            float(self.gen_sums[i] / (n * m)),
+            estimator,
+        )
+
+    def kid_avg(self, estimator: str = "vstat") -> KidAvgResult:
+        per_client = [self.client_mmd2(i, estimator) for i in range(len(self.counts))]
+        values = np.array([r.value for r in per_client])
+        return KidAvgResult(value=float(self.weights @ values), per_client=per_client)
+
+    def _cross_sums(self) -> np.ndarray:
+        if np.isnan(self.sums).any():
+            raise ValueError("kernel statistic was built without cross-client blocks")
+        return self.sums
+
+    def kid_all(self, estimator: str = "vstat") -> float:
+        if estimator == "ustat":
+            if not self.natural_weights:
+                raise ValueError("ustat pooled score requires weights n_i / n")
+            n, m = int(self.counts.sum()), self.gen_count
+            return _mmd_result(
+                _within_mean(self._cross_sums().sum(), self.traces.sum(), n, estimator, "ref"),
+                _within_mean(self.gen_sum, self.gen_trace, m, estimator, "gen"),
+                float(self.gen_sums.sum() / (n * m)),
+                estimator,
+            ).value
+        _check_estimator(estimator)
+        w = self.weights
+        b = self._cross_sums() / np.outer(self.counts, self.counts)
+        b_gen = self.gen_sums / (self.counts * self.gen_count)
+        gen_gen = self.gen_sum / self.gen_count**2
+        return _clamp_vstat(float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen))
+
+    def gap(self) -> float:
+        """Weighted mean squared MMD between the client mixture and each client."""
+        w = self.weights
+        b = self._cross_sums() / np.outer(self.counts, self.counts)
+        mix_mix = float(w @ b @ w)
+        gap = 0.0
+        for i, w_i in enumerate(w):
+            gap += w_i * (mix_mix + b[i, i] - 2.0 * float(w @ b[:, i]))
+        return float(gap)
+
+
+def _self_sum(spec, x) -> tuple[float, float]:
+    sums, traces = _tiled_sums(spec, x, np.array([0, x.shape[0]]))
+    return sums[0, 0], traces[0]
+
+
+def _kernel_stats(spec, mats, gen, cross, weights, natural_weights) -> KernelStats:
+    """The statistic of validated client matrices and generator samples."""
+    x, bounds = _stack(mats)
+    if cross:
+        sums, traces = _tiled_sums(spec, x, bounds)
+    else:
+        sums = np.full((len(mats), len(mats)), np.nan)
+        traces = np.empty(len(mats))
+        for i, m in enumerate(mats):
+            sums[i, i], traces[i] = _self_sum(spec, m)
+    stats = KernelStats(
+        weights=weights,
+        natural_weights=natural_weights,
+        counts=np.diff(bounds),
+        sums=sums,
+        traces=traces,
+    )
+    if gen is not None:
+        stats.gen_count = gen.shape[0]
+        stats.gen_sum, stats.gen_trace = _self_sum(spec, gen)
+        gen_bounds = np.array([0, gen.shape[0]])
+        stats.gen_sums = _tiled_sums(spec, x, bounds, gen, gen_bounds)[0][:, 0]
+    return stats
+
+
+def kernel_stats(
+    clients: ClientSet, gen=None, spec: KernelSpec | None = None, cross: bool = True
+) -> KernelStats:
+    """Block-sum statistic of ``clients`` (and ``gen``) in one tiled pass.
+
+    ``cross=False`` skips the cross-client blocks, which only the pooled
+    score and the gap need; the per-client scores never do.
+    """
+    gen = None if gen is None else as_embeddings(gen)
+    return _kernel_stats(
+        spec or KernelSpec(),
+        clients.client_embeddings(),
+        gen,
+        cross,
+        clients.weights,
+        clients.has_natural_weights(),
+    )
+
+
+def mmd2(spec: KernelSpec, ref, gen, estimator: str = "vstat") -> MmdResult:
+    """Squared MMD between two sample sets.
+
+    ``vstat`` is the plug-in estimator (all pairs, diagonal included);
+    ``ustat`` excludes the diagonal in the within blocks and is the
+    standard unbiased estimator.
+    """
+    _check_estimator(estimator)
+    ref = as_embeddings(ref)
+    gen = as_embeddings(gen)
+    stats = _kernel_stats(spec, [ref], gen, False, np.ones(1), True)
+    return stats.client_mmd2(0, estimator)
+
+
 def kid_avg(
     clients: ClientSet, gen, spec: KernelSpec | None = None, estimator: str = "vstat"
 ) -> KidAvgResult:
     """Weighted mean of per-client scores against ``gen`` (clients in id order)."""
-    spec = spec or KernelSpec()
-    gen = as_embeddings(gen)
-    per_client = [
-        mmd2(spec, m, gen, estimator=estimator) for m in _client_matrices(clients)
-    ]
-    values = np.array([r.value for r in per_client])
-    return KidAvgResult(value=float(clients.weights @ values), per_client=per_client)
+    _check_estimator(estimator)
+    return kernel_stats(clients, gen, spec, cross=False).kid_avg(estimator)
 
 
 def kid_all(
@@ -242,25 +413,11 @@ def kid_all(
     For ``vstat`` the score is computed in the weighted mean-embedding
     form, which reduces to the plug-in MMD of the concatenated samples
     when the weights are the sample-count fractions.  ``ustat`` is only
-    defined for sample-count weights and uses the pooled matrix.
+    defined for sample-count weights and is the unbiased MMD of the
+    concatenated samples.
     """
-    spec = spec or KernelSpec()
-    gen = as_embeddings(gen)
-    mats = _client_matrices(clients)
-    if estimator == "ustat":
-        if not clients.has_natural_weights():
-            raise ValueError("ustat pooled score requires weights n_i / n")
-        return mmd2(spec, np.concatenate(mats, axis=0), gen, estimator="ustat").value
-    if estimator != "vstat":
-        raise ValueError(f"unknown estimator {estimator!r}")
-    w = clients.weights
-    b, b_gen, gen_gen = _block_means(spec, mats, gen)
-    value = float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen)
-    if value < 0.0:
-        if value < -VSTAT_CLAMP:
-            raise NumericalError(f"vstat MMD {value!r} below clamp threshold")
-        value = 0.0
-    return value
+    _check_estimator(estimator)
+    return kernel_stats(clients, gen, spec).kid_all(estimator)
 
 
 def kid_constant_gap(clients: ClientSet, spec: KernelSpec | None = None) -> float:
@@ -270,12 +427,4 @@ def kid_constant_gap(clients: ClientSet, spec: KernelSpec | None = None) -> floa
     aggregations: for every generator, ``avg - all`` equals this value
     under the plug-in estimator.
     """
-    spec = spec or KernelSpec()
-    mats = _client_matrices(clients)
-    w = clients.weights
-    b, _, _ = _block_means(spec, mats, None)
-    mix_mix = float(w @ b @ w)
-    gap = 0.0
-    for i, w_i in enumerate(w):
-        gap += w_i * (mix_mix + b[i, i] - 2.0 * float(w @ b[:, i]))
-    return float(gap)
+    return kernel_stats(clients, None, spec).gap()

@@ -364,13 +364,15 @@ class ClientSet:
         counts = np.array([c.n for c in self.clients], dtype=np.float64)
         return bool(np.allclose(self.weights, counts / counts.sum(), rtol=0, atol=tol))
 
-    def pooled_embeddings(self) -> np.ndarray:
-        mats = []
+    def client_embeddings(self) -> list[np.ndarray]:
+        """Every client's raw sample matrix, in client order."""
         for c in self.clients:
             if c.embeddings is None:
                 raise ValueError(f"client {c.id!r} carries no raw embeddings")
-            mats.append(c.embeddings)
-        return np.concatenate(mats, axis=0)
+        return [c.embeddings for c in self.clients]
+
+    def pooled_embeddings(self) -> np.ndarray:
+        return np.concatenate(self.client_embeddings(), axis=0)
 
 
 def load_client_set(path) -> ClientSet:
@@ -460,12 +462,9 @@ def log_likelihood_scores(clients: ClientSet, model: GaussianModel) -> LogLikeli
     mean log-density over the pooled samples.  With weights ``n_i / n``
     the two coincide up to summation order.
     """
-    per_client = []
-    for c in clients:
-        if c.embeddings is None:
-            raise ValueError(f"client {c.id!r} carries no raw embeddings")
-        per_client.append(float(np.mean(gaussian_log_density(c.embeddings, model))))
+    mats = clients.client_embeddings()
+    per_client = [float(np.mean(gaussian_log_density(x, model))) for x in mats]
     avg = float(clients.weights @ np.asarray(per_client))
-    pooled = clients.pooled_embeddings()
+    pooled = np.concatenate(mats, axis=0)
     all_score = float(np.mean(gaussian_log_density(pooled, model)))
     return LogLikelihoodScores(per_client=per_client, avg=avg, all=all_score)

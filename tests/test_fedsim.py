@@ -87,6 +87,27 @@ def test_kernel_blocks_message_census(rng):
     assert {m.real_count for m in block_replies} == {3, 1}
 
 
+def test_kernel_blocks_replies_carry_whole_gram_sums(rng):
+    # every block that fits in one tile is summed exactly as the full Gram
+    # matrix would be, so the messages (and --out-trace bytes) are unchanged
+    from fedeval.kernelmmd import gram
+
+    clients = make_clients(rng, k=3)
+    gen = rng.normal(size=(10, 3))
+    kernel = KernelSpec()
+    _, trace = run_round(clients, gen, "kernel_blocks", ["kid_avg", "kid_all"], kernel=kernel)
+    mats = {c.id: c.embeddings for c in clients}
+    replies = [m for m in trace.messages if m.kind == "KernelBlockReply"]
+    for m in replies:
+        if "pair" in m.body:
+            a, b = m.body["pair"]
+            assert m.body["cross_sum"] == float(gram(kernel, mats[a], mats[b]).sum())
+        else:
+            x = mats[m.sender]
+            assert m.body["within_sum"] == float(gram(kernel, x, x).sum())
+            assert m.body["cross_generator_sum"] == float(gram(kernel, x, gen).sum())
+
+
 def test_broadcast_counts_generator_reals(rng):
     clients = make_clients(rng, k=2, d=3)
     gen = rng.normal(size=(7, 3))
