@@ -271,18 +271,7 @@ def _cmd_sweep(args) -> int:
         columns = fedsim.VARIANCE_SWEEP_COLUMNS
     else:
         raise ValueError(f"unknown sweep family {args.family!r}")
-    if args.out:
-        fedsim.write_score_csv(rows, args.out, columns=columns)
-    else:
-        sys.stdout.write(",".join(columns) + "\n")
-        for row in rows:
-            sys.stdout.write(
-                ",".join(
-                    repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                    for c in columns
-                )
-                + "\n"
-            )
+    fedsim.write_score_csv(rows, args.out or sys.stdout, columns=columns)
     return 0
 
 

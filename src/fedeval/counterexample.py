@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import minimize
 
-from .frechet import frechet_distance
+from .frechet import _distance, psd_sqrt
 from .statkit import ClientSet, GaussianModel, pool_moments
 
 DEGENERATE_U_TOL = 1e-10
@@ -95,14 +95,23 @@ def _spread_trace(means: np.ndarray, weights: np.ndarray) -> float:
     return float(weights @ np.sum(means**2, axis=1) - np.sum(mean_hat**2))
 
 
-def _measure(clients: ClientSet, g_hat, g_prime, u, beta, converged=True, evaluations=0):
-    stats = clients.stats_list()
+def _references(clients: ClientSet) -> tuple[list, tuple]:
+    """``(stats, root)`` per client and for the pool; each root computed once."""
     pooled = pool_moments(clients)
-    hat = [frechet_distance(s, g_hat).value for s in stats]
-    prime = [frechet_distance(s, g_prime).value for s in stats]
+    refs = [(s, psd_sqrt(s.cov)) for s in clients.stats_list()]
+    return refs, (pooled, psd_sqrt(pooled.cov))
+
+
+def _scores(refs: list, g) -> list[float]:
+    return [_distance(s, root, g).value for s, root in refs]
+
+
+def _measure(refs, pooled_ref, g_hat, g_prime, u, beta, converged=True, evaluations=0):
+    hat = _scores(refs, g_hat)
+    prime = _scores(refs, g_prime)
     residuals = [abs(a - b) for a, b in zip(prime, hat)]
-    fid_all_hat = frechet_distance(pooled, g_hat).value
-    fid_all_prime = frechet_distance(pooled, g_prime).value
+    fid_all_hat = _distance(*pooled_ref, g_hat).value
+    fid_all_prime = _distance(*pooled_ref, g_prime).value
     return CounterexampleReport(
         g_hat=g_hat,
         g_prime=g_prime,
@@ -139,12 +148,13 @@ def construct(clients: ClientSet) -> CounterexampleReport:
     if u <= DEGENERATE_U_TOL:
         raise ValueError("u = 0, construction degenerate: client means coincide")
     beta = _mean_complement_basis(means)[:, 0]
-    pooled = pool_moments(clients)
+    refs, pooled_ref = _references(clients)
+    pooled = pooled_ref[0]
     g_hat = GaussianModel(mean=pooled.mean, cov=pooled.cov)
     cov_prime = np.einsum("i,ijk->jk", weights, np.stack([s.cov for s in stats]))
     cov_prime = (cov_prime + cov_prime.T) / 2.0
     g_prime = GaussianModel(mean=pooled.mean + np.sqrt(u) * beta, cov=cov_prime)
-    return _measure(clients, g_hat, g_prime, u, beta)
+    return _measure(refs, pooled_ref, g_hat, g_prime, u, beta)
 
 
 def search_matched_pair(
@@ -175,10 +185,11 @@ def search_matched_pair(
         raise ValueError("u = 0, construction degenerate: client means coincide")
     basis = _mean_complement_basis(means)
     m_free = basis.shape[1]
-    pooled = pool_moments(clients)
+    refs, pooled_ref = _references(clients)
+    pooled = pooled_ref[0]
     g_hat = GaussianModel(mean=pooled.mean, cov=pooled.cov)
-    targets = np.array([frechet_distance(s, g_hat).value for s in stats])
-    fid_all_hat = frechet_distance(pooled, g_hat).value
+    targets = np.array(_scores(refs, g_hat))
+    fid_all_hat = _distance(*pooled_ref, g_hat).value
 
     tril = np.tril_indices(d)
     chol0 = np.linalg.cholesky(pooled.cov + 1e-9 * np.eye(d))
@@ -194,8 +205,8 @@ def search_matched_pair(
         return GaussianModel(mean=mean, cov=chol @ chol.T)
 
     def residuals_and_gap(model):
-        scores = np.array([frechet_distance(s, model).value for s in stats])
-        gap = frechet_distance(pooled, model).value - fid_all_hat
+        scores = np.array(_scores(refs, model))
+        gap = _distance(*pooled_ref, model).value - fid_all_hat
         return scores - targets, gap
 
     stages = [1e2, 1e4, 1e6, 1e8]
@@ -225,7 +236,8 @@ def search_matched_pair(
     residuals, _ = residuals_and_gap(best)
     converged = bool(np.sum(np.abs(residuals)) <= RESIDUAL_TARGET)
     return _measure(
-        clients,
+        refs,
+        pooled_ref,
         g_hat,
         best,
         u,

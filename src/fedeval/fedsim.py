@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -942,11 +943,15 @@ def variance_limited_sweep(
 
 
 def write_score_csv(rows: list[dict], path, columns=None) -> None:
-    """Write sweep/timeline rows as deterministic plot-ready CSV."""
+    """Write sweep/timeline rows as deterministic plot-ready CSV.
+
+    ``path`` is a file path or an open text stream (such as ``sys.stdout``).
+    """
     if not rows:
         raise ValueError("no rows to write")
     columns = list(columns) if columns is not None else list(rows[0].keys())
-    with open(path, "w", encoding="utf-8") as fh:
+    stream = hasattr(path, "write")
+    with nullcontext(path) if stream else open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fields = []

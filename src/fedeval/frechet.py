@@ -9,7 +9,13 @@ The squared distance between Gaussian surrogates ``(mean_a, cov_a)`` and
 The trace cross term is always evaluated through the symmetric product
 ``A^1/2 B A^1/2``, never through the non-symmetric ``(A B)^1/2``; the
 traces coincide and symmetric eigensolvers are stable on rank-deficient
-covariances.
+covariances.  The cross term needs only the eigenvalues of that product
+(one ``eigvalsh``); the reference side's root ``A^1/2`` is the one full
+eigendecomposition, computed once per reference and reused against
+every covariance it is compared with (the barycenter centre in the avg
+decomposition, the clients and the pool in the counterexample search).
+The barycenter iteration takes both ``C^1/2`` and ``C^-1/2`` of each
+iterate from a single eigendecomposition.
 """
 
 from __future__ import annotations
@@ -26,20 +32,31 @@ SYMMETRY_RTOL = 1e-10
 VALUE_CLAMP = 1e-8
 
 
-def _clamped_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric PSD matrix, clamping tiny negatives to 0.
+def _clamp(w: np.ndarray, what: str) -> np.ndarray:
+    """Clamp ascending eigenvalues of a symmetric PSD matrix at 0.
 
     Eigenvalues in ``[-1e-8 * lambda_max, 0)`` are treated as roundoff
     and clamped; anything lower fails the PSD check.
     """
-    w, v = np.linalg.eigh(a)
     lam_max = max(float(w[-1]), 0.0)
     floor = -EIGENVALUE_CLAMP_REL * lam_max
     if float(w[0]) < floor:
         raise NotPsdError(
             f"{what} is not PSD: eigenvalue {w[0]:.3e} below clamp threshold {floor:.3e}"
         )
-    return np.clip(w, 0.0, None), v
+    return np.clip(w, 0.0, None)
+
+
+def _clamped_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a symmetric PSD matrix, clamping tiny negatives to 0."""
+    w, v = np.linalg.eigh(a)
+    return _clamp(w, what), v
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The PSD square root ``V diag(sqrt(w)) V^T`` from clamped eigenpairs."""
+    b = (v * np.sqrt(w)) @ v.T
+    return (b + b.T) / 2.0
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -54,17 +71,14 @@ def psd_sqrt(a) -> np.ndarray:
     scale = max(float(np.linalg.norm(a)), 1.0)
     if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
         raise NotPsdError("matrix is not symmetric")
-    w, v = _clamped_eigh((a + a.T) / 2.0, "matrix")
-    b = (v * np.sqrt(w)) @ v.T
-    return (b + b.T) / 2.0
+    return _root(*_clamped_eigh((a + a.T) / 2.0, "matrix"))
 
 
-def _trace_cross_term(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
-    """Tr((A^1/2 B A^1/2)^1/2) for symmetric PSD A, B."""
-    s = psd_sqrt(cov_a)
-    inner = s @ cov_b @ s
+def _trace_cross_term(root_a: np.ndarray, cov_b: np.ndarray) -> float:
+    """Tr((A^1/2 B A^1/2)^1/2) for symmetric PSD B, given the root A^1/2."""
+    inner = root_a @ cov_b @ root_a
     inner = (inner + inner.T) / 2.0
-    w, _ = _clamped_eigh(inner, "covariance product")
+    w = _clamp(np.linalg.eigvalsh(inner), "covariance product")
     return float(np.sum(np.sqrt(w)))
 
 
@@ -84,19 +98,18 @@ class FrechetResult:
         }
 
 
-def frechet_distance(a, b) -> FrechetResult:
-    """Squared 2-Wasserstein distance between two Gaussian surrogates.
-
-    ``a`` and ``b`` are anything with ``mean`` and ``cov`` attributes
-    (:class:`GaussianStats` or :class:`GaussianModel`).  Values in
-    ``[-1e-8, 0)`` are clamped to zero.
-    """
+def _check_dims(a, b) -> None:
     if a.mean.shape[0] != b.mean.shape[0]:
         raise ValueError(
             f"dimension mismatch: {a.mean.shape[0]} vs {b.mean.shape[0]}"
         )
+
+
+def _distance(a, root_a: np.ndarray, b) -> FrechetResult:
+    """:func:`frechet_distance` with the reference root ``a.cov^1/2`` given."""
+    _check_dims(a, b)
     mean_term = float(np.sum((a.mean - b.mean) ** 2))
-    cross = _trace_cross_term(a.cov, b.cov)
+    cross = _trace_cross_term(root_a, b.cov)
     trace_term = float(np.trace(a.cov) + np.trace(b.cov)) - 2.0 * cross
     value = mean_term + trace_term
     if value < 0.0:
@@ -104,6 +117,18 @@ def frechet_distance(a, b) -> FrechetResult:
             raise NumericalError(f"distance {value!r} below clamp threshold")
         value = 0.0
     return FrechetResult(value=value, mean_term=mean_term, trace_term=trace_term)
+
+
+def frechet_distance(a, b) -> FrechetResult:
+    """Squared 2-Wasserstein distance between two Gaussian surrogates.
+
+    ``a`` and ``b`` are anything with ``mean`` and ``cov`` attributes
+    (:class:`GaussianStats` or :class:`GaussianModel`); ``a`` is the
+    reference side, whose covariance root is taken.  Values in
+    ``[-1e-8, 0)`` are clamped to zero.
+    """
+    _check_dims(a, b)
+    return _distance(a, psd_sqrt(a.cov), b)
 
 
 def fid_all(clients: ClientSet, g) -> FrechetResult:
@@ -137,12 +162,11 @@ class BarycenterSolution:
     residual_history: list[float] = field(default_factory=list, repr=False)
 
 
-def _barycenter_map(cov: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i (C^1/2 C_i C^1/2)^1/2 for the current iterate C."""
-    s = psd_sqrt(cov)
-    acc = np.zeros_like(cov)
+def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i (C^1/2 C_i C^1/2)^1/2, given the iterate's root C^1/2."""
+    acc = np.zeros_like(root)
     for w_i, c_i in zip(weights, covs):
-        inner = s @ c_i @ s
+        inner = root @ c_i @ root
         inner = (inner + inner.T) / 2.0
         ew, ev = _clamped_eigh(inner, "barycenter inner product")
         acc = acc + w_i * ((ev * np.sqrt(ew)) @ ev.T)
@@ -156,9 +180,11 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     the fixed point of ``C = sum_i w_i (C^1/2 C_i C^1/2)^1/2``, found by
     the iteration ``C_next = C^-1/2 M(C)^2 C^-1/2`` with
     ``M(C) = sum_i w_i (C^1/2 C_i C^1/2)^1/2``, started from the
-    weighted arithmetic mean.  Singular iterates are regularized with
-    ``1e-12 * Tr(C)/d`` on the diagonal.  Convergence is declared when
-    the fixed-point defect drops below ``tol * ||C||_F``.
+    weighted arithmetic mean.  Both roots of an iterate come from one
+    eigendecomposition.  Singular iterates are regularized with
+    ``1e-12 * Tr(C)/d`` on the diagonal before ``C^-1/2`` is taken.
+    Convergence is declared when the fixed-point defect drops below
+    ``tol * ||C||_F``.
     """
     stats = clients.stats_list()
     weights = clients.weights
@@ -170,7 +196,9 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
 
     history: list[float] = []
     for iteration in range(max_iter):
-        m = _barycenter_map(cov, covs, weights)
+        # Every iterate is exactly symmetric, so this is psd_sqrt's eigh.
+        w, v = _clamped_eigh(cov, "matrix")
+        m = _barycenter_map(_root(w, v), covs, weights)
         residual = float(np.linalg.norm(cov - m))
         history.append(residual)
         if residual <= tol * max(float(np.linalg.norm(cov)), np.finfo(float).tiny):
@@ -181,7 +209,6 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
                 residual=residual,
                 residual_history=history,
             )
-        w, v = _clamped_eigh(cov, "barycenter iterate")
         if float(w[0]) <= 0.0:
             eps = 1e-12 * float(np.trace(cov)) / d
             cov = cov + eps * np.eye(d)
@@ -190,7 +217,7 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
         cov = inv_sqrt @ (m @ m) @ inv_sqrt
         cov = (cov + cov.T) / 2.0
 
-    m = _barycenter_map(cov, covs, weights)
+    m = _barycenter_map(psd_sqrt(cov), covs, weights)
     residual = float(np.linalg.norm(cov - m))
     raise ConvergenceError(
         f"barycenter did not converge in {max_iter} iterations (residual {residual:.3e})",
@@ -231,9 +258,10 @@ def fid_avg_decomposition(
     """Evaluate the barycenter-centered split of the avg aggregate for ``g``."""
     solution = barycenter(clients, tol=tol, max_iter=max_iter)
     center = GaussianModel(mean=solution.mean, cov=solution.cov)
-    barycenter_part = frechet_distance(center, g).value
+    root = psd_sqrt(center.cov)
+    barycenter_part = _distance(center, root, g).value
     per_client = np.array(
-        [frechet_distance(center, s).value for s in clients.stats_list()]
+        [_distance(center, root, s).value for s in clients.stats_list()]
     )
     const_part = float(clients.weights @ per_client)
     return DecompositionResult(

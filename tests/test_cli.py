@@ -64,6 +64,17 @@ def test_fid_ref_pair(workspace, capsys):
     assert set(out) == {"value", "mean_term", "trace_term"}
 
 
+def test_fid_indefinite_generator_exit_2(workspace, capsys):
+    tmp, _ = workspace
+    save_stats(
+        fedeval.GaussianStats(n=3, mean=[0.0, 0.0], cov=np.diag([1.0, -0.5])),
+        tmp / "indefinite.json",
+    )
+    for ref in (["--ref", tmp / "c1.fevb"], ["--clients", tmp / "clients.json"]):
+        assert run_cli(["fid", *ref, "--gen", tmp / "indefinite.json"]) == 2
+        assert "covariance product is not PSD" in capsys.readouterr().err
+
+
 def test_kid_subcommand_with_gap(workspace, capsys):
     tmp, data = workspace
     code = run_cli(
@@ -211,6 +222,21 @@ def test_sweep_variance_limited(tmp_path):
     lines = (tmp_path / "v.csv").read_text().splitlines()
     assert lines[0] == "var,fid_avg,fid_all,kid_avg,kid_all"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["toy-mixture", "--grid", "0:1:0.5", "--n", "40", "--seed", "7"],
+        ["variance-limited", "--grid", "0:0.4:0.2", "--n", "30", "--k-clients", "4", "--seed", "1"],
+    ],
+)
+def test_sweep_stdout_matches_out_file(tmp_path, capsysbinary, family):
+    assert run_cli(["sweep", *family]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert run_cli(["sweep", *family, "--out", tmp_path / "s.csv"]) == 0
+    assert stdout == (tmp_path / "s.csv").read_bytes()
+    assert stdout.count(b"\n") == 4
 
 
 def test_simulate_round_scenario(tmp_path, capsys):

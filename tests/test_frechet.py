@@ -25,6 +25,8 @@ from fedeval import (
     psd_sqrt,
 )
 
+from fedeval.statkit import load_stats, save_stats
+
 from conftest import random_cov, random_stats_clients
 
 
@@ -86,6 +88,16 @@ def test_distance_identical_stats_is_zero(rng):
     cov = random_cov(rng, 4)
     s = GaussianStats(n=5, mean=rng.normal(size=4), cov=cov)
     assert frechet_distance(s, s).value == 0.0
+
+
+def test_indefinite_generator_covariance_fails_product_clamp(tmp_path):
+    """A symmetric but indefinite generator covariance passes loading and
+    fails the PSD check on the eigenvalues of A^1/2 B A^1/2."""
+    save_stats(GaussianStats(n=3, mean=[0.0, 0.0], cov=np.diag([1.0, -0.5])), tmp_path / "g.json")
+    gen = load_stats(tmp_path / "g.json")
+    ref = GaussianStats(n=3, mean=[0.0, 0.0], cov=np.eye(2))
+    with pytest.raises(NotPsdError, match="covariance product is not PSD"):
+        frechet_distance(ref, gen)
 
 
 def test_distance_commuting_diagonal_closed_form():
