@@ -4,7 +4,7 @@ Every subcommand is a thin wrapper over the library; all randomness is
 controlled by ``--seed`` (default 0), so identical invocations produce
 byte-identical outputs.  Exit codes: 0 on success, 1 on usage or input
 errors, 2 on numerical failures (non-PSD inputs, non-convergence, too
-few samples).
+few samples, a LAPACK routine that fails).
 """
 
 from __future__ import annotations
@@ -376,7 +376,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError (a ValueError) is LAPACK failing, not bad input.
         print(f"fedeval: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -20,6 +20,13 @@ gap is reported next to the nominal lower bound ``2u``.
 :func:`search_matched_pair` additionally runs a derivative-free search
 for a generator that matches ``g_hat``'s per-client scores numerically
 while keeping the pooled-score gap as large as possible.
+
+This is the only module that uses scipy (``null_space`` and
+Nelder–Mead), and it imports scipy inside the two functions that need
+it, on purpose: the package and the CLI load this module, and a
+module-level import would make every subcommand pay scipy's start-up
+time and memory.  ``tests/test_imports.py`` checks that no other
+subcommand loads scipy.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .frechet import _distance, psd_sqrt
 from .statkit import ClientSet, GaussianModel, pool_moments
@@ -76,6 +81,8 @@ class CounterexampleReport:
 
 def _mean_complement_basis(means: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the complement of span{client means}."""
+    from scipy.linalg import null_space
+
     basis = null_space(means)
     if basis.size == 0:
         raise ValueError(
@@ -172,6 +179,8 @@ def search_matched_pair(
     the budget runs out before the per-client residual sum reaches
     1e-6, the best iterate is returned flagged as not converged.
     """
+    from scipy.optimize import minimize
+
     stats = clients.stats_list()
     means = np.stack([s.mean for s in stats])
     k, d = means.shape

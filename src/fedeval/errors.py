@@ -2,8 +2,9 @@
 
 ``NumericalError`` subclasses mark failures of a numerical contract
 (non-PSD input, non-convergence, too few samples); the CLI maps them to
-exit code 2, while plain ``ValueError`` (malformed input, bad usage)
-maps to exit code 1.
+exit code 2, as it does numpy's ``LinAlgError`` (a LAPACK failure),
+while plain ``ValueError`` (malformed input, bad usage) maps to exit
+code 1.
 """
 
 from __future__ import annotations

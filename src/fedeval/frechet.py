@@ -15,7 +15,8 @@ eigendecomposition, computed once per reference and reused against
 every covariance it is compared with (the barycenter centre in the avg
 decomposition, the clients and the pool in the counterexample search).
 The barycenter iteration takes both ``C^1/2`` and ``C^-1/2`` of each
-iterate from a single eigendecomposition.
+iterate from a single eigendecomposition, and the avg decomposition
+reuses the converged iterate's ``C^1/2`` as the centre's root.
 """
 
 from __future__ import annotations
@@ -186,6 +187,11 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     Convergence is declared when the fixed-point defect drops below
     ``tol * ||C||_F``.
     """
+    return _barycenter(clients, tol, max_iter)[0]
+
+
+def _barycenter(clients: ClientSet, tol: float, max_iter: int) -> tuple[BarycenterSolution, np.ndarray]:
+    """:func:`barycenter` and the root ``C^1/2`` of the returned iterate."""
     stats = clients.stats_list()
     weights = clients.weights
     d = clients.dim
@@ -198,7 +204,8 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     for iteration in range(max_iter):
         # Every iterate is exactly symmetric, so this is psd_sqrt's eigh.
         w, v = _clamped_eigh(cov, "matrix")
-        m = _barycenter_map(_root(w, v), covs, weights)
+        root = _root(w, v)
+        m = _barycenter_map(root, covs, weights)
         residual = float(np.linalg.norm(cov - m))
         history.append(residual)
         if residual <= tol * max(float(np.linalg.norm(cov)), np.finfo(float).tiny):
@@ -208,7 +215,7 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
                 iterations=iteration,
                 residual=residual,
                 residual_history=history,
-            )
+            ), root
         if float(w[0]) <= 0.0:
             eps = 1e-12 * float(np.trace(cov)) / d
             cov = cov + eps * np.eye(d)
@@ -256,9 +263,8 @@ def fid_avg_decomposition(
     clients: ClientSet, g, tol: float = 1e-10, max_iter: int = 1000
 ) -> DecompositionResult:
     """Evaluate the barycenter-centered split of the avg aggregate for ``g``."""
-    solution = barycenter(clients, tol=tol, max_iter=max_iter)
+    solution, root = _barycenter(clients, tol, max_iter)
     center = GaussianModel(mean=solution.mean, cov=solution.cov)
-    root = psd_sqrt(center.cov)
     barycenter_part = _distance(center, root, g).value
     per_client = np.array(
         [_distance(center, root, s).value for s in clients.stats_list()]

@@ -158,6 +158,19 @@ def test_barycenter_subcommand(workspace, capsys):
     assert dec["fid_avg"] == json.loads(capsys.readouterr().out)["fid_avg"]
 
 
+def test_barycenter_lapack_failure_exit_2(workspace, capsys, monkeypatch):
+    """numpy's LinAlgError is a ValueError, but it is a numerical failure."""
+    tmp, _ = workspace
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert run_cli(["barycenter", "--clients", tmp / "clients.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fedeval: numerical failure: Eigenvalues did not converge")
+
+
 def test_counterexample_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(2)
     write_embeddings(rng.normal(size=(20, 3)) + np.array([1.0, 0, 0]), tmp_path / "a.fevb")
