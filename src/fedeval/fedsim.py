@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .frechet import fid_all, fid_avg, frechet_distance, psd_sqrt
-from .kernelmmd import KernelSpec, block_sums, kid_all, kid_avg, mmd2
+from .kernelmmd import KernelSpec, _clamp_vstat, block_sums, kid_all, kid_avg, mmd2
 from .prdc import prdc_aggregate
 from .statkit import (
     Client,
@@ -441,11 +441,8 @@ def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
     gen_gen = float(block_sums(kernel, [generator])[0, 0]) / n_gen**2
     w = clients.weights
     per_client_vals = [
-        max(
-            within[i] / counts[i] ** 2
-            + gen_gen
-            - 2.0 * cross_gen[i] / (counts[i] * n_gen),
-            0.0,
+        _clamp_vstat(
+            within[i] / counts[i] ** 2 + gen_gen - 2.0 * cross_gen[i] / (counts[i] * n_gen)
         )
         for i in range(k)
     ]
@@ -457,9 +454,7 @@ def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
         b = pair_sums / np.outer(counts, counts)
         np.fill_diagonal(b, within / counts**2)
         b_gen = cross_gen / (counts * n_gen)
-        scores["kid_all"] = max(
-            float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen), 0.0
-        )
+        scores["kid_all"] = _clamp_vstat(float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen))
     return ScoreReport(scores=scores, per_client=per_client, client_ids=clients.ids)
 
 

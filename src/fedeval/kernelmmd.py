@@ -21,6 +21,14 @@ It is computed exactly (no block subsampling) in one pass over square
 Gram tiles of side ``TILE``, so memory does not grow with the sample
 count and there is no cap on it; the aggregations are then O(K^2)
 algebra on the sums.
+
+The polynomial kernel scales and offsets the ``x @ y.T`` product in
+place and takes the power by repeated products, not by a ``pow`` per
+element; the products round ``degree - 1`` times, so a score can differ
+from ``(s x.y + o) ** degree`` in its last bits (degrees 1 and 2 are
+exact).  ``TILE = 256`` was measured, not assumed: at d=64 with one BLAS
+thread, a kid + prdc evaluation of six 200-sample clients against 320
+generated samples ran fastest at 256 among 128, 256, 384, 512 and 1024.
 """
 
 from __future__ import annotations
@@ -101,13 +109,20 @@ def load_kernel_spec(path) -> KernelSpec:
         return KernelSpec.from_json_dict(json.load(fh))
 
 
-def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, |x|^2 + |y|^2 - 2 x.y, clipped at 0."""
-    sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :]
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row."""
+    return np.sum(x**2, axis=1)
+
+
+def _squared_distances(
+    x: np.ndarray, y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray
+) -> np.ndarray:
+    """Squared Euclidean distances |x|^2 + |y|^2 - 2 x.y from the row norms
+    ``x_sq`` and ``y_sq``, not clipped: roundoff can leave them below 0."""
+    sq = x_sq[:, None] + y_sq[None, :]
     cross = x @ y.T
     cross *= 2.0
     sq -= cross
-    np.clip(sq, 0.0, None, out=sq)
     return sq
 
 
@@ -119,9 +134,19 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     d = x.shape[1]
     if spec.kind == "polynomial":
-        return (spec.resolved_scale(d) * (x @ y.T) + spec.offset) ** spec.degree
+        base = x @ y.T
+        base *= spec.resolved_scale(d)
+        base += spec.offset
+        if spec.degree == 1:
+            return base
+        power = base * base
+        for _ in range(spec.degree - 2):
+            power *= base
+        return power
     sigma = spec.resolved_bandwidth(d)
-    return np.exp(-_squared_distances(x, y) / (2.0 * sigma**2))
+    sq = _squared_distances(x, y, _row_norms(x), _row_norms(y))
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-sq / (2.0 * sigma**2))
 
 
 def _tiles(n_rows: int, n_cols: int, symmetric: bool):

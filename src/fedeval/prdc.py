@@ -12,12 +12,17 @@ neighbor" around each sample and test strict containment:
 
 Nearest neighbors are exact.  Distances are taken in square tiles of
 ``kernelmmd.TILE`` rows and columns, so memory does not grow with the
-sample count: each row keeps its k smallest distances so far, merged
-tile by tile with ``np.partition``.  Ties in neighbor distance resolve
-to the same radius value regardless of index order.  ``prdc_aggregate``
-reads the pooled radii, every client's radii (its diagonal blocks) and
-every ball test (row blocks of one pooled x generated pass) from a
-single pass over the pooled samples.
+sample count: each row keeps its k smallest squared distances so far,
+unclipped, merged tile by tile with ``np.partition``.  Only the k-th
+value kept is clipped at 0 and square-rooted.  Both steps are
+non-decreasing, so they commute with taking the k-th smallest and the
+radius has the same bits as selecting among clipped, rooted distances.
+Row norms are computed once per sample array, not once per tile.  Ties
+in neighbor distance resolve to the same radius value regardless of
+index order.  The ball tests compare clipped, rooted distances with the
+radii.  ``prdc_aggregate`` reads the pooled radii, every client's radii
+(its diagonal blocks) and every ball test (row blocks of one pooled x
+generated pass) from a single pass over the pooled samples.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SampleCountError
-from .kernelmmd import _segments, _squared_distances, _stack, _tiles
+from .kernelmmd import _row_norms, _segments, _squared_distances, _stack, _tiles
 from .statkit import ClientSet, as_embeddings
 
 DEFAULT_K = 5
@@ -49,10 +54,6 @@ class PrdcResult:
         }
 
 
-def _pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sqrt(_squared_distances(x, y))
-
-
 def _check_knn(k: int, counts) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -64,6 +65,12 @@ def _check_knn(k: int, counts) -> None:
 def _check_dims(ref: np.ndarray, gen: np.ndarray) -> None:
     if ref.shape[1] != gen.shape[1]:
         raise ValueError(f"dimension mismatch: {ref.shape[1]} vs {gen.shape[1]}")
+
+
+def _distances(sq: np.ndarray) -> np.ndarray:
+    """Euclidean distances from squared ones, clipped at 0 first (in place)."""
+    np.clip(sq, 0.0, None, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def _merge_nearest(best: np.ndarray, lo: int, dists: np.ndarray) -> None:
@@ -80,12 +87,16 @@ def _radii(x: np.ndarray, k: int, bounds: np.ndarray | None = None):
 
     Returns ``(pooled, own)``: the radius over all rows and, when block
     ``bounds`` are given, over the rows of the row's own block (else None).
+    The k smallest squared distances are kept unclipped; only the k-th is
+    clipped and rooted, which gives the same bits as selecting among the
+    distances, since both steps are non-decreasing.
     """
     n = x.shape[0]
+    x_sq = _row_norms(x)
     pooled = np.full((n, k), np.inf)
     own = None if bounds is None else np.full((n, k), np.inf)
     for r0, r1, c0, c1 in _tiles(n, n, symmetric=True):
-        dists = _pairwise_distances(x[r0:r1], x[c0:c1])
+        dists = _squared_distances(x[r0:r1], x[c0:c1], x_sq[r0:r1], x_sq[c0:c1])
         if c0 == r0:
             np.fill_diagonal(dists, np.inf)
         _merge_nearest(pooled, r0, dists)
@@ -102,7 +113,7 @@ def _radii(x: np.ndarray, k: int, bounds: np.ndarray | None = None):
             _merge_nearest(own, a0, block)
             if c0 != r0:
                 _merge_nearest(own, b0, block.T)
-    return pooled[:, k - 1], None if own is None else own[:, k - 1]
+    return _distances(pooled[:, k - 1]), None if own is None else _distances(own[:, k - 1])
 
 
 def knn_radii(x, k: int) -> np.ndarray:
@@ -127,8 +138,10 @@ def _ball_scores(ref, gen, gen_radii, k, partitions) -> list[list[PrdcResult]]:
     covered = [np.zeros(n, dtype=bool) for _ in partitions]
     # ref samples inside any generated ball
     recalled = np.zeros(n, dtype=bool)
+    ref_sq, gen_sq = _row_norms(ref), _row_norms(gen)
     for r0, r1, c0, c1 in _tiles(n, m, symmetric=False):
-        dists = _pairwise_distances(ref[r0:r1], gen[c0:c1])
+        sq = _squared_distances(ref[r0:r1], gen[c0:c1], ref_sq[r0:r1], gen_sq[c0:c1])
+        dists = _distances(sq)
         recalled[r0:r1] |= (dists < gen_radii[None, c0:c1]).any(axis=1)
         for (radii, bounds), cover, hit in zip(partitions, covers, covered):
             inside = dists < radii[r0:r1, None]

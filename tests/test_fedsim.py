@@ -87,6 +87,45 @@ def test_kernel_blocks_message_census(rng):
     assert {m.real_count for m in block_replies} == {3, 1}
 
 
+def test_kernel_blocks_clamp_raises_like_the_library(rng, monkeypatch, tmp_path):
+    # inflated client-generator sums drive the vstat score far below the
+    # -VSTAT_CLAMP threshold, which KernelStats rejects with NumericalError
+    import json
+
+    from fedeval import cli, fedsim
+    from fedeval.errors import NumericalError
+
+    real_block_sums = fedsim.block_sums
+
+    def inflated_cross_sums(spec, rows, cols=None):
+        sums = real_block_sums(spec, rows, cols)
+        return sums if cols is None else sums + 1e6
+
+    monkeypatch.setattr(fedsim, "block_sums", inflated_cross_sums)
+    clients = make_clients(rng, k=2)
+    gen = rng.normal(size=(10, 3))
+    for metrics in (["kid_avg"], ["kid_all"], ["kid_avg", "kid_all"]):
+        with pytest.raises(NumericalError, match="below clamp threshold"):
+            run_round(clients, gen, "kernel_blocks", metrics)
+
+    scenario = {
+        "name": "clamp",
+        "kind": "round",
+        "mode": "kernel_blocks",
+        "metrics": ["kid_avg"],
+        "seed": 5,
+        "clients": [
+            {"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 20},
+            {"id": "c2", "mean": [3.0, 0.0], "cov": 1.0, "n": 20},
+        ],
+        "generators": [
+            {"id": "g1", "kind": "gaussian", "mean": [1.5, 0.0], "cov": 1.0, "n": 30}
+        ],
+    }
+    (tmp_path / "s.json").write_text(json.dumps(scenario))
+    assert cli.main(["simulate", "--scenario", str(tmp_path / "s.json")]) == 2
+
+
 def test_kernel_blocks_replies_carry_whole_gram_sums(rng):
     # every block that fits in one tile is summed exactly as the full Gram
     # matrix would be, so the messages (and --out-trace bytes) are unchanged

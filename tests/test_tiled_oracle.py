@@ -337,3 +337,105 @@ def test_block_sums_independent_of_tile(tile, rng):
         got_self = kernelmmd.block_sums(spec, rows)
     np.testing.assert_allclose(got, want, rtol=1e-12)
     np.testing.assert_allclose(got_self, want_self, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# polynomial power by repeated products, rbf expansion
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_polynomial_gram_within_ulps_of_pow(degree, rng):
+    # only the power step differs from the libm pow: the repeated products
+    # round degree - 1 times, each by at most half an ulp
+    for d, scale, offset in ((5, None, 1.0), (64, None, 1.0), (3, 0.7, -0.3)):
+        x = rng.normal(size=(40, d))
+        y = 2.0 * rng.normal(size=(30, d))
+        spec = KernelSpec(degree=degree, scale=scale, offset=offset)
+        want = (spec.resolved_scale(d) * (x @ y.T) + offset) ** degree
+        got = kernelmmd.gram(spec, x, y)
+        np.testing.assert_array_max_ulp(got, want, maxulp=max(1, 2 * (degree - 1)))
+        if degree <= 2:
+            # x ** 1 and x ** 2 are a copy and a square: no rounding differs
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_polynomial_gram_exact_on_small_integers(degree, rng):
+    x = rng.integers(-3, 4, size=(25, 4))
+    y = rng.integers(-3, 4, size=(20, 4))
+    xy = x @ y.T
+    # int64 arithmetic, exact; scale None resolves to 1/4, so
+    # (xy / 4 + 2) ** degree == (xy + 8) ** degree / 4 ** degree
+    for scale, want in ((1.0, (xy + 2) ** degree), (None, (xy + 8) ** degree / 4**degree)):
+        spec = KernelSpec(degree=degree, scale=scale, offset=2.0)
+        got = kernelmmd.gram(spec, x.astype(np.float64), y.astype(np.float64))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_polynomial_gram_degree_one_is_the_affine_map(rng):
+    x, y = rng.normal(size=(33, 7)), rng.normal(size=(21, 7))
+    spec = KernelSpec(degree=1, scale=0.37, offset=1.5)
+    want = 0.37 * (x @ y.T) + 1.5
+    assert kernelmmd.gram(spec, x, y).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0.8])
+def test_rbf_gram_bit_identical_to_oracle_expansion(bandwidth, rng):
+    spec = KernelSpec(kind="rbf", bandwidth=bandwidth)
+    for d in (1, 6, 64):
+        x = rng.normal(size=(37, d))
+        y = np.concatenate([rng.normal(size=(19, d)), x[:5]])  # exact duplicates too
+        assert kernelmmd.gram(spec, x, y).tobytes() == oracle_gram(spec, x, y).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# k-NN radii selected on squared distances
+
+SQUARED = st.one_of(
+    st.floats(min_value=-4.0, max_value=1e6),
+    st.sampled_from([-0.0, 0.0, np.inf, -1e-300, -2.0, 1.0, 4.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rows: st.lists(
+            st.lists(SQUARED, min_size=rows, max_size=rows), min_size=1, max_size=24
+        )
+    ),
+    st.integers(1, 6),
+)
+def test_deferred_clip_and_sqrt_are_exact(columns, chunk):
+    # k-th smallest of sqrt(clip(a, 0)) == sqrt(clip(k-th smallest of a, 0)),
+    # bit for bit, through the same merge and final step the radii pass uses
+    a = np.array(columns).T.copy()
+    rows, n = a.shape
+    for k in range(1, n + 1):
+        want = np.sort(np.sqrt(np.clip(a, 0.0, None)), axis=1)[:, k - 1]
+        best = np.full((rows, k), np.inf)
+        for c0 in range(0, n, chunk):
+            prdc._merge_nearest(best, 0, a[:, c0 : c0 + chunk])
+        got = prdc._distances(best[:, k - 1].copy())
+        assert got.tobytes() == want.tobytes()
+        kth = np.partition(a, k - 1, axis=1)[:, k - 1]
+        assert got.tobytes() == np.sqrt(np.maximum(kth, 0.0)).tobytes()
+
+
+def test_radii_on_real_valued_duplicates(rng):
+    # duplicated real-valued rows, whose expanded squared distance rounds
+    # below 0 about a third of the time before the clip
+    v = rng.normal(size=(64, 16)) * rng.uniform(0.1, 10.0, size=(64, 1))
+    x = np.repeat(v, 2, axis=0)
+    norms = kernelmmd._row_norms(x)
+    sq = kernelmmd._squared_distances(x, x, norms, norms)
+    pair = sq[np.arange(0, 128, 2), np.arange(1, 128, 2)]
+    assert (pair < 0).any()
+    clipped = np.repeat(pair <= 0, 2)
+    radii = prdc.knn_radii(x, 1)
+    # +0.0, never -0.0 or NaN
+    assert radii[clipped].tobytes() == np.zeros(clipped.sum()).tobytes()
+    for k in (1, 2, 3):
+        assert prdc.knn_radii(x, k).tobytes() == oracle_radii(x, k).tobytes()
+        with small_tiles():
+            assert prdc.knn_radii(x, k).tobytes() == oracle_radii(x, k).tobytes()
