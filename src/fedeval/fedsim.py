@@ -12,6 +12,15 @@ and therefore which aggregate scores exist at all:
   kernel sums; the pooled kernel score additionally needs pairwise raw
   exchange between clients, whose bytes are charged to the trace.
 
+The server assembles the library's own statistic from the replies -- a
+``ClientSet`` of ``GaussianStats`` rebuilt from the moments, a
+``ClientSet`` of the uploaded embeddings, or a ``KernelStats`` of the
+block sums -- and calls the library's aggregation on it (``fid_avg`` /
+``fid_all``, ``KernelStats.kid_avg`` / ``kid_all``,
+``log_likelihood_scores``, ``prdc_aggregate``), so protocol == library
+holds by construction.  In ``scores`` mode the clients run that
+aggregation on their own set and reply with their per-client entries.
+
 Requesting a score the mode cannot produce is a hard
 :class:`~fedeval.errors.CapabilityError`, never an approximation.
 Every transmitted real number is charged 8 bytes plus a 16-byte header
@@ -29,15 +38,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError
-from .frechet import fid_all, fid_avg, frechet_distance, psd_sqrt
-from .kernelmmd import KernelSpec, _clamp_vstat, block_sums, kid_all, kid_avg, mmd2
+from .frechet import fid_all, fid_avg, psd_sqrt
+from .kernelmmd import KernelSpec, KernelStats, block_sums, kernel_stats, kid_all, kid_avg
 from .prdc import prdc_aggregate
 from .statkit import (
     Client,
     ClientSet,
     GaussianModel,
     GaussianStats,
-    gaussian_log_density,
     log_likelihood_scores,
     moments,
 )
@@ -214,9 +222,13 @@ def run_round(
 ) -> tuple[ScoreReport, ProtocolTrace]:
     """Execute one evaluation round and account for every byte moved.
 
-    Scores are numerically identical to the corresponding direct library
-    calls; the trace lists one generator broadcast followed by the
-    clients' replies in client-id order.
+    The server assembles the library's own statistic from the replies (a
+    client set of Gaussian moments or of embeddings, or a ``KernelStats``
+    of block sums) and calls the library's aggregation on it, so the
+    scores equal the direct library calls by construction.  In ``scores``
+    mode the clients run that aggregation on their own set and each
+    replies with its per-client entries.  The trace lists one generator
+    broadcast followed by the clients' replies in client-id order.
     """
     mode = _normalize_mode(mode)
     metrics = _normalize_metrics(metrics)
@@ -234,181 +246,65 @@ def run_round(
         )
     )
 
-    if mode == SCORES:
-        report = _round_scores(clients, generator, metrics, kernel, k_neighbors, trace)
-    elif mode == MOMENTS:
-        report = _round_moments(clients, generator, metrics, trace)
+    if mode == MOMENTS:
+        source = _moments_replies(clients, trace)
     elif mode == RAW:
-        report = _round_raw(clients, generator, metrics, kernel, k_neighbors, trace)
+        source = _raw_replies(clients, trace)
+    elif mode == KERNEL_BLOCKS:
+        source = _kernel_block_replies(clients, generator, "kid_all" in metrics, kernel, trace)
     else:
-        report = _round_kernel_blocks(clients, generator, metrics, kernel, trace)
-    return report, trace
-
-
-def _per_client_score(client: Client, generator, metric: str, kernel, k_neighbors):
-    base = metric.split("_")[0]
-    if base == "fid":
-        return frechet_distance(client.get_stats(), _generator_stats(generator)).value
-    if base == "kid":
-        return mmd2(kernel, client.embeddings, generator).value
-    if base == "ll":
-        return float(
-            np.mean(gaussian_log_density(client.embeddings, _generator_model(generator)))
-        )
-    from .prdc import prdc_scores
-
-    return prdc_scores(client.embeddings, generator, k=k_neighbors).to_json_dict()
-
-
-def _weighted_avg(values, weights):
-    if isinstance(values[0], dict):
-        keys = values[0].keys()
-        return {
-            k: float(weights @ np.array([v[k] for v in values])) for k in keys
-        }
-    return float(weights @ np.asarray(values))
-
-
-def _round_scores(clients, generator, metrics, kernel, k_neighbors, trace):
-    per_client: dict[str, list] = {}
-    scores: dict = {}
-    replies: dict[str, dict] = {c.id: {} for c in clients}
-    for client in clients:
-        for metric in metrics:
-            value = _per_client_score(client, generator, metric, kernel, k_neighbors)
-            replies[client.id][metric] = value
-            trace.append(
-                Message(
-                    sender=client.id,
-                    recipient=SERVER,
-                    kind="ScoreReply",
-                    real_count=4 if metric.startswith("prdc") else 1,
-                    body={"metric": metric, "value": value},
+        source = clients
+    scores, per_client = _aggregate(source, generator, metrics, kernel, k_neighbors)
+    if mode == SCORES:
+        for i, client in enumerate(clients):
+            for metric in metrics:
+                value = per_client[metric.split("_")[0]][i]
+                reals = 4 if metric.startswith("prdc") else 1
+                trace.append(
+                    Message(client.id, SERVER, "ScoreReply", reals, {"metric": metric, "value": value})
                 )
-            )
-    for metric in metrics:
-        values = [replies[c.id][metric] for c in clients]
-        per_client[metric.split("_")[0]] = values
-        scores[metric] = _weighted_avg(values, clients.weights)
-    return ScoreReport(scores=scores, per_client=per_client, client_ids=clients.ids)
+    return ScoreReport(scores=scores, per_client=per_client, client_ids=clients.ids), trace
 
 
-def _round_moments(clients, generator, metrics, trace):
+def _moments_replies(clients, trace) -> ClientSet:
     rebuilt = []
     for client, weight in zip(clients, clients.weights):
         stats = client.get_stats()
         d = stats.dim
-        trace.append(
-            Message(
-                sender=client.id,
-                recipient=SERVER,
-                kind="MomentsReply",
-                real_count=1 + d + d * d,
-                body={"n": stats.n},
-            )
-        )
+        trace.append(Message(client.id, SERVER, "MomentsReply", 1 + d + d * d, {"n": stats.n}))
         # Server-side reconstruction from the transmitted (n, mean, S).
-        second = stats.second_moment
-        cov = second - np.outer(stats.mean, stats.mean)
-        cov = (cov + cov.T) / 2.0
-        rebuilt.append(
-            Client(
-                id=client.id,
-                weight=float(weight),
-                stats=GaussianStats(n=stats.n, mean=stats.mean, cov=cov),
-            )
-        )
-    rebuilt_set = ClientSet(rebuilt)
-    gen_stats = _generator_stats(generator)
-    scores: dict = {}
-    per_client: dict[str, list] = {}
-    avg = fid_avg(rebuilt_set, gen_stats)
-    per_client["fid"] = [r.value for r in avg.per_client]
-    if "fid_avg" in metrics:
-        scores["fid_avg"] = avg.value
-    if "fid_all" in metrics:
-        scores["fid_all"] = fid_all(rebuilt_set, gen_stats).value
-    return ScoreReport(scores=scores, per_client=per_client, client_ids=clients.ids)
+        cov = stats.second_moment - np.outer(stats.mean, stats.mean)
+        stats = GaussianStats(n=stats.n, mean=stats.mean, cov=(cov + cov.T) / 2.0)
+        rebuilt.append(Client(id=client.id, weight=float(weight), stats=stats))
+    return ClientSet(rebuilt)
 
 
-def _round_raw(clients, generator, metrics, kernel, k_neighbors, trace):
+def _raw_replies(clients, trace) -> ClientSet:
     rebuilt = []
     for client, weight, x in zip(clients, clients.weights, clients.client_embeddings()):
         n, d = x.shape
-        trace.append(
-            Message(
-                sender=client.id,
-                recipient=SERVER,
-                kind="RawDataReply",
-                real_count=n * d,
-                body={"rows": n, "cols": d},
-            )
-        )
-        rebuilt.append(
-            Client(id=client.id, weight=float(weight), embeddings=x)
-        )
-    rebuilt_set = ClientSet(rebuilt)
-    scores: dict = {}
-    per_client: dict[str, list] = {}
-    if any(m.startswith("fid") for m in metrics):
-        gen_stats = _generator_stats(generator)
-        avg = fid_avg(rebuilt_set, gen_stats)
-        per_client["fid"] = [r.value for r in avg.per_client]
-        if "fid_avg" in metrics:
-            scores["fid_avg"] = avg.value
-        if "fid_all" in metrics:
-            scores["fid_all"] = fid_all(rebuilt_set, gen_stats).value
-    if any(m.startswith("kid") for m in metrics):
-        avg = kid_avg(rebuilt_set, generator, kernel)
-        per_client["kid"] = [r.value for r in avg.per_client]
-        if "kid_avg" in metrics:
-            scores["kid_avg"] = avg.value
-        if "kid_all" in metrics:
-            scores["kid_all"] = kid_all(rebuilt_set, generator, kernel)
-    if any(m.startswith("ll") for m in metrics):
-        ll = log_likelihood_scores(rebuilt_set, _generator_model(generator))
-        per_client["ll"] = ll.per_client
-        if "ll_avg" in metrics:
-            scores["ll_avg"] = ll.avg
-        if "ll_all" in metrics:
-            scores["ll_all"] = ll.all
-    if any(m.startswith("prdc") for m in metrics):
-        agg = prdc_aggregate(rebuilt_set, generator, k=k_neighbors)
-        per_client["prdc"] = [r.to_json_dict() for r in agg.per_client]
-        if "prdc_avg" in metrics:
-            scores["prdc_avg"] = agg.avg.to_json_dict()
-        if "prdc_all" in metrics:
-            scores["prdc_all"] = agg.all.to_json_dict()
-    return ScoreReport(scores=scores, per_client=per_client, client_ids=clients.ids)
+        trace.append(Message(client.id, SERVER, "RawDataReply", n * d, {"rows": n, "cols": d}))
+        rebuilt.append(Client(id=client.id, weight=float(weight), embeddings=x))
+    return ClientSet(rebuilt)
 
 
-def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
+def _kernel_block_replies(clients, generator, cross, kernel, trace) -> KernelStats:
+    """The kernel statistic the block-sum replies carry.
+
+    The cross-client sums are NaN unless ``cross``; the self-block traces
+    are NaN because they are never sent (only ``ustat`` reads them).
+    """
     mats = clients.client_embeddings()
     k = len(mats)
-    counts = np.array([m.shape[0] for m in mats], dtype=np.float64)
-    n_gen = generator.shape[0]
-
-    within = np.zeros(k)
-    cross_gen = np.zeros(k)
+    counts = np.array([m.shape[0] for m in mats])
+    sums = np.full((k, k), np.nan)
+    gen_sums = np.empty(k)
     for i, (client, mat) in enumerate(zip(clients, mats)):
-        within[i] = float(block_sums(kernel, [mat])[0, 0])
-        cross_gen[i] = float(block_sums(kernel, [mat], [generator])[0, 0])
-        trace.append(
-            Message(
-                sender=client.id,
-                recipient=SERVER,
-                kind="KernelBlockReply",
-                real_count=3,
-                body={
-                    "n": int(counts[i]),
-                    "within_sum": within[i],
-                    "cross_generator_sum": cross_gen[i],
-                },
-            )
-        )
-
-    pair_sums = np.zeros((k, k))
-    if "kid_all" in metrics:
+        sums[i, i] = float(block_sums(kernel, [mat])[0, 0])
+        gen_sums[i] = float(block_sums(kernel, [mat], [generator])[0, 0])
+        body = {"n": int(counts[i]), "within_sum": sums[i, i], "cross_generator_sum": gen_sums[i]}
+        trace.append(Message(client.id, SERVER, "KernelBlockReply", 3, body))
+    if cross:
         # Cross-client blocks need the partner's raw samples: the exchange
         # is simulated and its bytes charged, making the privacy cost of
         # the pooled kernel score explicit.
@@ -416,50 +312,75 @@ def _round_kernel_blocks(clients, generator, metrics, kernel, trace):
         for i in range(k):
             for j in range(i + 1, k):
                 nj, d = mats[j].shape
-                trace.append(
-                    Message(
-                        sender=ids[j],
-                        recipient=ids[i],
-                        kind="RawDataReply",
-                        real_count=nj * d,
-                        body={"rows": nj, "cols": d},
-                    )
-                )
-                pair_sums[i, j] = pair_sums[j, i] = float(
-                    block_sums(kernel, [mats[i]], [mats[j]])[0, 0]
-                )
-                trace.append(
-                    Message(
-                        sender=ids[i],
-                        recipient=SERVER,
-                        kind="KernelBlockReply",
-                        real_count=1,
-                        body={"pair": [ids[i], ids[j]], "cross_sum": pair_sums[i, j]},
-                    )
-                )
+                trace.append(Message(ids[j], ids[i], "RawDataReply", nj * d, {"rows": nj, "cols": d}))
+                sums[i, j] = sums[j, i] = float(block_sums(kernel, [mats[i]], [mats[j]])[0, 0])
+                body = {"pair": [ids[i], ids[j]], "cross_sum": sums[i, j]}
+                trace.append(Message(ids[i], SERVER, "KernelBlockReply", 1, body))
+    return KernelStats(
+        weights=clients.weights,
+        natural_weights=clients.has_natural_weights(),
+        counts=counts,
+        sums=sums,
+        traces=np.full(k, np.nan),
+        gen_count=generator.shape[0],
+        gen_sums=gen_sums,
+        gen_sum=float(block_sums(kernel, [generator])[0, 0]),
+        gen_trace=np.nan,
+    )
 
-    gen_gen = float(block_sums(kernel, [generator])[0, 0]) / n_gen**2
-    w = clients.weights
-    per_client_vals = [
-        _clamp_vstat(
-            within[i] / counts[i] ** 2 + gen_gen - 2.0 * cross_gen[i] / (counts[i] * n_gen)
-        )
-        for i in range(k)
-    ]
+
+def _aggregate(source, generator, metrics, kernel, k_neighbors) -> tuple[dict, dict]:
+    """The library's aggregation of each requested metric family over
+    ``source``: a client set, or the kernel_blocks round's ``KernelStats``.
+
+    Returns the requested scores and each requested family's per-client values.
+    """
     scores: dict = {}
-    per_client = {"kid": per_client_vals}
-    if "kid_avg" in metrics:
-        scores["kid_avg"] = float(w @ np.asarray(per_client_vals))
-    if "kid_all" in metrics:
-        b = pair_sums / np.outer(counts, counts)
-        np.fill_diagonal(b, within / counts**2)
-        b_gen = cross_gen / (counts * n_gen)
-        scores["kid_all"] = _clamp_vstat(float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen))
-    return ScoreReport(scores=scores, per_client=per_client, client_ids=clients.ids)
+    per_client: dict[str, list] = {}
+    for family in ("fid", "kid", "ll", "prdc"):
+        if not any(m.startswith(family + "_") for m in metrics):
+            continue
+        want_all = f"{family}_all" in metrics
+        if family == "fid":
+            gen_stats = _generator_stats(generator)
+            result = fid_avg(source, gen_stats)
+            values, avg = [r.value for r in result.per_client], result.value
+            if want_all:
+                pooled = fid_all(source, gen_stats).value
+        elif family == "kid":
+            stats = source
+            if not isinstance(source, KernelStats):
+                stats = kernel_stats(source, generator, kernel, cross=want_all)
+            result = stats.kid_avg()
+            values, avg = [r.value for r in result.per_client], result.value
+            if want_all:
+                pooled = stats.kid_all()
+        elif family == "ll":
+            result = log_likelihood_scores(source, _generator_model(generator))
+            values, avg, pooled = result.per_client, result.avg, result.all
+        else:
+            result = prdc_aggregate(source, generator, k=k_neighbors)
+            values = [r.to_json_dict() for r in result.per_client]
+            avg, pooled = result.avg.to_json_dict(), result.all.to_json_dict()
+        per_client[family] = values
+        if f"{family}_avg" in metrics:
+            scores[f"{family}_avg"] = avg
+        if want_all:
+            scores[f"{family}_all"] = pooled
+    return scores, per_client
 
 
 # ---------------------------------------------------------------------------
 # Synthetic scenarios
+
+
+def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
+    """A flat mean and a covariance matrix; a scalar ``cov`` stands for ``cov * I``."""
+    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+    cov = np.asarray(cov, dtype=np.float64)
+    if cov.ndim == 0:
+        cov = float(cov) * np.eye(mean.shape[0])
+    return mean, cov
 
 
 @dataclass
@@ -473,11 +394,7 @@ class ClientSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.ndim == 0:
-            cov = float(cov) * np.eye(self.mean.shape[0])
-        self.cov = cov
+        self.mean, self.cov = _mean_and_cov(self.mean, self.cov)
 
 
 @dataclass
@@ -504,11 +421,7 @@ class GeneratorSpec:
         if self.kind == "gaussian":
             if self.mean is None or self.cov is None:
                 raise ValueError("gaussian generator spec needs mean and cov")
-            self.mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-            cov = np.asarray(self.cov, dtype=np.float64)
-            if cov.ndim == 0:
-                cov = float(cov) * np.eye(self.mean.shape[0])
-            self.cov = cov
+            self.mean, self.cov = _mean_and_cov(self.mean, self.cov)
         else:
             if self.point is None:
                 raise ValueError("point generator spec needs a point")

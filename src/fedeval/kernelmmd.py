@@ -346,7 +346,7 @@ class KernelStats:
         b = self._cross_sums() / np.outer(self.counts, self.counts)
         b_gen = self.gen_sums / (self.counts * self.gen_count)
         gen_gen = self.gen_sum / self.gen_count**2
-        return _clamp_vstat(float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen))
+        return float(_clamp_vstat(float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen)))
 
     def gap(self) -> float:
         """Weighted mean squared MMD between the client mixture and each client."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +298,72 @@ def test_simulate_collapse_scenario(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["detections"]["kid_avg"] is True
     assert out["detections"]["fid_avg"] is False
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    # every score cell of a sweep or simulate CSV parses with float(); a numpy
+    # scalar would print as np.float64(...)
+    from fedeval import default_collapse_scenario
+
+    clients = [
+        {"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 20},
+        {"id": "c2", "mean": [3.0, 0.0], "cov": 1.0, "n": 20},
+    ]
+    generators = [{"id": "g1", "kind": "gaussian", "mean": [1.5, 0.0], "cov": 1.0, "n": 30}]
+    scenarios = {
+        "collapse": default_collapse_scenario(seed=0).to_json_dict(),
+        "raw": {"kind": "round", "mode": "raw", "metrics": ["fid_avg", "fid_all", "kid_avg", "kid_all"]},
+        "kernel_blocks": {"kind": "round", "mode": "kernel_blocks", "metrics": ["kid_avg", "kid_all"]},
+    }
+    calls = [
+        ["sweep", "toy-mixture", "--grid", "0:1:0.5", "--n", "40", "--out", tmp_path / "toy.csv"],
+        ["sweep", "variance-limited", "--grid", "0:0.4:0.2", "--n", "30", "--k-clients", "4",
+         "--out", tmp_path / "variance.csv"],
+    ]
+    for name, scenario in scenarios.items():
+        scenario.setdefault("clients", clients)
+        scenario.setdefault("generators", generators)
+        (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
+        calls.append(["simulate", "--scenario", tmp_path / f"{name}.json",
+                      "--out", tmp_path / f"{name}.out.json", "--out-csv", tmp_path / f"{name}.csv"])
+    for call in calls:
+        assert run_cli(call) == 0
+    for csv in ("toy", "variance", *scenarios):
+        header, *rows = (tmp_path / f"{csv}.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert rows
+        for row in rows:
+            for column, cell in zip(columns, row.split(",")):
+                if column != "generator":
+                    float(cell)
+
+
+def test_main_reuses_one_parser(workspace, tmp_path, monkeypatch):
+    # the parser is built once per process, and a second call of the same
+    # subcommand sees none of the first call's flags
+    import subprocess
+    import sys
+
+    from fedeval import cli
+
+    tmp, _ = workspace
+    base = ["kid", "--clients", tmp / "clients.json", "--gen", tmp / "gen.fevb"]
+    runs = [base + ["--gap"], base + ["--agg", "avg"]]
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    for i, argv in enumerate(runs):
+        assert run_cli(argv + ["--out", tmp_path / f"reused{i}.json"]) == 0
+    cli._parser.cache_clear()
+    assert len(builds) == 1
+    src = str(Path(fedeval.__file__).resolve().parents[1])
+    for i, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh{i}.json"
+        child = "import sys; sys.path.insert(0, sys.argv[1]); from fedeval import cli; sys.exit(cli.main(sys.argv[2:]))"
+        args = [sys.executable, "-c", child, src, *map(str, argv), "--out", str(fresh)]
+        assert subprocess.run(args, timeout=120).returncode == 0
+        assert (tmp_path / f"reused{i}.json").read_bytes() == fresh.read_bytes()
+    assert "gap" not in json.loads((tmp_path / "reused1.json").read_text())
 
 
 def test_rank_subcommand(tmp_path, capsys):

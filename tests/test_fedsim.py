@@ -19,17 +19,17 @@ from fedeval import (
     default_collapse_scenario,
     fid_all,
     fid_avg,
-    kid_all,
-    kid_avg,
     log_likelihood_scores,
     mode_collapse_timeline,
     moments,
+    prdc_aggregate,
     run_round,
     run_scenario,
     toy_mixture_sweep,
     variance_limited_sweep,
 )
 from fedeval.fedsim import write_score_csv
+from fedeval.kernelmmd import kernel_stats
 
 from conftest import random_raw_clients
 
@@ -160,50 +160,83 @@ def test_broadcast_counts_generator_reals(rng):
 # protocol / library equivalence
 
 
-def _library_scores(clients, gen, metrics, kernel, k_neighbors=5):
-    out = {}
+def _library_round(clients, gen, metrics, kid_stats, k_neighbors):
+    """Scores and per-client values of the direct library calls; the kid
+    family reads ``kid_stats``."""
+    scores, per_client = {}, {}
+    families = {m.split("_")[0] for m in metrics}
     gen_stats = moments(gen) if isinstance(gen, np.ndarray) else gen
-    if "fid_avg" in metrics:
-        out["fid_avg"] = fid_avg(clients, gen_stats).value
-    if "fid_all" in metrics:
-        out["fid_all"] = fid_all(clients, gen_stats).value
-    if "kid_avg" in metrics:
-        out["kid_avg"] = kid_avg(clients, gen, kernel).value
-    if "kid_all" in metrics:
-        out["kid_all"] = kid_all(clients, gen, kernel)
-    if "ll_avg" in metrics or "ll_all" in metrics:
-        model = GaussianModel(mean=gen_stats.mean, cov=gen_stats.cov)
-        ll = log_likelihood_scores(clients, model)
-        if "ll_avg" in metrics:
-            out["ll_avg"] = ll.avg
-        if "ll_all" in metrics:
-            out["ll_all"] = ll.all
-    return out
+    if "fid" in families:
+        avg = fid_avg(clients, gen_stats)
+        per_client["fid"] = [r.value for r in avg.per_client]
+        scores.update(fid_avg=avg.value, fid_all=fid_all(clients, gen_stats).value)
+    if "kid" in families:
+        avg = kid_stats.kid_avg()
+        per_client["kid"] = [r.value for r in avg.per_client]
+        scores["kid_avg"] = avg.value
+        if "kid_all" in metrics:
+            scores["kid_all"] = kid_stats.kid_all()
+    if "ll" in families:
+        ll = log_likelihood_scores(clients, GaussianModel(mean=gen_stats.mean, cov=gen_stats.cov))
+        per_client["ll"] = ll.per_client
+        scores.update(ll_avg=ll.avg, ll_all=ll.all)
+    if "prdc" in families:
+        agg = prdc_aggregate(clients, gen, k=k_neighbors)
+        per_client["prdc"] = [r.to_json_dict() for r in agg.per_client]
+        scores.update(prdc_avg=agg.avg.to_json_dict(), prdc_all=agg.all.to_json_dict())
+    return {m: scores[m] for m in metrics}, per_client
 
 
+# Every metric each mode supports: for a raw generator, then for a moments
+# generator (the log-likelihood scores need a Gaussian model).
 MODE_METRICS = {
-    "scores": ["fid_avg", "kid_avg"],
-    "moments": ["fid_avg", "fid_all"],
-    "raw": ["fid_avg", "fid_all", "kid_avg", "kid_all"],
-    "kernel_blocks": ["kid_avg", "kid_all"],
+    "scores": (["fid_avg", "kid_avg", "prdc_avg"], ["fid_avg", "ll_avg"]),
+    "moments": (["fid_avg", "fid_all"], ["fid_avg", "fid_all"]),
+    "raw": (
+        ["fid_avg", "fid_all", "kid_avg", "kid_all", "prdc_avg", "prdc_all"],
+        ["fid_avg", "fid_all", "ll_avg", "ll_all"],
+    ),
+    "kernel_blocks": (["kid_avg", "kid_all"], None),
 }
 
 
 @pytest.mark.parametrize("mode", list(MODE_METRICS))
 def test_round_matches_library(mode):
+    # scores and raw rounds call the library on the clients' own arrays, so
+    # every score and per-client value is exact: scores-mode kid is kid_avg's
+    # statistic, raw-mode kid the one pass CLI `kid --agg both` takes.  The
+    # moments round rebuilds each covariance from the second moment and the
+    # kernel_blocks round sums per-block passes, so they agree to 1e-9.
     kernel = KernelSpec()
+    k_neighbors = 3
+    exact = mode in ("scores", "raw")
     for seed in range(8):
         rng = np.random.default_rng(seed + 200)
         clients = make_clients(rng, k=int(rng.integers(1, 5)), n=int(rng.integers(6, 25)))
         gen = rng.normal(size=(int(rng.integers(5, 20)), 3))
-        metrics = MODE_METRICS[mode]
-        generator = moments(gen) if mode == "moments" else gen
-        report, _ = run_round(clients, generator, mode, metrics, kernel=kernel)
-        expected = _library_scores(clients, generator if mode == "moments" else gen, metrics, kernel)
-        for metric in metrics:
-            assert report.scores[metric] == pytest.approx(
-                expected[metric], rel=1e-9, abs=1e-12
-            ), (mode, metric)
+        kid_stats = kernel_stats(clients, gen, kernel, cross=mode != "scores")
+        for generator, metrics in zip((gen, moments(gen)), MODE_METRICS[mode]):
+            if metrics is None:
+                continue
+            report, _ = run_round(
+                clients, generator, mode, metrics, kernel=kernel, k_neighbors=k_neighbors
+            )
+            scores, per_client = _library_round(clients, generator, metrics, kid_stats, k_neighbors)
+            assert list(report.scores) == metrics
+            assert list(report.per_client) == list(per_client)
+            assert report.client_ids == clients.ids
+            if exact:
+                assert report.scores == scores, (mode, metrics)
+                assert report.per_client == per_client, (mode, metrics)
+                continue
+            for metric in metrics:
+                assert report.scores[metric] == pytest.approx(
+                    scores[metric], rel=1e-9, abs=1e-12
+                ), (mode, metric)
+            for family, values in per_client.items():
+                assert report.per_client[family] == pytest.approx(
+                    values, rel=1e-9, abs=1e-12
+                ), (mode, family)
 
 
 def test_round_ll_and_prdc_in_raw_mode(rng):
