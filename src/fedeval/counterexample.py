@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frechet import _distance, psd_sqrt
+from .frechet import _clamp, _distances, _references
 from .statkit import ClientSet, GaussianModel, pool_moments
 
 DEGENERATE_U_TOL = 1e-10
@@ -102,23 +102,24 @@ def _spread_trace(means: np.ndarray, weights: np.ndarray) -> float:
     return float(weights @ np.sum(means**2, axis=1) - np.sum(mean_hat**2))
 
 
-def _references(clients: ClientSet) -> tuple[list, tuple]:
-    """``(stats, root)`` per client and for the pool; each root computed once."""
+def _client_and_pool_references(clients: ClientSet):
+    """The pooled statistic and the reference stack (the clients, then the
+    pool), each root PSD-checked in that order before any scoring."""
     pooled = pool_moments(clients)
-    refs = [(s, psd_sqrt(s.cov)) for s in clients.stats_list()]
-    return refs, (pooled, psd_sqrt(pooled.cov))
+    refs = _references(clients.stats_list() + [pooled])
+    for spectrum in refs.spectra:
+        _clamp(spectrum, "matrix")
+    return pooled, refs
 
 
-def _scores(refs: list, g) -> list[float]:
-    return [_distance(s, root, g).value for s, root in refs]
-
-
-def _measure(refs, pooled_ref, g_hat, g_prime, u, beta, converged=True, evaluations=0):
-    hat = _scores(refs, g_hat)
-    prime = _scores(refs, g_prime)
+def _measure(refs, g_hat, g_prime, u, beta, converged=True, evaluations=0):
+    # Clients against both generators, then the pool: the order errors raise in.
+    clients, pool = refs[:-1], refs[-1:]
+    hat = _distances(clients, g_hat.mean, g_hat.cov)[0].tolist()
+    prime = _distances(clients, g_prime.mean, g_prime.cov)[0].tolist()
     residuals = [abs(a - b) for a, b in zip(prime, hat)]
-    fid_all_hat = _distance(*pooled_ref, g_hat).value
-    fid_all_prime = _distance(*pooled_ref, g_prime).value
+    fid_all_hat = float(_distances(pool, g_hat.mean, g_hat.cov)[0][0])
+    fid_all_prime = float(_distances(pool, g_prime.mean, g_prime.cov)[0][0])
     return CounterexampleReport(
         g_hat=g_hat,
         g_prime=g_prime,
@@ -155,13 +156,12 @@ def construct(clients: ClientSet) -> CounterexampleReport:
     if u <= DEGENERATE_U_TOL:
         raise ValueError("u = 0, construction degenerate: client means coincide")
     beta = _mean_complement_basis(means)[:, 0]
-    refs, pooled_ref = _references(clients)
-    pooled = pooled_ref[0]
+    pooled, refs = _client_and_pool_references(clients)
     g_hat = GaussianModel(mean=pooled.mean, cov=pooled.cov)
     cov_prime = np.einsum("i,ijk->jk", weights, np.stack([s.cov for s in stats]))
     cov_prime = (cov_prime + cov_prime.T) / 2.0
     g_prime = GaussianModel(mean=pooled.mean + np.sqrt(u) * beta, cov=cov_prime)
-    return _measure(refs, pooled_ref, g_hat, g_prime, u, beta)
+    return _measure(refs, g_hat, g_prime, u, beta)
 
 
 def search_matched_pair(
@@ -194,11 +194,10 @@ def search_matched_pair(
         raise ValueError("u = 0, construction degenerate: client means coincide")
     basis = _mean_complement_basis(means)
     m_free = basis.shape[1]
-    refs, pooled_ref = _references(clients)
-    pooled = pooled_ref[0]
+    pooled, refs = _client_and_pool_references(clients)
     g_hat = GaussianModel(mean=pooled.mean, cov=pooled.cov)
-    targets = np.array(_scores(refs, g_hat))
-    fid_all_hat = _distance(*pooled_ref, g_hat).value
+    scores = _distances(refs, g_hat.mean, g_hat.cov)[0]
+    targets, fid_all_hat = scores[:-1], float(scores[-1])
 
     tril = np.tril_indices(d)
     chol0 = np.linalg.cholesky(pooled.cov + 1e-9 * np.eye(d))
@@ -214,9 +213,9 @@ def search_matched_pair(
         return GaussianModel(mean=mean, cov=chol @ chol.T)
 
     def residuals_and_gap(model):
-        scores = np.array(_scores(refs, model))
-        gap = _distance(*pooled_ref, model).value - fid_all_hat
-        return scores - targets, gap
+        # One eigvalsh: the K clients and the pool in one stack.
+        scores = _distances(refs, model.mean, model.cov)[0]
+        return scores[:-1] - targets, float(scores[-1]) - fid_all_hat
 
     stages = [1e2, 1e4, 1e6, 1e8]
     per_stage = max(budget // len(stages), 1)
@@ -246,7 +245,6 @@ def search_matched_pair(
     converged = bool(np.sum(np.abs(residuals)) <= RESIDUAL_TARGET)
     return _measure(
         refs,
-        pooled_ref,
         g_hat,
         best,
         u,

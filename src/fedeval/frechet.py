@@ -9,14 +9,16 @@ The squared distance between Gaussian surrogates ``(mean_a, cov_a)`` and
 The trace cross term is always evaluated through the symmetric product
 ``A^1/2 B A^1/2``, never through the non-symmetric ``(A B)^1/2``; the
 traces coincide and symmetric eigensolvers are stable on rank-deficient
-covariances.  The cross term needs only the eigenvalues of that product
-(one ``eigvalsh``); the reference side's root ``A^1/2`` is the one full
-eigendecomposition, computed once per reference and reused against
-every covariance it is compared with (the barycenter centre in the avg
-decomposition, the clients and the pool in the counterexample search).
-The barycenter iteration takes both ``C^1/2`` and ``C^-1/2`` of each
-iterate from a single eigendecomposition, and the avg decomposition
-reuses the converged iterate's ``C^1/2`` as the centre's root.
+covariances.  The cross term needs only the eigenvalues of that product;
+the reference side's root ``A^1/2`` is the one full eigendecomposition.
+References are scored as one stack (:class:`_References`): the K client
+roots come from one stacked ``eigh``, and a generator is scored against
+every client (and the pool, in the counterexample search) with one
+stacked ``eigvalsh``.  numpy solves a stack matrix by matrix, so each row
+is bit-identical to the single-pair :func:`_distance`, kept as the
+oracle.  The barycenter iteration takes both ``C^1/2`` and ``C^-1/2`` of
+each iterate from a single eigendecomposition; the avg decomposition
+scores the converged iterate, with that root, against the K clients.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NotPsdError, NumericalError
-from .statkit import ClientSet, GaussianModel, GaussianStats, pool_moments
+from .statkit import ClientSet, pool_moments
 
 EIGENVALUE_CLAMP_REL = 1e-8
 SYMMETRY_RTOL = 1e-10
@@ -48,6 +50,11 @@ def _clamp(w: np.ndarray, what: str) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def _below_clamp(w: np.ndarray) -> np.ndarray:
+    """Which rows of ascending eigenvalues :func:`_clamp` would reject."""
+    return w[..., 0] < -EIGENVALUE_CLAMP_REL * np.maximum(w[..., -1], 0.0)
+
+
 def _clamped_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric PSD matrix, clamping tiny negatives to 0."""
     w, v = np.linalg.eigh(a)
@@ -55,9 +62,9 @@ def _clamped_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The PSD square root ``V diag(sqrt(w)) V^T`` from clamped eigenpairs."""
-    b = (v * np.sqrt(w)) @ v.T
-    return (b + b.T) / 2.0
+    """The PSD square root ``V diag(sqrt(w)) V^T`` from clamped eigenpairs, stacked or not."""
+    b = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return (b + np.swapaxes(b, -1, -2)) / 2.0
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -99,16 +106,14 @@ class FrechetResult:
         }
 
 
-def _check_dims(a, b) -> None:
-    if a.mean.shape[0] != b.mean.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {a.mean.shape[0]} vs {b.mean.shape[0]}"
-        )
+def _check_dims(d_a: int, d_b: int) -> None:
+    if d_a != d_b:
+        raise ValueError(f"dimension mismatch: {d_a} vs {d_b}")
 
 
 def _distance(a, root_a: np.ndarray, b) -> FrechetResult:
-    """:func:`frechet_distance` with the reference root ``a.cov^1/2`` given."""
-    _check_dims(a, b)
+    """:func:`frechet_distance` with the reference root ``a.cov^1/2`` given
+    and the dimensions checked; the single-pair oracle of :func:`_distances`."""
     mean_term = float(np.sum((a.mean - b.mean) ** 2))
     cross = _trace_cross_term(root_a, b.cov)
     trace_term = float(np.trace(a.cov) + np.trace(b.cov)) - 2.0 * cross
@@ -128,8 +133,60 @@ def frechet_distance(a, b) -> FrechetResult:
     reference side, whose covariance root is taken.  Values in
     ``[-1e-8, 0)`` are clamped to zero.
     """
-    _check_dims(a, b)
+    _check_dims(a.mean.shape[0], b.mean.shape[0])
     return _distance(a, psd_sqrt(a.cov), b)
+
+
+@dataclass
+class _References:
+    """Gaussian references stacked along the leading axis: means, roots
+    ``A_i^1/2``, traces ``Tr A_i`` and the eigenvalues each root was taken
+    from, PSD-checked when the row is scored."""
+
+    means: np.ndarray
+    roots: np.ndarray
+    traces: np.ndarray
+    spectra: np.ndarray
+
+    def __getitem__(self, rows: slice) -> "_References":
+        return _References(
+            self.means[rows], self.roots[rows], self.traces[rows], self.spectra[rows]
+        )
+
+
+def _references(refs: list) -> _References:
+    """Stack Gaussian statistics, their roots from one ``eigh``.  Their
+    covariances are symmetric, as :class:`GaussianStats` validates."""
+    covs = np.stack([r.cov for r in refs])
+    w, v = np.linalg.eigh((covs + np.swapaxes(covs, 1, 2)) / 2.0)
+    roots = _root(np.clip(w, 0.0, None), v)
+    means = np.stack([r.mean for r in refs])
+    return _References(means, roots, np.trace(covs, axis1=1, axis2=2), w)
+
+
+def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
+    """Rows of :func:`_distance` from every reference to ``(mean, cov)``:
+    one Gaussian, or a stack that broadcasts against the references.
+
+    One ``eigvalsh`` takes every product.  Returns the ``(value,
+    mean_term, trace_term)`` arrays.
+    """
+    _check_dims(refs.means.shape[-1], mean.shape[-1])
+    mean_term = np.sum((refs.means - mean) ** 2, axis=-1)
+    inner = refs.roots @ cov @ refs.roots
+    w = np.linalg.eigvalsh((inner + np.swapaxes(inner, -1, -2)) / 2.0)
+    cross = np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
+    trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
+    value = mean_term + trace_term
+    if (_below_clamp(refs.spectra) | _below_clamp(w) | (value < -VALUE_CLAMP)).any():
+        # The first failing row raises its first failing check, in the
+        # order psd_sqrt and _distance check them.
+        for spectrum, row, v in zip(np.broadcast_to(refs.spectra, w.shape), w, value):
+            _clamp(spectrum, "matrix")
+            _clamp(row, "covariance product")
+            if v < -VALUE_CLAMP:
+                raise NumericalError(f"distance {float(v)!r} below clamp threshold")
+    return np.where(value < 0.0, 0.0, value), mean_term, trace_term
 
 
 def fid_all(clients: ClientSet, g) -> FrechetResult:
@@ -147,9 +204,9 @@ class FidAvgResult:
 
 def fid_avg(clients: ClientSet, g) -> FidAvgResult:
     """Weighted mean of per-client distances to ``g`` (clients in id order)."""
-    per_client = [frechet_distance(s, g) for s in clients.stats_list()]
-    values = np.array([r.value for r in per_client])
-    return FidAvgResult(value=float(clients.weights @ values), per_client=per_client)
+    rows = _distances(_references(clients.stats_list()), g.mean, g.cov)
+    per_client = [FrechetResult(*row) for row in zip(*(x.tolist() for x in rows))]
+    return FidAvgResult(value=float(clients.weights @ rows[0]), per_client=per_client)
 
 
 @dataclass
@@ -190,8 +247,10 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     return _barycenter(clients, tol, max_iter)[0]
 
 
-def _barycenter(clients: ClientSet, tol: float, max_iter: int) -> tuple[BarycenterSolution, np.ndarray]:
-    """:func:`barycenter` and the root ``C^1/2`` of the returned iterate."""
+def _barycenter(
+    clients: ClientSet, tol: float, max_iter: int
+) -> tuple[BarycenterSolution, np.ndarray, np.ndarray]:
+    """:func:`barycenter`, with the returned iterate's root and clamped eigenvalues."""
     stats = clients.stats_list()
     weights = clients.weights
     d = clients.dim
@@ -215,7 +274,7 @@ def _barycenter(clients: ClientSet, tol: float, max_iter: int) -> tuple[Barycent
                 iterations=iteration,
                 residual=residual,
                 residual_history=history,
-            ), root
+            ), root, w
         if float(w[0]) <= 0.0:
             eps = 1e-12 * float(np.trace(cov)) / d
             cov = cov + eps * np.eye(d)
@@ -263,13 +322,13 @@ def fid_avg_decomposition(
     clients: ClientSet, g, tol: float = 1e-10, max_iter: int = 1000
 ) -> DecompositionResult:
     """Evaluate the barycenter-centered split of the avg aggregate for ``g``."""
-    solution, root = _barycenter(clients, tol, max_iter)
-    center = GaussianModel(mean=solution.mean, cov=solution.cov)
-    barycenter_part = _distance(center, root, g).value
-    per_client = np.array(
-        [_distance(center, root, s).value for s in clients.stats_list()]
-    )
-    const_part = float(clients.weights @ per_client)
+    solution, root, w = _barycenter(clients, tol, max_iter)
+    # One reference, the centre, against the generator and then the K clients.
+    center = _References(solution.mean[None], root[None], np.trace(solution.cov)[None], w[None])
+    barycenter_part = float(_distances(center, g.mean, g.cov)[0][0])
+    stats = clients.stats_list()
+    means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
+    const_part = float(clients.weights @ _distances(center, means, covs)[0])
     return DecompositionResult(
         barycenter_part=barycenter_part, const_part=const_part, solution=solution
     )

@@ -11,7 +11,12 @@ eigenvalues, which both ``eigh`` and ``eigvalsh`` return as roundoff of
 order ``eps * ||A|| ||B||``; the square root in the trace turns that
 into ``sqrt(eps)``-sized noise, which both paths carry, so those pairs
 get that term on top of the 1e-12.  The barycenter must be bit-identical.
-The eigensolver call counts of each entry point are pinned exactly.
+
+The stacked scoring path (one generator against K references, or one
+reference against K targets, with one ``eigvalsh`` per stack) must be
+bit-identical to a loop of the single-pair ``_distance``, and must raise
+the error that loop raised first.  The eigensolver counts of each entry
+point are pinned exactly, both in matrices solved and in calls made.
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ from fedeval import (
     Client,
     ClientSet,
     ConvergenceError,
+    GaussianModel,
     GaussianStats,
     NotPsdError,
+    NumericalError,
     barycenter,
     counterexample,
     fid_all,
@@ -164,17 +171,32 @@ def tolerance(a, b, deficient):
 
 
 @pytest.fixture
-def eig_counts(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
+def eig_tally(monkeypatch):
+    """Matrices solved and calls made by each eigensolver.  A stacked call
+    on shape ``(..., d, d)`` solves ``prod(...)`` matrices in one call."""
+    tally = {"matrices": {"eigh": 0, "eigvalsh": 0}, "calls": {"eigh": 0, "eigvalsh": 0}}
+    for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            tally["matrices"][_name] += math.prod(np.shape(a)[:-2])
+            tally["calls"][_name] += 1
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    return counts
+    return tally
+
+
+@pytest.fixture
+def eig_counts(eig_tally):
+    """Matrices solved by each eigensolver."""
+    return eig_tally["matrices"]
+
+
+@pytest.fixture
+def eig_calls(eig_tally):
+    """Calls made to each eigensolver."""
+    return eig_tally["calls"]
 
 
 def cross_term(a, b):
@@ -305,7 +327,151 @@ def test_barycenter_regularized_branch_bit_identical(eig_counts):
 
 
 # ---------------------------------------------------------------------------
-# eigensolver call counts
+# stacked scoring: bit-identical to a loop of single pairs, same first error
+
+
+@st.composite
+def stacked_instances(draw):
+    """K = 1..6 weighted clients of d = 1..40 (rows of 8 or more take numpy's
+    pairwise sums), some sharing a null direction, and a full-rank generator."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 40))
+    clients = _barycenter_instance(seed, draw(st.integers(1, 6)), d, d > 1 and draw(st.booleans()))
+    return clients, _gen(np.random.default_rng([seed, 1]), d)
+
+
+def _fields(values, mean_terms, trace_terms):
+    return [
+        (type(row[0]), *map(_bits, row)) for row in zip(values, mean_terms, trace_terms)
+    ]
+
+
+def _result_fields(results):
+    return _fields(*zip(*((r.value, r.mean_term, r.trace_term) for r in results)))
+
+
+def _attempt(score):
+    try:
+        return score()
+    except (NotPsdError, NumericalError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@SETTINGS
+@given(stacked_instances())
+def test_stacked_distances_bit_identical_to_single_pairs(case):
+    clients, g = case
+    stats = clients.stats_list()
+    # K references against one generator: fid_avg and the counterexample search.
+    refs = frechet._references(stats)
+    got = _attempt(lambda: _fields(*(x.tolist() for x in frechet._distances(refs, g.mean, g.cov))))
+    want = _attempt(
+        lambda: _result_fields([frechet._distance(s, psd_sqrt(s.cov), g) for s in stats])
+    )
+    assert got == want
+    # One reference against K targets: the avg decomposition's per-client part.
+    center, root = frechet._references([g]), psd_sqrt(g.cov)
+    means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
+    got = _attempt(lambda: _fields(*(x.tolist() for x in frechet._distances(center, means, covs))))
+    want = _attempt(lambda: _result_fields([frechet._distance(g, root, s) for s in stats]))
+    assert got == want
+    # fid_avg field for field against the per-client loop it replaced.
+    got = _attempt(lambda: fid_avg(clients, g))
+    want = _attempt(lambda: [frechet_distance(s, g) for s in stats])
+    if isinstance(want, list):
+        assert _result_fields(got.per_client) == _result_fields(want)
+        values = np.array([r.value for r in want])
+        assert _bits(got.value) == _bits(float(clients.weights @ values))
+    else:
+        assert got == want
+
+
+def test_stacked_value_clamp_matches_single_pairs():
+    """A generator equal to client 0: its trace term comes out as -2e-15
+    roundoff, and its distance is clamped to 0.0 as on the single pair."""
+    rng = np.random.default_rng(0)
+    same = GaussianStats(n=5, mean=rng.normal(size=3), cov=random_cov(rng, 3))
+    clients = ClientSet(
+        [Client(id="c0", stats=same), Client(id="c1", stats=_gen(rng, 3))]
+    )
+    g = GaussianModel(mean=same.mean, cov=same.cov)
+    got = fid_avg(clients, g).per_client
+    assert got[0].value == 0.0 and got[0].trace_term < 0.0
+    want = [frechet_distance(s, g) for s in clients.stats_list()]
+    assert _result_fields(got) == _result_fields(want)
+
+
+def _two_clients(cov_0, cov_1, means=None):
+    means = means or [np.zeros(len(cov_0))] * 2
+    return ClientSet(
+        [
+            Client(id=f"c{i}", stats=GaussianStats(n=4, mean=mean, cov=cov))
+            for i, (mean, cov) in enumerate(zip(means, (cov_0, cov_1)))
+        ]
+    )
+
+
+NOT_PSD = np.diag([1.0, -0.5])
+MIXED_CASES = {
+    # Client 0's product fails before client 1's own root is checked.
+    "product-before-next-root": (
+        (np.eye(2), NOT_PSD), NOT_PSD, NotPsdError,
+        "covariance product is not PSD: eigenvalue -5.000e-01 below clamp threshold -1.000e-08",
+    ),
+    "root-before-own-product": (
+        (NOT_PSD, np.eye(2)), NOT_PSD, NotPsdError,
+        "matrix is not PSD: eigenvalue -5.000e-01 below clamp threshold -1.000e-08",
+    ),
+    # Client 1's root fails while every product and value passes.
+    "root-alone": (
+        (np.eye(2), NOT_PSD), np.eye(2), NotPsdError,
+        "matrix is not PSD: eigenvalue -5.000e-01 below clamp threshold -1.000e-08",
+    ),
+    "dimension-mismatch": (
+        (np.eye(2), NOT_PSD), np.eye(3), ValueError, "dimension mismatch: 2 vs 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_CASES))
+def test_fid_avg_raises_first_clients_first_failure(case):
+    """The errors, in the parent's order: per client its root, its product
+    with the generator, then its value."""
+    covs, gen_cov, error, message = MIXED_CASES[case]
+    g = GaussianModel(mean=np.zeros(len(gen_cov)), cov=gen_cov)
+    with pytest.raises(error) as info:
+        fid_avg(_two_clients(*covs), g)
+    assert str(info.value) == message
+
+
+def test_decomposition_raises_generator_failures():
+    clients = _two_clients(np.eye(2), np.diag([2.0, 1.0]))
+    with pytest.raises(ValueError) as info:
+        fid_avg_decomposition(clients, GaussianModel(mean=np.zeros(3), cov=np.eye(3)))
+    assert str(info.value) == "dimension mismatch: 2 vs 3"
+    with pytest.raises(NotPsdError) as info:
+        fid_avg_decomposition(clients, GaussianModel(mean=np.zeros(2), cov=NOT_PSD))
+    assert str(info.value) == (
+        "covariance product is not PSD: eigenvalue -5.000e-01 below clamp threshold -1.457e-08"
+    )
+
+
+@pytest.mark.parametrize("run", [counterexample.construct, counterexample.search_matched_pair])
+def test_counterexample_checks_every_root_before_scoring(run):
+    """Client 1's root fails; so would client 0's product with the (non-PSD)
+    pool as generator, but every root is checked first."""
+    clients = _two_clients(
+        np.eye(3), np.diag([1.0, 1.0, -5.0]), means=[np.eye(3)[0], 2.0 * np.eye(3)[1]]
+    )
+    with pytest.raises(NotPsdError) as info:
+        run(clients)
+    assert str(info.value) == (
+        "matrix is not PSD: eigenvalue -5.000e+00 below clamp threshold -1.000e-08"
+    )
+
+
+# ---------------------------------------------------------------------------
+# eigensolver counts: matrices solved and calls made
 
 
 def _gen(rng, d):
@@ -321,6 +487,13 @@ def test_fid_call_counts(eig_counts, rng):
     fid_all(clients, g)
     frechet_distance(g, g)
     assert eig_counts == {"eigh": k + 2, "eigvalsh": k + 2}
+
+
+def test_fid_avg_makes_one_call_per_solver(eig_calls, rng):
+    """The K client roots come from one stacked eigh, the K cross terms
+    from one stacked eigvalsh."""
+    fid_avg(random_stats_clients(rng, k_max=6, d=5), _gen(rng, 5))
+    assert eig_calls == {"eigh": 1, "eigvalsh": 1}
 
 
 def test_decomposition_call_counts(eig_counts, rng):
@@ -349,22 +522,28 @@ def _search_clients():
     )
 
 
-def test_counterexample_objective_makes_no_eigh(eig_counts, monkeypatch):
-    """Each objective evaluation costs K+1 eigvalsh against cached roots."""
+def test_counterexample_objective_makes_no_eigh(eig_counts, eig_calls, monkeypatch):
+    """Each objective evaluation solves K+1 products against cached roots,
+    in one eigvalsh call."""
     clients = _search_clients()
     k = len(clients)
     per_evaluation = []
 
     def one_evaluation(objective, theta, **kwargs):
-        before = dict(eig_counts)
+        before = [dict(counter) for counter in (eig_counts, eig_calls)]
         objective(theta)
-        per_evaluation.append({n: eig_counts[n] - before[n] for n in eig_counts})
+        per_evaluation.append(
+            tuple(
+                {n: now[n] - was[n] for n in now}
+                for now, was in zip((eig_counts, eig_calls), before)
+            )
+        )
         return SimpleNamespace(x=theta)
 
     # search_matched_pair imports minimize when called, so this patch holds.
     monkeypatch.setattr("scipy.optimize.minimize", one_evaluation)
     counterexample.search_matched_pair(clients, budget=8)
-    assert per_evaluation == [{"eigh": 0, "eigvalsh": k + 1}] * 4
+    assert per_evaluation == [({"eigh": 0, "eigvalsh": k + 1}, {"eigh": 0, "eigvalsh": 1})] * 4
 
 
 def test_counterexample_search_roots_computed_once(eig_counts):
