@@ -88,11 +88,11 @@ def _emit(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_gen(path: str):
-    """Load a generator reference: moments JSON or an embedding file."""
+def _load_gaussian(path: str) -> statkit.GaussianStats:
+    """Moments of a moments JSON, or of the samples in an embedding file."""
     if path.endswith(".json"):
         return statkit.load_stats(path)
-    return statkit.ingest(path)
+    return statkit.moments(statkit.ingest(path))
 
 
 def _load_kernel(path: str | None) -> kernelmmd.KernelSpec:
@@ -119,11 +119,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fid(args) -> int:
-    gen = _load_gen(args.gen)
-    gen_stats = gen if isinstance(gen, statkit.GaussianStats) else statkit.moments(gen)
+    gen_stats = _load_gaussian(args.gen)
     if args.ref:
-        ref = _load_gen(args.ref)
-        ref_stats = ref if isinstance(ref, statkit.GaussianStats) else statkit.moments(ref)
+        ref_stats = _load_gaussian(args.ref)
         _emit(frechet.frechet_distance(ref_stats, gen_stats).to_json_dict(), args.out)
         return 0
     if not args.clients:
@@ -181,8 +179,7 @@ def _cmd_prdc(args) -> int:
 def _cmd_barycenter(args) -> int:
     clients = statkit.load_client_set(args.clients)
     if args.gen:
-        gen = _load_gen(args.gen)
-        gen_stats = gen if isinstance(gen, statkit.GaussianStats) else statkit.moments(gen)
+        gen_stats = _load_gaussian(args.gen)
         result = frechet.fid_avg_decomposition(
             clients, gen_stats, tol=args.tol, max_iter=args.max_iter
         )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frechet import _clamp, _distances, _references
-from .statkit import ClientSet, GaussianModel, pool_moments
+from .statkit import ClientSet, GaussianModel, _check_finite, pool_moments
 
 DEGENERATE_U_TOL = 1e-10
 SIGN_FIX_TOL = 1e-12
@@ -207,14 +207,17 @@ def search_matched_pair(
     evaluations = 0
 
     def candidate(theta):
+        # Symmetric PSD by construction: only the finite check is needed.
         mean = pooled.mean + basis @ theta[:m_free]
         chol = np.zeros((d, d))
         chol[tril] = theta[m_free:]
-        return GaussianModel(mean=mean, cov=chol @ chol.T)
+        cov = chol @ chol.T
+        _check_finite(mean, cov)
+        return mean, cov
 
-    def residuals_and_gap(model):
+    def residuals_and_gap(mean, cov):
         # One eigvalsh: the K clients and the pool in one stack.
-        scores = _distances(refs, model.mean, model.cov)[0]
+        scores = _distances(refs, mean, cov)[0]
         return scores[:-1] - targets, float(scores[-1]) - fid_all_hat
 
     stages = [1e2, 1e4, 1e6, 1e8]
@@ -224,7 +227,7 @@ def search_matched_pair(
         def objective(t):
             nonlocal evaluations
             evaluations += 1
-            r, gap = residuals_and_gap(candidate(t))
+            r, gap = residuals_and_gap(*candidate(t))
             return penalty * float(r @ r) - abs(gap)
 
         result = minimize(
@@ -240,8 +243,8 @@ def search_matched_pair(
         )
         theta = result.x
 
-    best = candidate(theta)
-    residuals, _ = residuals_and_gap(best)
+    best = GaussianModel(*candidate(theta))
+    residuals, _ = residuals_and_gap(best.mean, best.cov)
     converged = bool(np.sum(np.abs(residuals)) <= RESIDUAL_TARGET)
     return _measure(
         refs,

@@ -20,6 +20,8 @@ block sums -- and calls the library's aggregation on it (``fid_avg`` /
 ``log_likelihood_scores``, ``prdc_aggregate``), so protocol == library
 holds by construction.  In ``scores`` mode the clients run that
 aggregation on their own set and reply with their per-client entries.
+Each row of the mode-collapse timeline and of the variance-limited
+sweep is scored by the same aggregation, on the clients' raw samples.
 
 Requesting a score the mode cannot produce is a hard
 :class:`~fedeval.errors.CapabilityError`, never an approximation.
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .frechet import fid_all, fid_avg, psd_sqrt
-from .kernelmmd import KernelSpec, KernelStats, block_sums, kernel_stats, kid_all, kid_avg
+from .kernelmmd import KernelSpec, KernelStats, block_sums, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
     Client,
@@ -329,7 +331,7 @@ def _kernel_block_replies(clients, generator, cross, kernel, trace) -> KernelSta
     )
 
 
-def _aggregate(source, generator, metrics, kernel, k_neighbors) -> tuple[dict, dict]:
+def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict, dict]:
     """The library's aggregation of each requested metric family over
     ``source``: a client set, or the kernel_blocks round's ``KernelStats``.
 
@@ -428,6 +430,11 @@ class GeneratorSpec:
             self.point = np.asarray(self.point, dtype=np.float64).reshape(-1)
 
 
+def _spawn_seeds(seed: int, count: int) -> list[int]:
+    """``count`` independent integer seeds spawned from ``seed``."""
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(count)]
+
+
 def _draw_gaussian(rng, mean, cov, n):
     z = rng.standard_normal((n, mean.shape[0]))
     return mean + z @ psd_sqrt(cov)
@@ -465,13 +472,8 @@ class Scenario:
         if self.kind not in ("round", "collapse"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 
-    def _spawned_seeds(self) -> list[int]:
-        ss = np.random.SeedSequence(self.seed)
-        children = ss.spawn(len(self.clients) + len(self.generators))
-        return [int(c.generate_state(1)[0]) for c in children]
-
     def materialize(self) -> tuple[ClientSet, list[np.ndarray]]:
-        seeds = self._spawned_seeds()
+        seeds = _spawn_seeds(self.seed, len(self.clients) + len(self.generators))
         clients = ClientSet(
             [
                 materialize_client(spec, seed=seeds[i])
@@ -561,14 +563,9 @@ def load_scenario(path) -> Scenario:
 # Timelines and sweeps
 
 
-def _sampled_scores(clients: ClientSet, gen: np.ndarray, kernel: KernelSpec) -> dict:
-    gen_stats = moments(gen)
-    return {
-        "fid_avg": fid_avg(clients, gen_stats).value,
-        "fid_all": fid_all(clients, gen_stats).value,
-        "kid_avg": kid_avg(clients, gen, kernel).value,
-        "kid_all": kid_all(clients, gen, kernel),
-    }
+# Scored on every timeline and variance-sweep row, all from one
+# ``_aggregate`` call: the two kernel scores come from one kernel pass.
+_SAMPLED_METRICS = ("fid_avg", "fid_all", "kid_avg", "kid_all")
 
 
 @dataclass
@@ -609,19 +606,16 @@ def mode_collapse_timeline(
             f"collapse step {collapse_step} outside timeline of {len(timeline)} steps"
         )
     kernel = kernel or KernelSpec()
-    seeds = [
-        int(c.generate_state(1)[0])
-        for c in np.random.SeedSequence(seed).spawn(len(timeline))
-    ]
+    seeds = _spawn_seeds(seed, len(timeline))
     rows = []
     for step, spec in enumerate(timeline):
         gen = materialize_generator(spec, seed=seeds[step])
         row = {"step": step, "generator": spec.id}
-        row.update(_sampled_scores(clients, gen, kernel))
+        row.update(_aggregate(clients, gen, _SAMPLED_METRICS, kernel)[0])
         rows.append(row)
     ratios = {}
     detections = {}
-    for metric in ("fid_avg", "fid_all", "kid_avg", "kid_all"):
+    for metric in _SAMPLED_METRICS:
         before = rows[collapse_step - 1][metric]
         after = rows[collapse_step][metric]
         ratio = math.inf if before == 0.0 else after / before
@@ -666,7 +660,7 @@ def default_collapse_scenario(seed: int = 0) -> Scenario:
         kind="collapse",
         clients=client_specs,
         generators=pre + post,
-        metrics=["fid_avg", "fid_all", "kid_avg", "kid_all"],
+        metrics=list(_SAMPLED_METRICS),
         kernel=KernelSpec(kind="rbf"),
         seed=seed,
         collapse_step=3,
@@ -745,10 +739,7 @@ def toy_mixture_sweep(
     kid_n = kid_n_per_client or min(n_per_client, 1000)
     kid_n = min(kid_n, n_per_client)
 
-    seeds = [
-        int(c.generate_state(1)[0])
-        for c in np.random.SeedSequence(seed).spawn(2 + len(var_grid))
-    ]
+    seeds = _spawn_seeds(seed, 2 + len(var_grid))
     mean_pos = np.array([1.0, 0.0])
     mean_neg = np.array([-1.0, 0.0])
     eye = np.eye(2)
@@ -780,6 +771,7 @@ def toy_mixture_sweep(
             (n_per_client, 2)
         ) * np.array([np.sqrt(v), 1.0])
         gen_stats = moments(gen)
+        kid = kernel_stats(kid_set, gen[:kid_n], kernel)
         rows.append(
             {
                 "var_x": v,
@@ -787,14 +779,14 @@ def toy_mixture_sweep(
                 "fd_all_analytic": fid_all(analytic, g_model).value,
                 "fd_avg_sampled": fid_avg(sampled, gen_stats).value,
                 "fd_all_sampled": fid_all(sampled, gen_stats).value,
-                "kd_avg_sampled": kid_avg(kid_set, gen[:kid_n], kernel).value,
-                "kd_all_sampled": kid_all(kid_set, gen[:kid_n], kernel),
+                "kd_avg_sampled": kid.kid_avg().value,
+                "kd_all_sampled": kid.kid_all(),
             }
         )
     return rows
 
 
-VARIANCE_SWEEP_COLUMNS = ("var", "fid_avg", "fid_all", "kid_avg", "kid_all")
+VARIANCE_SWEEP_COLUMNS = ("var",) + _SAMPLED_METRICS
 
 
 def variance_limited_sweep(
@@ -821,10 +813,7 @@ def variance_limited_sweep(
     if not grid:
         raise ValueError("generator variance grid is empty")
     kernel = kernel or KernelSpec()
-    seeds = [
-        int(c.generate_state(1)[0])
-        for c in np.random.SeedSequence(seed).spawn(1 + k_clients + len(grid))
-    ]
+    seeds = _spawn_seeds(seed, 1 + k_clients + len(grid))
     centers = np.sqrt(between_var) * np.random.default_rng(seeds[0]).standard_normal(
         (k_clients, d)
     )
@@ -845,7 +834,7 @@ def variance_limited_sweep(
             seeds[1 + k_clients + j]
         ).standard_normal((n_gen, d))
         row = {"var": v}
-        row.update(_sampled_scores(clients, gen, kernel))
+        row.update(_aggregate(clients, gen, _SAMPLED_METRICS, kernel)[0])
         rows.append(row)
     return rows
 

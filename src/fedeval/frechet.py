@@ -11,14 +11,16 @@ The trace cross term is always evaluated through the symmetric product
 traces coincide and symmetric eigensolvers are stable on rank-deficient
 covariances.  The cross term needs only the eigenvalues of that product;
 the reference side's root ``A^1/2`` is the one full eigendecomposition.
-References are scored as one stack (:class:`_References`): the K client
-roots come from one stacked ``eigh``, and a generator is scored against
-every client (and the pool, in the counterexample search) with one
-stacked ``eigvalsh``.  numpy solves a stack matrix by matrix, so each row
-is bit-identical to the single-pair :func:`_distance`, kept as the
-oracle.  The barycenter iteration takes both ``C^1/2`` and ``C^-1/2`` of
-each iterate from a single eigendecomposition; the avg decomposition
-scores the converged iterate, with that root, against the K clients.
+Every distance is scored through one path: references are stacked
+(:class:`_References`, their roots from one stacked ``eigh``) and a
+Gaussian is scored against the whole stack with one stacked ``eigvalsh``
+(:func:`_distances`).  A single pair is a one-row stack; ``fid_avg``
+stacks the K clients, and the counterexample search adds the pool.
+numpy solves a stack matrix by matrix, so a row does not depend on the
+rows stacked with it.  The barycenter iteration takes both ``C^1/2`` and
+``C^-1/2`` of each iterate from a single eigendecomposition; the avg
+decomposition scores the converged iterate, with that root, against the
+K clients.
 """
 
 from __future__ import annotations
@@ -82,14 +84,6 @@ def psd_sqrt(a) -> np.ndarray:
     return _root(*_clamped_eigh((a + a.T) / 2.0, "matrix"))
 
 
-def _trace_cross_term(root_a: np.ndarray, cov_b: np.ndarray) -> float:
-    """Tr((A^1/2 B A^1/2)^1/2) for symmetric PSD B, given the root A^1/2."""
-    inner = root_a @ cov_b @ root_a
-    inner = (inner + inner.T) / 2.0
-    w = _clamp(np.linalg.eigvalsh(inner), "covariance product")
-    return float(np.sum(np.sqrt(w)))
-
-
 @dataclass
 class FrechetResult:
     """Squared Gaussian 2-Wasserstein distance, split into its two terms."""
@@ -104,37 +98,6 @@ class FrechetResult:
             "mean_term": self.mean_term,
             "trace_term": self.trace_term,
         }
-
-
-def _check_dims(d_a: int, d_b: int) -> None:
-    if d_a != d_b:
-        raise ValueError(f"dimension mismatch: {d_a} vs {d_b}")
-
-
-def _distance(a, root_a: np.ndarray, b) -> FrechetResult:
-    """:func:`frechet_distance` with the reference root ``a.cov^1/2`` given
-    and the dimensions checked; the single-pair oracle of :func:`_distances`."""
-    mean_term = float(np.sum((a.mean - b.mean) ** 2))
-    cross = _trace_cross_term(root_a, b.cov)
-    trace_term = float(np.trace(a.cov) + np.trace(b.cov)) - 2.0 * cross
-    value = mean_term + trace_term
-    if value < 0.0:
-        if value < -VALUE_CLAMP:
-            raise NumericalError(f"distance {value!r} below clamp threshold")
-        value = 0.0
-    return FrechetResult(value=value, mean_term=mean_term, trace_term=trace_term)
-
-
-def frechet_distance(a, b) -> FrechetResult:
-    """Squared 2-Wasserstein distance between two Gaussian surrogates.
-
-    ``a`` and ``b`` are anything with ``mean`` and ``cov`` attributes
-    (:class:`GaussianStats` or :class:`GaussianModel`); ``a`` is the
-    reference side, whose covariance root is taken.  Values in
-    ``[-1e-8, 0)`` are clamped to zero.
-    """
-    _check_dims(a.mean.shape[0], b.mean.shape[0])
-    return _distance(a, psd_sqrt(a.cov), b)
 
 
 @dataclass
@@ -165,13 +128,14 @@ def _references(refs: list) -> _References:
 
 
 def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
-    """Rows of :func:`_distance` from every reference to ``(mean, cov)``:
-    one Gaussian, or a stack that broadcasts against the references.
+    """Squared distances from every reference to ``(mean, cov)``: one
+    Gaussian, or a stack that broadcasts against the references.
 
     One ``eigvalsh`` takes every product.  Returns the ``(value,
     mean_term, trace_term)`` arrays.
     """
-    _check_dims(refs.means.shape[-1], mean.shape[-1])
+    if refs.means.shape[-1] != mean.shape[-1]:
+        raise ValueError(f"dimension mismatch: {refs.means.shape[-1]} vs {mean.shape[-1]}")
     mean_term = np.sum((refs.means - mean) ** 2, axis=-1)
     inner = refs.roots @ cov @ refs.roots
     w = np.linalg.eigvalsh((inner + np.swapaxes(inner, -1, -2)) / 2.0)
@@ -179,14 +143,30 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
     value = mean_term + trace_term
     if (_below_clamp(refs.spectra) | _below_clamp(w) | (value < -VALUE_CLAMP)).any():
-        # The first failing row raises its first failing check, in the
-        # order psd_sqrt and _distance check them.
+        # The first failing row raises its first failing check: its root,
+        # its product, then its value.
         for spectrum, row, v in zip(np.broadcast_to(refs.spectra, w.shape), w, value):
             _clamp(spectrum, "matrix")
             _clamp(row, "covariance product")
             if v < -VALUE_CLAMP:
                 raise NumericalError(f"distance {float(v)!r} below clamp threshold")
     return np.where(value < 0.0, 0.0, value), mean_term, trace_term
+
+
+def _results(rows) -> list[FrechetResult]:
+    """One :class:`FrechetResult` per row of :func:`_distances`."""
+    return [FrechetResult(*row) for row in zip(*(x.tolist() for x in rows))]
+
+
+def frechet_distance(a, b) -> FrechetResult:
+    """Squared 2-Wasserstein distance between two Gaussian surrogates.
+
+    ``a`` and ``b`` are anything with ``mean`` and ``cov`` attributes
+    (:class:`GaussianStats` or :class:`GaussianModel`); ``a`` is the
+    reference side, whose covariance root is taken.  Values in
+    ``[-1e-8, 0)`` are clamped to zero.
+    """
+    return _results(_distances(_references([a]), b.mean, b.cov))[0]
 
 
 def fid_all(clients: ClientSet, g) -> FrechetResult:
@@ -205,8 +185,7 @@ class FidAvgResult:
 def fid_avg(clients: ClientSet, g) -> FidAvgResult:
     """Weighted mean of per-client distances to ``g`` (clients in id order)."""
     rows = _distances(_references(clients.stats_list()), g.mean, g.cov)
-    per_client = [FrechetResult(*row) for row in zip(*(x.tolist() for x in rows))]
-    return FidAvgResult(value=float(clients.weights @ rows[0]), per_client=per_client)
+    return FidAvgResult(value=float(clients.weights @ rows[0]), per_client=_results(rows))
 
 
 @dataclass

@@ -159,6 +159,11 @@ def write_embeddings(x, path, fmt: str | None = None, dtype: str = "float64") ->
     Path(path).write_bytes(bytes(out))
 
 
+def _check_finite(mean, cov) -> None:
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("non-finite entry in Gaussian parameters")
+
+
 def _check_mean_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     cov = np.asarray(cov, dtype=np.float64)
@@ -168,8 +173,7 @@ def _check_mean_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"mean dimension {mean.shape[0]} does not match covariance {cov.shape}"
         )
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ValueError("non-finite entry in Gaussian parameters")
+    _check_finite(mean, cov)
     scale = float(np.linalg.norm(cov))
     if np.linalg.norm(cov - cov.T) > SYMMETRY_RTOL * max(scale, 1.0):
         raise NotPsdError("covariance is not symmetric")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fedeval import Client, ClientSet, GaussianStats
+from fedeval import Client, ClientSet, GaussianStats, kernelmmd
 
 
 def random_cov(rng, d, rank_extra=2):
@@ -56,3 +56,18 @@ def random_stats_clients(rng, k_max=5, d=None, d_max=8, diagonal=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def gram_elements(monkeypatch):
+    """Sizes of the Gram tiles the kernel passes evaluate, in call order."""
+    elements = []
+    real_gram = kernelmmd.gram
+
+    def counting_gram(spec, x, y):
+        out = real_gram(spec, x, y)
+        elements.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernelmmd, "gram", counting_gram)
+    return elements

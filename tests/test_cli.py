@@ -192,6 +192,25 @@ def test_counterexample_subcommand(tmp_path, capsys):
     assert out["fid_all_hat"] == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_counterexample_search_non_finite_candidate_exits_1(tmp_path, monkeypatch, capsys):
+    """A non-finite search candidate is an input error (exit 1), raised
+    before any eigensolver sees it."""
+
+    def minimize(objective, theta, **kwargs):
+        objective(np.full_like(theta, np.inf))
+
+    # search_matched_pair imports minimize when called, so this patch holds.
+    monkeypatch.setattr("scipy.optimize.minimize", minimize)
+    rng = np.random.default_rng(5)
+    write_embeddings(rng.normal(size=(20, 3)) + [1.0, 0, 0], tmp_path / "a.fevb")
+    write_embeddings(rng.normal(size=(20, 3)) - [1.0, 0, 0], tmp_path / "b.fevb")
+    clients = [{"id": "a", "embeddings": "a.fevb"}, {"id": "b", "embeddings": "b.fevb"}]
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": clients}))
+    assert run_cli(["counterexample", "--clients", tmp_path / "clients.json", "--search"]) == 1
+    assert capsys.readouterr().err == "fedeval: error: non-finite entry in Gaussian parameters\n"
+
+
 def test_sweep_toy_mixture_writes_deterministic_csv(tmp_path):
     args = [
         "sweep",

@@ -17,8 +17,10 @@ from fedeval import (
     Scenario,
     compare_rankings,
     default_collapse_scenario,
+    fedsim,
     fid_all,
     fid_avg,
+    kernelmmd,
     log_likelihood_scores,
     mode_collapse_timeline,
     moments,
@@ -483,6 +485,49 @@ def test_variance_sweep_validates_regime():
         variance_limited_sweep(3, 2.0, 1.0, [0.5], seed=0)
     with pytest.raises(ValueError, match="empty"):
         variance_limited_sweep(3, 0.1, 1.0, [], seed=0)
+
+
+def one_kernel_pass(n, m):
+    """Gram elements of one pass over N pooled client samples and m generated
+    ones, both under TILE: the client tile, the generator tile, the cross tile."""
+    assert n < kernelmmd.TILE and m < kernelmmd.TILE
+    return n * n + m * m + n * m
+
+
+def test_sweep_rows_take_one_kernel_pass(gram_elements):
+    """Both kernel scores of a row come from one pass; scoring kid_avg and
+    kid_all separately adds sum n_i^2 + m^2 + N m elements per row."""
+    k, n, m = 4, 30, 50
+    for v in (0.0, 0.5, 2.0):
+        gram_elements.clear()
+        (row,) = variance_limited_sweep(k, 0.05, 1.0, [v], d=3, n_per_client=n, n_gen=m)
+        assert sum(gram_elements) == one_kernel_pass(k * n, m)
+    for v in (0.5, 1.0):
+        gram_elements.clear()
+        (row,) = toy_mixture_sweep([v], 200, kid_n_per_client=60)
+        assert sum(gram_elements) == one_kernel_pass(2 * 60, 60)
+
+
+def test_timeline_rows_take_one_kernel_pass(gram_elements, monkeypatch, rng):
+    clients = make_clients(rng, k=3, n=40, d=3)
+    starts = []
+    real_materialize = fedsim.materialize_generator
+
+    def materialize(spec, seed=None):
+        starts.append(len(gram_elements))
+        return real_materialize(spec, seed=seed)
+
+    monkeypatch.setattr(fedsim, "materialize_generator", materialize)
+    timeline = [
+        GeneratorSpec(id="s0", kind="gaussian", mean=np.zeros(3), cov=np.eye(3), n=70),
+        GeneratorSpec(id="s1", kind="gaussian", mean=np.ones(3), cov=np.eye(3), n=70),
+        GeneratorSpec(id="s2", kind="point", point=np.zeros(3), n=70),
+    ]
+    result = mode_collapse_timeline(clients, timeline, 2, kernel=KernelSpec(kind="rbf"))
+    bounds = starts + [len(gram_elements)]
+    per_row = [sum(gram_elements[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert len(result.rows) == 3
+    assert per_row == [one_kernel_pass(3 * 40, 70)] * 3
 
 
 def test_homogeneous_clients_avg_equals_all(rng):

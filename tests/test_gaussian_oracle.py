@@ -12,10 +12,12 @@ order ``eps * ||A|| ||B||``; the square root in the trace turns that
 into ``sqrt(eps)``-sized noise, which both paths carry, so those pairs
 get that term on top of the 1e-12.  The barycenter must be bit-identical.
 
-The stacked scoring path (one generator against K references, or one
-reference against K targets, with one ``eigvalsh`` per stack) must be
-bit-identical to a loop of the single-pair ``_distance``, and must raise
-the error that loop raised first.  The eigensolver counts of each entry
+The cross term is read off ``frechet_distance``'s trace term, so the
+oracle checks the one scoring path every Gaussian score takes.  A stack
+(one generator against K references, or one reference against K
+targets, with one ``eigvalsh`` per stack) must be bit-identical to a
+loop of one-row ``frechet_distance`` calls, and must raise the error
+that loop raised first.  The eigensolver counts of each entry
 point are pinned exactly, both in matrices solved and in calls made.
 """
 
@@ -44,7 +46,6 @@ from fedeval import (
     fid_avg_decomposition,
     frechet,
     frechet_distance,
-    psd_sqrt,
 )
 
 from conftest import random_cov, random_stats_clients
@@ -200,7 +201,10 @@ def eig_calls(eig_tally):
 
 
 def cross_term(a, b):
-    return frechet._trace_cross_term(psd_sqrt(a), b)
+    """Tr((A^1/2 B A^1/2)^1/2), from the trace term Tr A + Tr B - 2 Tr(...)."""
+    zero = np.zeros(len(a))
+    r = frechet_distance(GaussianModel(mean=zero, cov=a), GaussianModel(mean=zero, cov=b))
+    return (float(np.trace(a) + np.trace(b)) - r.trace_term) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +369,13 @@ def test_stacked_distances_bit_identical_to_single_pairs(case):
     # K references against one generator: fid_avg and the counterexample search.
     refs = frechet._references(stats)
     got = _attempt(lambda: _fields(*(x.tolist() for x in frechet._distances(refs, g.mean, g.cov))))
-    want = _attempt(
-        lambda: _result_fields([frechet._distance(s, psd_sqrt(s.cov), g) for s in stats])
-    )
+    want = _attempt(lambda: _result_fields([frechet_distance(s, g) for s in stats]))
     assert got == want
     # One reference against K targets: the avg decomposition's per-client part.
-    center, root = frechet._references([g]), psd_sqrt(g.cov)
+    center = frechet._references([g])
     means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
     got = _attempt(lambda: _fields(*(x.tolist() for x in frechet._distances(center, means, covs))))
-    want = _attempt(lambda: _result_fields([frechet._distance(g, root, s) for s in stats]))
+    want = _attempt(lambda: _result_fields([frechet_distance(g, s) for s in stats]))
     assert got == want
     # fid_avg field for field against the per-client loop it replaced.
     got = _attempt(lambda: fid_avg(clients, g))
