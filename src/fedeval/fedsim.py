@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .frechet import fid_all, fid_avg, psd_sqrt
-from .kernelmmd import KernelSpec, KernelStats, block_sums, kernel_stats
+from .kernelmmd import KernelSpec, KernelStats, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
     Client,
@@ -291,44 +291,35 @@ def _raw_replies(clients, trace) -> ClientSet:
 
 
 def _kernel_block_replies(clients, generator, cross, kernel, trace) -> KernelStats:
-    """The kernel statistic the block-sum replies carry.
+    """The library's kernel statistic of the clients and the generator,
+    sent entry by entry as block-sum replies.
 
     The cross-client sums are NaN unless ``cross``; the self-block traces
     are NaN because they are never sent (only ``ustat`` reads them).
     """
-    mats = clients.client_embeddings()
-    k = len(mats)
-    counts = np.array([m.shape[0] for m in mats])
-    sums = np.full((k, k), np.nan)
-    gen_sums = np.empty(k)
-    for i, (client, mat) in enumerate(zip(clients, mats)):
-        sums[i, i] = float(block_sums(kernel, [mat])[0, 0])
-        gen_sums[i] = float(block_sums(kernel, [mat], [generator])[0, 0])
-        body = {"n": int(counts[i]), "within_sum": sums[i, i], "cross_generator_sum": gen_sums[i]}
-        trace.append(Message(client.id, SERVER, "KernelBlockReply", 3, body))
+    stats = kernel_stats(clients, generator, kernel, cross=cross)
+    stats.traces = np.full(len(clients), np.nan)
+    stats.gen_trace = np.nan
+    ids = clients.ids
+    for i, n in enumerate(stats.counts):
+        body = {
+            "n": int(n),
+            "within_sum": float(stats.sums[i, i]),
+            "cross_generator_sum": float(stats.gen_sums[i]),
+        }
+        trace.append(Message(ids[i], SERVER, "KernelBlockReply", 3, body))
     if cross:
         # Cross-client blocks need the partner's raw samples: the exchange
         # is simulated and its bytes charged, making the privacy cost of
         # the pooled kernel score explicit.
-        ids = clients.ids
-        for i in range(k):
-            for j in range(i + 1, k):
+        mats = clients.client_embeddings()
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
                 nj, d = mats[j].shape
                 trace.append(Message(ids[j], ids[i], "RawDataReply", nj * d, {"rows": nj, "cols": d}))
-                sums[i, j] = sums[j, i] = float(block_sums(kernel, [mats[i]], [mats[j]])[0, 0])
-                body = {"pair": [ids[i], ids[j]], "cross_sum": sums[i, j]}
+                body = {"pair": [ids[i], ids[j]], "cross_sum": float(stats.sums[i, j])}
                 trace.append(Message(ids[i], SERVER, "KernelBlockReply", 1, body))
-    return KernelStats(
-        weights=clients.weights,
-        natural_weights=clients.has_natural_weights(),
-        counts=counts,
-        sums=sums,
-        traces=np.full(k, np.nan),
-        gen_count=generator.shape[0],
-        gen_sums=gen_sums,
-        gen_sum=float(block_sums(kernel, [generator])[0, 0]),
-        gen_trace=np.nan,
-    )
+    return stats
 
 
 def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict, dict]:
@@ -735,6 +726,8 @@ def toy_mixture_sweep(
         raise ValueError("variance grid values must be >= 0")
     if n_per_client < 2:
         raise ValueError("need at least 2 samples per client")
+    if kid_n_per_client is not None and kid_n_per_client < 1:
+        raise ValueError(f"kid_n_per_client must be >= 1, got {kid_n_per_client}")
     kernel = kernel or KernelSpec()
     kid_n = kid_n_per_client or min(n_per_client, 1000)
     kid_n = min(kid_n, n_per_client)

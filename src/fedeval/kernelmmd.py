@@ -17,10 +17,16 @@ approximately.
 Every score is a function of one sufficient statistic (``KernelStats``):
 the K x K matrix of client block sums, the K client-generator sums and
 the generator-generator sum, plus the diagonal sums ``ustat`` removes.
-It is computed exactly (no block subsampling) in one pass over square
-Gram tiles of side ``TILE``, so memory does not grow with the sample
-count and there is no cap on it; the aggregations are then O(K^2)
-algebra on the sums.
+It is computed exactly (no block subsampling) in one pass over the
+block pairs, each in square Gram tiles of side ``TILE``, so memory does
+not grow with the sample count and there is no cap on it; the
+aggregations are then O(K^2) algebra on the sums.  Each block pair is
+tiled on its own grid from its blocks' first rows, so a block sum
+depends only on its two sample sets: a client's score is bit for bit
+``mmd2(client, gen)`` whether or not the cross-client blocks are built,
+and the protocol simulator's kernel_blocks round sends this statistic's
+entries.  The price is one ``gram`` call per block pair, which many
+tiny clients pay in call overhead.
 
 The polynomial kernel scales and offsets the ``x @ y.T`` product in
 place and takes the power by repeated products, not by a ``pow`` per
@@ -101,7 +107,7 @@ class KernelSpec:
                 scale=obj.get("scale"),
                 offset=obj.get("offset", 1.0),
             )
-        return cls(kind="rbf", bandwidth=obj.get("bandwidth"))
+        return cls(kind=kind, bandwidth=obj.get("bandwidth"))
 
 
 def load_kernel_spec(path) -> KernelSpec:
@@ -158,64 +164,43 @@ def _tiles(n_rows: int, n_cols: int, symmetric: bool):
             yield r0, min(r0 + TILE, n_rows), c0, min(c0 + TILE, n_cols)
 
 
-def _stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stack sample blocks; block ``p`` is rows ``bounds[p]:bounds[p + 1]``."""
-    bounds = np.cumsum([0] + [m.shape[0] for m in mats])
-    return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)), bounds
+def _tiled_sums(spec, xs, ys=None, cross=True):
+    """Kernel sums over (row block, column block) pairs of validated samples,
+    plus the diagonal sums of each row block when the blocks are paired with
+    themselves (``ys`` None).
 
-
-def _segments(bounds: np.ndarray, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
-    """Blocks ``first:last`` that meet rows ``lo:hi``, and where each starts
-    within that range."""
-    first = int(np.searchsorted(bounds, lo, side="right")) - 1
-    last = int(np.searchsorted(bounds, hi, side="left"))
-    return first, last, np.maximum(bounds[first:last], lo) - lo
-
-
-def _tiled_sums(spec, x, x_bounds, y=None, y_bounds=None):
-    """Kernel sums over every (row block, column block) pair of validated,
-    stacked samples, plus the diagonal sums of each row block when the
-    blocks are paired with themselves (``y`` None)."""
-    symmetric = y is None
-    if symmetric:
-        y, y_bounds = x, x_bounds
-    elif x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    sums = np.zeros((len(x_bounds) - 1, len(y_bounds) - 1))
-    traces = np.zeros(len(x_bounds) - 1) if symmetric else None
-    for r0, r1, c0, c1 in _tiles(x.shape[0], y.shape[0], symmetric):
-        tile = gram(spec, x[r0:r1], y[c0:c1])
-        p, p_end, row_starts = _segments(x_bounds, r0, r1)
-        q, q_end, col_starts = _segments(y_bounds, c0, c1)
-        if len(row_starts) == 1 and len(col_starts) == 1:
-            part = tile.sum()
-        else:
-            part = np.add.reduceat(np.add.reduceat(tile, row_starts, axis=0), col_starts, axis=1)
-        sums[p:p_end, q:q_end] += part
-        if not symmetric:
-            continue
-        if c0 != r0:
-            sums[q:q_end, p:p_end] += np.transpose(part)
-        else:
-            diag = np.diagonal(tile)
-            traces[p:p_end] += diag.sum() if len(row_starts) == 1 else np.add.reduceat(diag, row_starts)
-    return sums, traces
-
-
-def block_sums(spec: KernelSpec, rows, cols=None) -> np.ndarray:
-    """Kernel sums between sample blocks, in one pass over TILE x TILE Gram tiles.
-
-    ``sums[p, q]`` is the sum of ``gram(spec, rows[p], cols[q])``.  With
-    ``cols=None`` the row blocks are paired with themselves and only the
-    tiles on or above the diagonal are evaluated.  When each side is one
-    block that fits in a tile, the tile is summed whole, so the result
-    equals ``gram(spec, x, y).sum()`` bit for bit.
+    Each pair is tiled on its own TILE grid from the blocks' first rows and
+    its tile sums are added in row-major tile order, so a block pair's sum
+    does not depend on the other blocks; a self block evaluates the tiles on
+    or above its diagonal and adds each off-diagonal tile's sum twice.
+    ``cross=False`` visits only the self pairs and leaves the other sums NaN.
     """
-    x, x_bounds = _stack([as_embeddings(m) for m in rows])
-    if cols is None:
-        return _tiled_sums(spec, x, x_bounds)[0]
-    y, y_bounds = _stack([as_embeddings(m) for m in cols])
-    return _tiled_sums(spec, x, x_bounds, y, y_bounds)[0]
+    symmetric = ys is None
+    cols = xs if symmetric else ys
+    sums = np.full((len(xs), len(cols)), np.nan)
+    traces = np.zeros(len(xs)) if symmetric else None
+    for p, x in enumerate(xs):
+        if not symmetric:
+            qs = range(len(cols))
+        else:
+            qs = range(p, len(cols)) if cross else (p,)
+        for q in qs:
+            self_block = symmetric and q == p
+            total = 0.0
+            for r0, r1, c0, c1 in _tiles(x.shape[0], cols[q].shape[0], self_block):
+                tile = gram(spec, x[r0:r1], cols[q][c0:c1])
+                part = tile.sum()
+                total += part
+                if not self_block:
+                    continue
+                if c0 != r0:
+                    total += part
+                else:
+                    traces[p] += np.diagonal(tile).sum()
+            sums[p, q] = total
+            if symmetric:
+                sums[q, p] = total
+    return sums, traces
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -359,43 +344,33 @@ class KernelStats:
         return float(gap)
 
 
-def _self_sum(spec, x) -> tuple[float, float]:
-    sums, traces = _tiled_sums(spec, x, np.array([0, x.shape[0]]))
-    return sums[0, 0], traces[0]
-
-
 def _kernel_stats(spec, mats, gen, cross, weights, natural_weights) -> KernelStats:
     """The statistic of validated client matrices and generator samples."""
-    x, bounds = _stack(mats)
-    if cross:
-        sums, traces = _tiled_sums(spec, x, bounds)
-    else:
-        sums = np.full((len(mats), len(mats)), np.nan)
-        traces = np.empty(len(mats))
-        for i, m in enumerate(mats):
-            sums[i, i], traces[i] = _self_sum(spec, m)
+    sums, traces = _tiled_sums(spec, mats, cross=cross)
     stats = KernelStats(
         weights=weights,
         natural_weights=natural_weights,
-        counts=np.diff(bounds),
+        counts=np.array([m.shape[0] for m in mats]),
         sums=sums,
         traces=traces,
     )
     if gen is not None:
         stats.gen_count = gen.shape[0]
-        stats.gen_sum, stats.gen_trace = _self_sum(spec, gen)
-        gen_bounds = np.array([0, gen.shape[0]])
-        stats.gen_sums = _tiled_sums(spec, x, bounds, gen, gen_bounds)[0][:, 0]
+        gen_sum, gen_trace = _tiled_sums(spec, [gen])
+        stats.gen_sum, stats.gen_trace = gen_sum[0, 0], gen_trace[0]
+        stats.gen_sums = _tiled_sums(spec, mats, [gen])[0][:, 0]
     return stats
 
 
 def kernel_stats(
     clients: ClientSet, gen=None, spec: KernelSpec | None = None, cross: bool = True
 ) -> KernelStats:
-    """Block-sum statistic of ``clients`` (and ``gen``) in one tiled pass.
+    """Block-sum statistic of ``clients`` (and ``gen``) in one tiled pass
+    over the block pairs.
 
     ``cross=False`` skips the cross-client blocks, which only the pooled
-    score and the gap need; the per-client scores never do.
+    score and the gap need; the per-client scores never do, and they are
+    the same bits either way.
     """
     gen = None if gen is None else as_embeddings(gen)
     return _kernel_stats(

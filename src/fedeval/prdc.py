@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SampleCountError
-from .kernelmmd import _row_norms, _segments, _squared_distances, _stack, _tiles
+from .kernelmmd import _row_norms, _squared_distances, _tiles
 from .statkit import ClientSet, as_embeddings
 
 DEFAULT_K = 5
@@ -52,6 +52,20 @@ class PrdcResult:
             "density": self.density,
             "coverage": self.coverage,
         }
+
+
+def _stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stack sample blocks; block ``p`` is rows ``bounds[p]:bounds[p + 1]``."""
+    bounds = np.cumsum([0] + [m.shape[0] for m in mats])
+    return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)), bounds
+
+
+def _segments(bounds: np.ndarray, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+    """Blocks ``first:last`` that meet rows ``lo:hi``, and where each starts
+    within that range."""
+    first = int(np.searchsorted(bounds, lo, side="right")) - 1
+    last = int(np.searchsorted(bounds, hi, side="left"))
+    return first, last, np.maximum(bounds[first:last], lo) - lo
 
 
 def _check_knn(k: int, counts) -> None:

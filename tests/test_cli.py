@@ -86,6 +86,45 @@ def test_kid_subcommand_with_gap(workspace, capsys):
     assert out["kid_avg"] - out["kid_all"] == pytest.approx(out["gap"], rel=1e-9)
 
 
+def test_kid_avg_and_both_print_the_same_per_client(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    clients = []
+    for i in range(3):
+        write_embeddings(rng.normal(size=(60, 4)) + i, tmp_path / f"c{i}.fevb")
+        clients.append({"id": f"c{i}", "embeddings": f"c{i}.fevb"})
+    write_embeddings(rng.normal(size=(80, 4)), tmp_path / "gen.fevb")
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": clients}))
+    outs = {}
+    for agg in ("avg", "both"):
+        args = ["kid", "--clients", tmp_path / "clients.json", "--gen", tmp_path / "gen.fevb"]
+        assert run_cli(args + ["--agg", agg]) == 0
+        outs[agg] = json.loads(capsys.readouterr().out)
+    assert outs["avg"]["per_client"] == outs["both"]["per_client"]
+    assert outs["avg"]["kid_avg"] == outs["both"]["kid_avg"]
+
+
+@pytest.mark.parametrize("kind", ["laplace", "Polynomial", "RBF"])
+def test_unknown_kernel_kind_exit_1(workspace, capsys, kind):
+    tmp, _ = workspace
+    (tmp / "kernel.json").write_text(json.dumps({"kind": kind}))
+    args = ["kid", "--clients", tmp / "clients.json", "--gen", tmp / "gen.fevb"]
+    assert run_cli(args + ["--kernel", tmp / "kernel.json"]) == 1
+    assert "unknown kernel kind" in capsys.readouterr().err
+    scenario = {
+        "name": "bad-kernel",
+        "kind": "round",
+        "mode": "kernel_blocks",
+        "metrics": ["kid_avg"],
+        "seed": 5,
+        "kernel": {"kind": kind},
+        "clients": [{"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 20}],
+        "generators": [{"id": "g1", "kind": "gaussian", "mean": [1.5, 0.0], "cov": 1.0, "n": 30}],
+    }
+    (tmp / "s.json").write_text(json.dumps(scenario))
+    assert run_cli(["simulate", "--scenario", tmp / "s.json"]) == 1
+    assert "unknown kernel kind" in capsys.readouterr().err
+
+
 def test_kid_ustat_single_sample_exit_2(tmp_path, capsys):
     write_embeddings(np.array([[1.0]]), tmp_path / "one.fevb")
     write_embeddings(np.array([[0.0], [0.5]]), tmp_path / "gen.fevb")
@@ -232,6 +271,13 @@ def test_sweep_toy_mixture_writes_deterministic_csv(tmp_path):
     header = a.decode().splitlines()[0]
     assert header.startswith("var_x,fd_avg_analytic,fd_all_analytic")
     assert len(a.decode().splitlines()) == 4  # header + grid points 0, 0.5, 1
+
+
+@pytest.mark.parametrize("kid_n", ["0", "-3"])
+def test_sweep_toy_mixture_rejects_non_positive_kid_n(tmp_path, capsys, kid_n):
+    args = ["sweep", "toy-mixture", "--grid", "0:1:0.5", "--n", "50", "--kid-n", kid_n]
+    assert run_cli(args + ["--out", tmp_path / "toy.csv"]) == 1
+    assert "kid_n_per_client must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_variance_limited(tmp_path):

@@ -97,13 +97,14 @@ def test_kernel_blocks_clamp_raises_like_the_library(rng, monkeypatch, tmp_path)
     from fedeval import cli, fedsim
     from fedeval.errors import NumericalError
 
-    real_block_sums = fedsim.block_sums
+    real_kernel_stats = fedsim.kernel_stats
 
-    def inflated_cross_sums(spec, rows, cols=None):
-        sums = real_block_sums(spec, rows, cols)
-        return sums if cols is None else sums + 1e6
+    def inflated_gen_sums(*args, **kwargs):
+        stats = real_kernel_stats(*args, **kwargs)
+        stats.gen_sums = stats.gen_sums + 1e6
+        return stats
 
-    monkeypatch.setattr(fedsim, "block_sums", inflated_cross_sums)
+    monkeypatch.setattr(fedsim, "kernel_stats", inflated_gen_sums)
     clients = make_clients(rng, k=2)
     gen = rng.normal(size=(10, 3))
     for metrics in (["kid_avg"], ["kid_all"], ["kid_avg", "kid_all"]):
@@ -204,14 +205,15 @@ MODE_METRICS = {
 
 @pytest.mark.parametrize("mode", list(MODE_METRICS))
 def test_round_matches_library(mode):
-    # scores and raw rounds call the library on the clients' own arrays, so
-    # every score and per-client value is exact: scores-mode kid is kid_avg's
-    # statistic, raw-mode kid the one pass CLI `kid --agg both` takes.  The
-    # moments round rebuilds each covariance from the second moment and the
-    # kernel_blocks round sums per-block passes, so they agree to 1e-9.
+    # scores, raw and kernel_blocks rounds call the library on the clients'
+    # own arrays, so every score and per-client value is exact: scores-mode
+    # kid is kid_avg's statistic, raw-mode kid the one pass CLI `kid --agg
+    # both` takes, and the kernel_blocks replies carry that statistic's
+    # entries.  The moments round rebuilds each covariance from the second
+    # moment, so it agrees to 1e-9.
     kernel = KernelSpec()
     k_neighbors = 3
-    exact = mode in ("scores", "raw")
+    exact = mode != "moments"
     for seed in range(8):
         rng = np.random.default_rng(seed + 200)
         clients = make_clients(rng, k=int(rng.integers(1, 5)), n=int(rng.integers(6, 25)))
@@ -461,6 +463,9 @@ def test_toy_sweep_validates_inputs():
         toy_mixture_sweep([-1.0], n_per_client=10, seed=0)
     with pytest.raises(ValueError, match="2 samples"):
         toy_mixture_sweep([1.0], n_per_client=1, seed=0)
+    for kid_n in (0, -3):
+        with pytest.raises(ValueError, match="kid_n_per_client must be >= 1"):
+            toy_mixture_sweep([1.0], n_per_client=10, seed=0, kid_n_per_client=kid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +492,14 @@ def test_variance_sweep_validates_regime():
         variance_limited_sweep(3, 0.1, 1.0, [], seed=0)
 
 
-def one_kernel_pass(n, m):
-    """Gram elements of one pass over N pooled client samples and m generated
-    ones, both under TILE: the client tile, the generator tile, the cross tile."""
-    assert n < kernelmmd.TILE and m < kernelmmd.TILE
-    return n * n + m * m + n * m
+def one_kernel_pass(sizes, m):
+    """Gram elements of one pass over clients of ``sizes`` samples and m
+    generated ones, all under TILE: one tile per client block pair on or
+    above the diagonal, the generator tile and one client x generator tile
+    per client."""
+    n = sum(sizes)
+    assert max(sizes) < kernelmmd.TILE and m < kernelmmd.TILE
+    return (n * n + sum(s * s for s in sizes)) // 2 + m * m + n * m
 
 
 def test_sweep_rows_take_one_kernel_pass(gram_elements):
@@ -501,11 +509,11 @@ def test_sweep_rows_take_one_kernel_pass(gram_elements):
     for v in (0.0, 0.5, 2.0):
         gram_elements.clear()
         (row,) = variance_limited_sweep(k, 0.05, 1.0, [v], d=3, n_per_client=n, n_gen=m)
-        assert sum(gram_elements) == one_kernel_pass(k * n, m)
+        assert sum(gram_elements) == one_kernel_pass([n] * k, m)
     for v in (0.5, 1.0):
         gram_elements.clear()
         (row,) = toy_mixture_sweep([v], 200, kid_n_per_client=60)
-        assert sum(gram_elements) == one_kernel_pass(2 * 60, 60)
+        assert sum(gram_elements) == one_kernel_pass([60, 60], 60)
 
 
 def test_timeline_rows_take_one_kernel_pass(gram_elements, monkeypatch, rng):
@@ -527,7 +535,7 @@ def test_timeline_rows_take_one_kernel_pass(gram_elements, monkeypatch, rng):
     bounds = starts + [len(gram_elements)]
     per_row = [sum(gram_elements[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert len(result.rows) == 3
-    assert per_row == [one_kernel_pass(3 * 40, 70)] * 3
+    assert per_row == [one_kernel_pass([40] * 3, 70)] * 3
 
 
 def test_homogeneous_clients_avg_equals_all(rng):

@@ -269,7 +269,10 @@ def test_kid_avg_computes_no_cross_client_blocks(gram_elements, rng):
     assert sum(gram_elements) == int((sizes**2).sum() + sizes.sum() * 30 + 30**2)
     gram_elements.clear()
     kernelmmd.kid_all(clients, gen)
-    assert sum(gram_elements) == int(sizes.sum() ** 2 + sizes.sum() * 30 + 30**2)
+    # each block pair under TILE is one tile: the self blocks and one
+    # triangle of the cross-client blocks
+    pairs = (sizes.sum() ** 2 + (sizes**2).sum()) // 2
+    assert sum(gram_elements) == int(pairs + sizes.sum() * 30 + 30**2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +321,39 @@ def test_radii_ties_on_duplicates():
 
 @pytest.mark.parametrize("tile", [1, 2, 7, 512])
 def test_block_sums_independent_of_tile(tile, rng):
-    rows = [rng.normal(size=(n, 3)) for n in (5, 1, 9)]
-    cols = [rng.normal(size=(n, 3)) for n in (4, 11)]
+    mats = [rng.normal(size=(n, 3)) for n in (5, 1, 9)]
+    gen = rng.normal(size=(11, 3))
+    clients = ClientSet([Client(id=f"c{i}", embeddings=x) for i, x in enumerate(mats)])
     spec = KernelSpec()
-    want = np.array([[oracle_gram(spec, x, y).sum() for y in cols] for x in rows])
-    want_self = np.array([[oracle_gram(spec, x, y).sum() for y in rows] for x in rows])
     with small_tiles(tile):
-        got = kernelmmd.block_sums(spec, rows, cols)
-        got_self = kernelmmd.block_sums(spec, rows)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    np.testing.assert_allclose(got_self, want_self, rtol=1e-12)
+        stats = kernelmmd.kernel_stats(clients, gen, spec)
+    want = np.array([[oracle_gram(spec, x, y).sum() for y in mats] for x in mats])
+    want_traces = [np.trace(oracle_gram(spec, x, x)) for x in mats]
+    want_gen_sums = [oracle_gram(spec, x, gen).sum() for x in mats]
+    np.testing.assert_allclose(stats.sums, want, rtol=1e-12)
+    np.testing.assert_allclose(stats.traces, want_traces, rtol=1e-12)
+    np.testing.assert_allclose(stats.gen_sums, want_gen_sums, rtol=1e-12)
+    np.testing.assert_allclose(stats.gen_sum, oracle_gram(spec, gen, gen).sum(), rtol=1e-12)
+    np.testing.assert_allclose(stats.gen_trace, np.trace(oracle_gram(spec, gen, gen)), rtol=1e-12)
+
+
+@SETTINGS
+@given(instances(), st.sampled_from(["polynomial", "rbf"]), st.booleans())
+def test_client_scores_bit_identical_to_mmd2(case, kind, cross):
+    # every block pair is tiled on its own, so a client's score does not
+    # depend on the other clients or on whether cross-client blocks are built
+    clients, gen = case
+    spec = KernelSpec(kind=kind)
+    with small_tiles():
+        stats = kernelmmd.kernel_stats(clients, gen, spec, cross=cross)
+        for i, client in enumerate(clients):
+            for estimator in ("vstat", "ustat"):
+                got = outcome(lambda: stats.client_mmd2(i, estimator))
+                want = outcome(lambda: kernelmmd.mmd2(spec, client.embeddings, gen, estimator))
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want)
+                else:
+                    assert got == want, (i, estimator)
 
 
 # ---------------------------------------------------------------------------
