@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .frechet import _clamp, _distances, _references
 from .statkit import ClientSet, GaussianModel, _check_finite, pool_moments
 
@@ -100,6 +101,16 @@ def _spread_trace(means: np.ndarray, weights: np.ndarray) -> float:
     """Trace of the weighted between-client mean spread."""
     mean_hat = weights @ means
     return float(weights @ np.sum(means**2, axis=1) - np.sum(mean_hat**2))
+
+
+def _starting_simplex(x0: np.ndarray) -> np.ndarray:
+    """scipy's default Nelder–Mead starting simplex around ``x0``: ``x0``,
+    then ``x0`` with coordinate k scaled by ``1 + 0.05``, or set to
+    ``0.00025`` where it is 0."""
+    n = x0.shape[0]
+    simplex = np.tile(x0, (n + 1, 1))
+    simplex[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    return simplex
 
 
 def _client_and_pool_references(clients: ClientSet):
@@ -178,6 +189,13 @@ def search_matched_pair(
     objective with a negative sign.  Deterministic for a fixed seed; if
     the budget runs out before the per-client residual sum reaches
     1e-6, the best iterate is returned flagged as not converged.
+
+    Each stage starts from scipy's default simplex, built here and passed
+    as ``initial_simplex``.  The vertices scipy evaluates first are scored
+    in one stacked call before the stage runs, and its calls for exactly
+    those vertices (matched by their bytes) are answered from that table;
+    numpy solves a stack one matrix at a time, so every value is the one
+    the per-candidate path gives.
     """
     from scipy.optimize import minimize
 
@@ -215,19 +233,36 @@ def search_matched_pair(
         _check_finite(mean, cov)
         return mean, cov
 
-    def residuals_and_gap(mean, cov):
-        # One eigvalsh: the K clients and the pool in one stack.
-        scores = _distances(refs, mean, cov)[0]
+    def residuals_and_gap(scores):
+        # Scores of one candidate against the K clients, then the pool.
         return scores[:-1] - targets, float(scores[-1]) - fid_all_hat
+
+    def prescore(simplex):
+        # The vertices' scores from one _distances call (one eigvalsh over
+        # every vertex and reference), in the order scipy evaluates them.
+        # If a vertex fails, nothing is prescored: the live path then
+        # raises the first failure in the order it always did.
+        try:
+            means, covs = zip(*(candidate(t) for t in simplex))
+            rows = _distances(refs, np.stack(means)[:, None], np.stack(covs)[:, None])[0]
+        except (ValueError, NumericalError):
+            return []
+        return [(t.tobytes(), scores) for t, scores in zip(simplex, rows)]
 
     stages = [1e2, 1e4, 1e6, 1e8]
     per_stage = max(budget // len(stages), 1)
     for penalty in stages:
+        simplex = _starting_simplex(theta)
+        scored = prescore(simplex[:per_stage])
 
         def objective(t):
             nonlocal evaluations
             evaluations += 1
-            r, gap = residuals_and_gap(*candidate(t))
+            if scored and scored[0][0] == t.tobytes():
+                scores = scored.pop(0)[1]
+            else:
+                scores = _distances(refs, *candidate(t))[0]
+            r, gap = residuals_and_gap(scores)
             return penalty * float(r @ r) - abs(gap)
 
         result = minimize(
@@ -235,6 +270,7 @@ def search_matched_pair(
             theta,
             method="Nelder-Mead",
             options={
+                "initial_simplex": simplex,
                 "maxfev": per_stage,
                 "xatol": 1e-12,
                 "fatol": 1e-14,
@@ -244,7 +280,7 @@ def search_matched_pair(
         theta = result.x
 
     best = GaussianModel(*candidate(theta))
-    residuals, _ = residuals_and_gap(best.mean, best.cov)
+    residuals, _ = residuals_and_gap(_distances(refs, best.mean, best.cov)[0])
     converged = bool(np.sum(np.abs(residuals)) <= RESIDUAL_TARGET)
     return _measure(
         refs,

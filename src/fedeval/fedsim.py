@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError
-from .frechet import fid_all, fid_avg, psd_sqrt
+from .frechet import _psd_sqrts, fid_all, fid_avg
 from .kernelmmd import KernelSpec, KernelStats, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
@@ -426,22 +426,36 @@ def _spawn_seeds(seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _draw_gaussian(rng, mean, cov, n):
+def _draw_gaussian(rng, mean, root, n):
+    """``n`` draws of ``N(mean, root @ root)``; ``root`` is the covariance's
+    :func:`~fedeval.frechet.psd_sqrt`, or the error it raised, raised after
+    the draw."""
     z = rng.standard_normal((n, mean.shape[0]))
-    return mean + z @ psd_sqrt(cov)
+    if isinstance(root, Exception):
+        raise root
+    return mean + z @ root
+
+
+def _client(spec: ClientSpec, seed: int | None, root) -> Client:
+    rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
+    return Client(id=spec.id, embeddings=_draw_gaussian(rng, spec.mean, root, spec.n))
+
+
+def _generator(spec: GeneratorSpec, seed: int | None, root) -> np.ndarray:
+    rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
+    if spec.kind == "gaussian":
+        return _draw_gaussian(rng, spec.mean, root, spec.n)
+    d = spec.point.shape[0]
+    return spec.point + spec.jitter * rng.standard_normal((spec.n, d))
 
 
 def materialize_client(spec: ClientSpec, seed: int | None = None) -> Client:
-    rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
-    return Client(id=spec.id, embeddings=_draw_gaussian(rng, spec.mean, spec.cov, spec.n))
+    return _client(spec, seed, _psd_sqrts([spec.cov])[0])
 
 
 def materialize_generator(spec: GeneratorSpec, seed: int | None = None) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
-    if spec.kind == "gaussian":
-        return _draw_gaussian(rng, spec.mean, spec.cov, spec.n)
-    d = spec.point.shape[0]
-    return spec.point + spec.jitter * rng.standard_normal((spec.n, d))
+    root = _psd_sqrts([spec.cov])[0] if spec.kind == "gaussian" else None
+    return _generator(spec, seed, root)
 
 
 @dataclass
@@ -465,15 +479,17 @@ class Scenario:
 
     def materialize(self) -> tuple[ClientSet, list[np.ndarray]]:
         seeds = _spawn_seeds(self.seed, len(self.clients) + len(self.generators))
+        # Every Gaussian spec's sampling root, clients then generators, from
+        # one stacked eigh per dimension; a spec's root error is raised in
+        # its turn, after its draw.
+        gaussian = self.clients + [g for g in self.generators if g.kind == "gaussian"]
+        roots = iter(_psd_sqrts([spec.cov for spec in gaussian]))
         clients = ClientSet(
-            [
-                materialize_client(spec, seed=seeds[i])
-                for i, spec in enumerate(self.clients)
-            ]
+            [_client(spec, seeds[i], next(roots)) for i, spec in enumerate(self.clients)]
         )
         offset = len(self.clients)
         generators = [
-            materialize_generator(spec, seed=seeds[offset + i])
+            _generator(spec, seeds[offset + i], next(roots) if spec.kind == "gaussian" else None)
             for i, spec in enumerate(self.generators)
         ]
         return clients, generators
@@ -538,7 +554,7 @@ class Scenario:
             generators=generators,
             metrics=list(obj.get("metrics", ["fid_avg", "fid_all"])),
             mode=obj.get("mode", RAW),
-            kernel=KernelSpec.from_json_dict(kernel) if kernel else None,
+            kernel=KernelSpec.from_json_dict(kernel) if kernel is not None else None,
             seed=int(obj.get("seed", 0)),
             collapse_step=obj.get("collapse_step"),
             detection_threshold=float(obj.get("detection_threshold", 2.0)),

@@ -17,10 +17,12 @@ Gaussian is scored against the whole stack with one stacked ``eigvalsh``
 (:func:`_distances`).  A single pair is a one-row stack; ``fid_avg``
 stacks the K clients, and the counterexample search adds the pool.
 numpy solves a stack matrix by matrix, so a row does not depend on the
-rows stacked with it.  The barycenter iteration takes both ``C^1/2`` and
-``C^-1/2`` of each iterate from a single eigendecomposition; the avg
-decomposition scores the converged iterate, with that root, against the
-K clients.
+rows stacked with it.  :func:`psd_sqrt` is the one-matrix case of
+:func:`_psd_sqrts`, which roots a list of matrices with one stacked
+``eigh`` per size (a scenario's sampling roots).  The barycenter
+iteration takes both ``C^1/2`` and ``C^-1/2`` of each iterate from a
+single eigendecomposition; the avg decomposition scores the converged
+iterate, with that root, against the K clients.
 """
 
 from __future__ import annotations
@@ -69,19 +71,71 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (b + np.swapaxes(b, -1, -2)) / 2.0
 
 
-def psd_sqrt(a) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Requires symmetry within ``1e-10 * ||a||_F`` and eigenvalues above
-    ``-1e-8 * lambda_max`` (clamped to zero when negative).
-    """
+def _symmetric(a) -> np.ndarray:
+    """``a`` as a float matrix, checked square and symmetric within
+    ``1e-10 * ||a||_F``, then symmetrized."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     scale = max(float(np.linalg.norm(a)), 1.0)
     if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
         raise NotPsdError("matrix is not symmetric")
-    return _root(*_clamped_eigh((a + a.T) / 2.0, "matrix"))
+    return (a + a.T) / 2.0
+
+
+def _stacked_roots(stack: np.ndarray) -> list:
+    """The PSD root of every matrix of a stack of symmetric matrices, from
+    one ``eigh``, or the error the one-matrix solve raises on it."""
+    try:
+        w, v = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:  # seen on non-finite matrices, solved alone
+        return [exc] * len(stack)
+    roots = _root(np.clip(w, 0.0, None), v)
+    out = []
+    for spectrum, root in zip(w, roots):
+        try:
+            _clamp(spectrum, "matrix")
+        except (NotPsdError, IndexError) as exc:  # a 0 x 0 matrix has no eigenvalue
+            root = exc
+        out.append(root)
+    return out
+
+
+def _psd_sqrts(mats) -> list:
+    """:func:`psd_sqrt` of every matrix, in order; where it would raise,
+    the entry is the error it raises on that matrix, not a root.
+
+    The finite matrices of one size share one stacked ``eigh``.  numpy
+    solves a stack one matrix at a time, so a root does not depend on the
+    matrices stacked with it.  A matrix with a NaN or infinite entry is
+    solved alone: the sign bits of the NaNs it yields depend on the stack,
+    and ``eigh`` failing on it would fail the whole stack.
+    """
+    out, stacks = [], {}
+    for i, a in enumerate(mats):
+        try:
+            out.append(_symmetric(a))
+        except (ValueError, TypeError, NotPsdError) as exc:
+            out.append(exc)
+        else:
+            stacks.setdefault(out[i].shape if np.isfinite(out[i]).all() else i, []).append(i)
+    for rows in stacks.values():
+        for i, root in zip(rows, _stacked_roots(np.stack([out[i] for i in rows]))):
+            out[i] = root
+    return out
+
+
+def psd_sqrt(a) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition.
+
+    Requires symmetry within ``1e-10 * ||a||_F`` and eigenvalues above
+    ``-1e-8 * lambda_max`` (clamped to zero when negative).  The one-matrix
+    case of the stacked roots (:func:`_psd_sqrts`).
+    """
+    (root,) = _psd_sqrts([a])
+    if isinstance(root, Exception):
+        raise root
+    return root
 
 
 @dataclass
@@ -143,9 +197,11 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
     value = mean_term + trace_term
     if (_below_clamp(refs.spectra) | _below_clamp(w) | (value < -VALUE_CLAMP)).any():
-        # The first failing row raises its first failing check: its root,
-        # its product, then its value.
-        for spectrum, row, v in zip(np.broadcast_to(refs.spectra, w.shape), w, value):
+        # The first failing row (in C order over a stack of targets) raises
+        # its first failing check: its root, its product, then its value.
+        d = w.shape[-1]
+        spectra = np.broadcast_to(refs.spectra, w.shape).reshape(-1, d)
+        for spectrum, row, v in zip(spectra, w.reshape(-1, d), value.reshape(-1)):
             _clamp(spectrum, "matrix")
             _clamp(row, "covariance product")
             if v < -VALUE_CLAMP:

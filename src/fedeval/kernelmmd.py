@@ -53,6 +53,12 @@ VSTAT_CLAMP = 1e-10
 TILE = 256
 
 
+def _is_real(value) -> bool:
+    """A real number, and not a bool (which Python counts as an integer)."""
+    real = (int, float, np.integer, np.floating)
+    return isinstance(value, real) and not isinstance(value, bool)
+
+
 @dataclass
 class KernelSpec:
     """Kernel configuration.
@@ -73,13 +79,16 @@ class KernelSpec:
         if self.kind not in ("polynomial", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "polynomial":
-            if int(self.degree) != self.degree or self.degree < 1:
-                raise ValueError(f"polynomial degree must be an integer >= 1, got {self.degree}")
+            if not (_is_real(self.degree) and self.degree >= 1 and self.degree % 1 == 0):
+                raise ValueError(f"polynomial degree must be an integer >= 1, got {self.degree!r}")
             self.degree = int(self.degree)
-            if self.scale is not None and self.scale <= 0:
-                raise ValueError(f"kernel scale must be positive, got {self.scale}")
-        if self.kind == "rbf" and self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError(f"rbf bandwidth must be positive, got {self.bandwidth}")
+            if self.scale is not None and not (_is_real(self.scale) and self.scale > 0):
+                raise ValueError(f"kernel scale must be positive, got {self.scale!r}")
+            if not _is_real(self.offset):
+                raise ValueError(f"kernel offset must be a number, got {self.offset!r}")
+        if self.kind == "rbf" and self.bandwidth is not None:
+            if not (_is_real(self.bandwidth) and self.bandwidth > 0):
+                raise ValueError(f"rbf bandwidth must be positive, got {self.bandwidth!r}")
 
     def resolved_scale(self, dim: int) -> float:
         return self.scale if self.scale is not None else 1.0 / dim
@@ -99,6 +108,8 @@ class KernelSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "KernelSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"kernel spec must be a JSON object, got {obj!r}")
         kind = obj.get("kind", "polynomial")
         if kind == "polynomial":
             return cls(

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fedeval import Client, ClientSet, GaussianStats, kernelmmd
+
+# On CI a failing property prints the blob that reproduces it
+# (``@reproduce_failure``); example counts and deadlines are the tests' own.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_cov(rng, d, rank_extra=2):

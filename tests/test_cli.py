@@ -125,6 +125,50 @@ def test_unknown_kernel_kind_exit_1(workspace, capsys, kind):
     assert "unknown kernel kind" in capsys.readouterr().err
 
 
+MALFORMED_KERNELS = {
+    "list": ([1], "kernel spec must be a JSON object, got [1]"),
+    "string": ("rbf", "kernel spec must be a JSON object, got 'rbf'"),
+    "null-degree": ({"degree": None}, "polynomial degree must be an integer >= 1, got None"),
+    "string-degree": ({"degree": "3"}, "polynomial degree must be an integer >= 1, got '3'"),
+    "bool-degree": ({"degree": True}, "polynomial degree must be an integer >= 1, got True"),
+    "string-scale": ({"scale": "x"}, "kernel scale must be positive, got 'x'"),
+    "bool-scale": ({"scale": True}, "kernel scale must be positive, got True"),
+    "string-offset": ({"offset": "x"}, "kernel offset must be a number, got 'x'"),
+    "list-bandwidth": (
+        {"kind": "rbf", "bandwidth": [1]},
+        "rbf bandwidth must be positive, got [1]",
+    ),
+    "bool-bandwidth": (
+        {"kind": "rbf", "bandwidth": False},
+        "rbf bandwidth must be positive, got False",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_KERNELS))
+def test_malformed_kernel_spec_exit_1(workspace, capsys, case):
+    """A malformed kernel spec, in a --kernel file or a scenario's kernel
+    field, is one input error line and exit 1, never a traceback."""
+    spec, message = MALFORMED_KERNELS[case]
+    tmp, _ = workspace
+    (tmp / "kernel.json").write_text(json.dumps(spec))
+    args = ["kid", "--clients", tmp / "clients.json", "--gen", tmp / "gen.fevb"]
+    assert run_cli(args + ["--kernel", tmp / "kernel.json"]) == 1
+    assert capsys.readouterr().err == f"fedeval: error: {message}\n"
+    scenario = {
+        "name": "bad-kernel",
+        "kind": "round",
+        "mode": "kernel_blocks",
+        "metrics": ["kid_avg"],
+        "kernel": spec,
+        "clients": [{"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 20}],
+        "generators": [{"id": "g1", "kind": "gaussian", "mean": [1.5, 0.0], "cov": 1.0, "n": 30}],
+    }
+    (tmp / "s.json").write_text(json.dumps(scenario))
+    assert run_cli(["simulate", "--scenario", tmp / "s.json"]) == 1
+    assert capsys.readouterr().err == f"fedeval: error: {message}\n"
+
+
 def test_kid_ustat_single_sample_exit_2(tmp_path, capsys):
     write_embeddings(np.array([[1.0]]), tmp_path / "one.fevb")
     write_embeddings(np.array([[0.0], [0.5]]), tmp_path / "gen.fevb")

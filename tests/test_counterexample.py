@@ -1,21 +1,35 @@
-"""Matched-score generator pair: analytic construction and numerical search."""
+"""Matched-score generator pair: analytic construction and numerical search.
+
+The search scores each stage's starting simplex in one stacked call and
+answers scipy's first calls from that table.  ``oracle_search`` below is
+the per-candidate search it replaced, kept as the oracle: reports (their
+JSON bytes, ``evaluations`` included) and errors must be identical.
+"""
 
 from __future__ import annotations
 
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fedeval import (
     Client,
     ClientSet,
+    GaussianModel,
     GaussianStats,
+    NumericalError,
     construct,
+    counterexample,
     frechet_distance,
     pool_moments,
     search_matched_pair,
 )
+from fedeval.frechet import _distances
 
 from conftest import random_cov
 
@@ -200,3 +214,162 @@ def test_search_deterministic_given_seed():
     second = search_matched_pair(toy_3d_clients(), seed=3, budget=2000)
     assert first.measured_gap == second.measured_gap
     assert first.per_client_residuals == second.per_client_residuals
+
+
+# ---------------------------------------------------------------------------
+# oracle: one candidate per objective evaluation, scipy's default simplex
+
+
+def oracle_search(clients, seed=0, budget=10000):
+    """The search as it was before the starting simplices were prescored.
+    The finite check is looked up at call time, so a test can make it fail
+    on a chosen candidate for both searches alike."""
+    from scipy.optimize import minimize
+
+    stats = clients.stats_list()
+    means = np.stack([s.mean for s in stats])
+    k, d = means.shape
+    if k >= d:
+        raise ValueError(
+            f"no orthogonal direction: need fewer clients ({k}) than dimensions ({d})"
+        )
+    weights = clients.weights
+    u = counterexample._spread_trace(means, weights)
+    if k >= 2 and u <= counterexample.DEGENERATE_U_TOL:
+        raise ValueError("u = 0, construction degenerate: client means coincide")
+    basis = counterexample._mean_complement_basis(means)
+    m_free = basis.shape[1]
+    pooled, refs = counterexample._client_and_pool_references(clients)
+    g_hat = GaussianModel(mean=pooled.mean, cov=pooled.cov)
+    scores = _distances(refs, g_hat.mean, g_hat.cov)[0]
+    targets, fid_all_hat = scores[:-1], float(scores[-1])
+
+    tril = np.tril_indices(d)
+    chol0 = np.linalg.cholesky(pooled.cov + 1e-9 * np.eye(d))
+    rng = np.random.default_rng(seed)
+    theta = np.concatenate([1e-3 * rng.standard_normal(m_free), chol0[tril]])
+    evaluations = 0
+
+    def candidate(theta):
+        mean = pooled.mean + basis @ theta[:m_free]
+        chol = np.zeros((d, d))
+        chol[tril] = theta[m_free:]
+        cov = chol @ chol.T
+        counterexample._check_finite(mean, cov)
+        return mean, cov
+
+    def residuals_and_gap(mean, cov):
+        scores = _distances(refs, mean, cov)[0]
+        return scores[:-1] - targets, float(scores[-1]) - fid_all_hat
+
+    per_stage = max(budget // 4, 1)
+    for penalty in [1e2, 1e4, 1e6, 1e8]:
+
+        def objective(t):
+            nonlocal evaluations
+            evaluations += 1
+            r, gap = residuals_and_gap(*candidate(t))
+            return penalty * float(r @ r) - abs(gap)
+
+        options = {"maxfev": per_stage, "xatol": 1e-12, "fatol": 1e-14, "adaptive": True}
+        theta = minimize(objective, theta, method="Nelder-Mead", options=options).x
+
+    best = GaussianModel(*candidate(theta))
+    residuals, _ = residuals_and_gap(best.mean, best.cov)
+    converged = bool(np.sum(np.abs(residuals)) <= counterexample.RESIDUAL_TARGET)
+    return counterexample._measure(
+        refs, g_hat, best, u, basis[:, 0], converged=converged, evaluations=evaluations
+    )
+
+
+def _search_instance(k, d, seed, scale):
+    """K random full-rank clients in d dimensions, covariances and squared
+    means of order ``scale``."""
+    rng = np.random.default_rng(seed)
+    return ClientSet(
+        [
+            Client(
+                id=f"c{i}",
+                stats=GaussianStats(
+                    n=10, mean=math.sqrt(scale) * rng.normal(size=d), cov=scale * random_cov(rng, d)
+                ),
+            )
+            for i in range(k)
+        ]
+    )
+
+
+def _outcome(search, clients, seed, budget, poison):
+    """The report's JSON, or the error's type and message.  With ``poison``
+    set, the finite check rejects every candidate whose ``cov[0, 0]`` exceeds
+    the pool's by more than that fraction."""
+    real_check = counterexample._check_finite
+    limit = None if poison is None else (1.0 + poison) * pool_moments(clients).cov[0, 0]
+
+    def check(mean, cov):
+        if limit is not None and cov[0, 0] > limit:
+            raise ValueError("non-finite entry in Gaussian parameters")
+        real_check(mean, cov)
+
+    with mock.patch.object(counterexample, "_check_finite", check):
+        try:
+            report = search(clients, seed=seed, budget=budget)
+        except (ValueError, NumericalError) as exc:
+            return type(exc), str(exc)
+    return json.dumps(report.to_json_dict()).encode()
+
+
+@st.composite
+def search_cases(draw):
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(k + 1, 6))
+    # N search coordinates: the free mean directions and the Cholesky factor.
+    n_params = (d - k) + d * (d + 1) // 2
+    return {
+        "clients": _search_instance(
+            k, d, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1.0, 1e10, 1e14]))
+        ),
+        "seed": draw(st.integers(0, 2**16)),
+        "budget": draw(st.integers(1, 4 * (n_params + 1) + 8)),
+        "poison": draw(st.none() | st.floats(0.0, 0.2)),
+    }
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(search_cases())
+@example({"clients": _search_instance(1, 2, 0, 1.0), "seed": 0, "budget": 1, "poison": None})
+@example({"clients": _search_instance(3, 6, 1, 1.0), "seed": 2, "budget": 120, "poison": None})
+@example({"clients": _search_instance(2, 4, 3, 1.0), "seed": 1, "budget": 60, "poison": 0.05})
+def test_search_matches_per_candidate_oracle(case):
+    """Budgets below and above N+1 per stage, K from 1 to 3, d up to 6,
+    small and large scales (where the value clamp can fire on a vertex),
+    and candidates the finite check rejects: the same report bytes and
+    evaluation count, or the same error."""
+    args = case["clients"], case["seed"], case["budget"], case["poison"]
+    assert _outcome(search_matched_pair, *args) == _outcome(oracle_search, *args)
+
+
+def test_search_prescoring_failure_raises_like_the_oracle():
+    """A stage whose stacked prescoring fails drops its table, and the live
+    path raises the oracle's error in the oracle's order.  Here the first
+    stage's x0 vertex is scored below the value clamp against the pool."""
+    stacked_errors = []
+
+    def recording(refs, mean, cov):
+        try:
+            return _distances(refs, mean, cov)
+        except NumericalError as exc:
+            if np.ndim(mean) > 1:
+                stacked_errors.append(str(exc))
+            raise
+
+    clients = _search_instance(2, 4, 3, 1e14)
+    with mock.patch.object(counterexample, "_distances", recording):
+        got = _outcome(search_matched_pair, clients, 3, 40, None)
+    assert stacked_errors == [got[1]]
+    assert got == _outcome(oracle_search, clients, 3, 40, None)
+    assert got[0] is NumericalError
+    # With a vertex the finite check rejects as well, prescoring fails on
+    # that candidate first, but the live path scores x0 first, as before.
+    assert _outcome(search_matched_pair, clients, 3, 40, 0.05) == got
+    assert _outcome(oracle_search, clients, 3, 40, 0.05) == got

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedeval import (
     CapabilityError,
@@ -14,6 +18,8 @@ from fedeval import (
     GaussianStats,
     GeneratorSpec,
     KernelSpec,
+    NotPsdError,
+    NumericalError,
     Scenario,
     compare_rankings,
     default_collapse_scenario,
@@ -30,7 +36,8 @@ from fedeval import (
     toy_mixture_sweep,
     variance_limited_sweep,
 )
-from fedeval.fedsim import write_score_csv
+from fedeval.fedsim import materialize_client, materialize_generator, write_score_csv
+from fedeval.frechet import _clamp, _psd_sqrts, psd_sqrt
 from fedeval.kernelmmd import kernel_stats
 
 from conftest import random_raw_clients
@@ -356,6 +363,222 @@ def test_scenario_regeneration_is_bit_reproducible():
         assert ca.embeddings.tobytes() == cb.embeddings.tobytes()
     for ga, gb in zip(gens_a, gens_b):
         assert ga.tobytes() == gb.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# materialization: stacked sampling roots against one psd_sqrt per spec,
+# taken in the spec's turn (the oracle)
+
+
+def oracle_psd_sqrt(a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    if np.linalg.norm(a - a.T) > 1e-10 * scale:
+        raise NotPsdError("matrix is not symmetric")
+    w, v = np.linalg.eigh((a + a.T) / 2.0)
+    b = (v * np.sqrt(_clamp(w, "matrix"))) @ v.T
+    return (b + b.T) / 2.0
+
+
+def oracle_draw(spec, seed):
+    rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
+    if getattr(spec, "kind", "gaussian") == "point":
+        return spec.point + spec.jitter * rng.standard_normal((spec.n, spec.point.shape[0]))
+    z = rng.standard_normal((spec.n, spec.mean.shape[0]))
+    return spec.mean + z @ oracle_psd_sqrt(spec.cov)
+
+
+def oracle_materialize(scenario):
+    k = len(scenario.clients)
+    seeds = fedsim._spawn_seeds(scenario.seed, k + len(scenario.generators))
+    clients = ClientSet(
+        [
+            Client(id=spec.id, embeddings=oracle_draw(spec, seed))
+            for spec, seed in zip(scenario.clients, seeds)
+        ]
+    )
+    return clients, [oracle_draw(spec, seed) for spec, seed in zip(scenario.generators, seeds[k:])]
+
+
+def _materialized(materialize, scenario):
+    """Every sample's bytes, or the first error's type and message."""
+    try:
+        clients, generators = materialize(scenario)
+    except (ValueError, NumericalError) as exc:
+        return type(exc), str(exc)
+    return [c.embeddings.tobytes() for c in clients] + [g.tobytes() for g in generators]
+
+
+FAULTS = {
+    "negative-n": lambda rng, d: {"n": -1},
+    "not-psd": lambda rng, d: {"cov": np.diag(np.r_[-1.0, np.ones(d - 1)])},
+    "asymmetric": lambda rng, d: {"cov": np.eye(d) + np.triu(np.ones((d, d)), 1)},
+    "not-square": lambda rng, d: {"cov": np.ones((d, d + 1))},
+    "negative-n-not-psd": lambda rng, d: {"n": -1, "cov": np.diag(np.r_[-1.0, np.ones(d - 1)])},
+    # eigh raises LinAlgError on this matrix, alone or stacked with others.
+    "non-finite": lambda rng, d: {"cov": np.full((d, d), np.nan)},
+}
+
+
+@st.composite
+def gaussian_specs(draw, d, faults):
+    """The fields of one Gaussian spec: a scalar, full-rank, rank-deficient
+    or roundoff-indefinite covariance, perhaps with one fault."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["scalar", "full", "deficient", "roundoff"]))
+    if kind == "scalar":
+        cov = draw(st.floats(0.0, 4.0))
+    else:
+        a = rng.normal(size=(d, d if kind != "deficient" else max(d - 1, 1)))
+        cov = a @ a.T
+        if kind == "roundoff" and d > 1:
+            w, v = np.linalg.eigh(cov)
+            cov = (v * np.r_[-1e-12 * w[-1], w[1:]]) @ v.T
+            cov = (cov + cov.T) / 2.0
+    fields = {"mean": rng.normal(size=d), "cov": cov, "n": int(rng.integers(2, 6))}
+    if faults and draw(st.booleans()):
+        fields.update(FAULTS[draw(st.sampled_from(sorted(FAULTS)))](rng, d))
+    return fields
+
+
+@st.composite
+def scenarios(draw, faults=False):
+    dims = st.integers(1, 5)
+    d = draw(dims)
+    clients = [
+        ClientSpec(id=f"c{i}", **draw(gaussian_specs(d, faults)))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    generators = []
+    for j in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            fields = draw(gaussian_specs(draw(dims), faults))
+            generators.append(GeneratorSpec(id=f"g{j}", kind="gaussian", **fields))
+        else:
+            point = np.arange(draw(dims), dtype=float)
+            generators.append(GeneratorSpec(id=f"g{j}", kind="point", point=point, n=3))
+    return Scenario(
+        name="s", kind="round", clients=clients, generators=generators, seed=draw(st.integers(0, 99))
+    )
+
+
+MATERIALIZE = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@MATERIALIZE
+@given(st.booleans().flatmap(scenarios))
+def test_materialize_matches_per_spec_roots(scenario):
+    """Scalar and full covariances, clients and generators of several
+    dimensions, some specs faulty: the stacked roots draw the same bytes as
+    one psd_sqrt per spec, or raise the first faulty spec's error."""
+    assert _materialized(Scenario.materialize, scenario) == _materialized(
+        oracle_materialize, scenario
+    )
+
+
+def _root_outcome(root_of, a):
+    try:
+        return root_of(a).tobytes()
+    except (ValueError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+@MATERIALIZE
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.sampled_from([None, *FAULTS])), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_roots_equal_psd_sqrt(cases, seed):
+    """Full-rank and rank-deficient matrices of several sizes, some faulty:
+    each stacked entry is psd_sqrt's root of that matrix, bit for bit, or
+    the error psd_sqrt raises on it."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for d, fault in cases:
+        a = rng.normal(size=(d, int(rng.integers(1, d + 2))))
+        mats.append(FAULTS[fault](rng, d).get("cov", a @ a.T) if fault else a @ a.T)
+    for a, root in zip(mats, _psd_sqrts(mats)):
+        stacked = (type(root), str(root)) if isinstance(root, Exception) else root.tobytes()
+        assert stacked == _root_outcome(psd_sqrt, a) == _root_outcome(oracle_psd_sqrt, a)
+
+
+@pytest.mark.parametrize(
+    "faults, error, message",
+    [
+        (["negative-n", "not-psd"], ValueError, "negative dimensions are not allowed"),
+        (["not-psd", "negative-n"], NotPsdError, "matrix is not PSD"),
+        (["not-square", "asymmetric"], ValueError, "matrix must be square, got shape (3, 4)"),
+        (["asymmetric", "not-square"], NotPsdError, "matrix is not symmetric"),
+        (["negative-n-not-psd"], ValueError, "negative dimensions are not allowed"),
+        (["non-finite", "not-psd"], np.linalg.LinAlgError, "Eigenvalues did not converge"),
+        (["not-psd", "non-finite"], NotPsdError, "matrix is not PSD"),
+    ],
+)
+def test_materialize_first_fault_wins(faults, error, message):
+    """Each spec's root error is raised in its turn, after its draw."""
+    rng = np.random.default_rng(0)
+    clients = [ClientSpec(id="ok", mean=np.zeros(3), cov=np.eye(3), n=4)]
+    for i, fault in enumerate(faults):
+        fields = {"mean": np.zeros(3), "cov": 2.0, "n": 4, **FAULTS[fault](rng, 3)}
+        clients.append(ClientSpec(id=f"bad{i}", **fields))
+    scenario = Scenario(name="s", kind="round", clients=clients, generators=[])
+    with pytest.raises(error) as info:
+        scenario.materialize()
+    assert str(info.value).startswith(message)
+    assert _materialized(Scenario.materialize, scenario) == _materialized(
+        oracle_materialize, scenario
+    )
+
+
+def test_materialize_solves_one_eigh_per_dimension(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    scenario = Scenario(
+        name="s",
+        kind="round",
+        clients=[ClientSpec(id=f"c{i}", mean=np.zeros(3), cov=1.0 + i, n=4) for i in range(4)],
+        generators=[
+            GeneratorSpec(id="g0", kind="gaussian", mean=np.zeros(2), cov=np.eye(2), n=3),
+            GeneratorSpec(id="g1", kind="point", point=np.zeros(3), n=3),
+            GeneratorSpec(id="g2", kind="gaussian", mean=np.zeros(3), cov=0.5, n=3),
+        ],
+    )
+    scenario.materialize()
+    assert calls == [(5, 3, 3), (1, 2, 2)]
+
+
+def test_single_spec_materializers_keep_signature_and_bytes():
+    for fn in (materialize_client, materialize_generator):
+        assert list(inspect.signature(fn).parameters) == ["spec", "seed"]
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(4, 4))
+    specs = [
+        ClientSpec(id="c", mean=rng.normal(size=4), cov=a @ a.T, n=7, seed=3),
+        ClientSpec(id="c", mean=rng.normal(size=2), cov=0.3, n=5),
+    ]
+    for spec in specs:
+        got = materialize_client(spec, seed=11)
+        assert got.embeddings.tobytes() == oracle_draw(spec, 11).tobytes()
+    gens = [
+        GeneratorSpec(id="g", kind="gaussian", mean=np.zeros(4), cov=a @ a.T, n=6),
+        GeneratorSpec(id="g", kind="point", point=[1.0, 2.0], n=6, seed=2),
+    ]
+    for spec in gens:
+        assert materialize_generator(spec, seed=5).tobytes() == oracle_draw(spec, 5).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# timelines
 
 
 def test_collapse_timeline_detections_and_pinned_ratios():

@@ -525,27 +525,44 @@ def _search_clients():
 
 
 def test_counterexample_objective_makes_no_eigh(eig_counts, eig_calls, monkeypatch):
-    """Each objective evaluation solves K+1 products against cached roots,
-    in one eigvalsh call."""
+    """Each stage first scores the vertices scipy evaluates first,
+    ``min(N+1, per_stage)`` of them with K+1 products each, in one eigvalsh
+    call.  scipy's call for such a vertex then solves nothing, and any other
+    evaluation solves its K+1 products against cached roots in one eigvalsh
+    call.  No eigh runs after the roots."""
     clients = _search_clients()
     k = len(clients)
-    per_evaluation = []
+    # N: 5 - 3 free mean directions plus the 15 entries of the Cholesky factor.
+    n_params = 2 + 15
+    for budget in (8, 400):
+        prescored = min(n_params + 1, budget // 4) * (k + 1)
+        stages = []
+        last = [dict(counter) for counter in (eig_counts, eig_calls)]
 
-    def one_evaluation(objective, theta, **kwargs):
-        before = [dict(counter) for counter in (eig_counts, eig_calls)]
-        objective(theta)
-        per_evaluation.append(
-            tuple(
-                {n: now[n] - was[n] for n in now}
-                for now, was in zip((eig_counts, eig_calls), before)
-            )
-        )
-        return SimpleNamespace(x=theta)
+        def spent():
+            now = [dict(counter) for counter in (eig_counts, eig_calls)]
+            delta = tuple({n: a[n] - b[n] for n in a} for a, b in zip(now, last))
+            last[:] = now
+            return delta
 
-    # search_matched_pair imports minimize when called, so this patch holds.
-    monkeypatch.setattr("scipy.optimize.minimize", one_evaluation)
-    counterexample.search_matched_pair(clients, budget=8)
-    assert per_evaluation == [({"eigh": 0, "eigvalsh": k + 1}, {"eigh": 0, "eigvalsh": 1})] * 4
+        def one_stage(objective, theta, options, **kwargs):
+            assert options["initial_simplex"][0].tobytes() == theta.tobytes()
+            before = spent()
+            objective(theta)  # the first vertex: answered from the table
+            hit = spent()
+            objective(theta + 1.0)  # not a vertex: scored live
+            stages.append((before, hit, spent()))
+            return SimpleNamespace(x=theta)
+
+        # search_matched_pair imports minimize when called, so this patch holds.
+        monkeypatch.setattr("scipy.optimize.minimize", one_stage)
+        counterexample.search_matched_pair(clients, budget=budget)
+        nothing = ({"eigh": 0, "eigvalsh": 0}, {"eigh": 0, "eigvalsh": 0})
+        live = ({"eigh": 0, "eigvalsh": k + 1}, {"eigh": 0, "eigvalsh": 1})
+        # The first stage's count also holds the roots and the targets.
+        first = ({"eigh": k + 1, "eigvalsh": k + 1 + prescored}, {"eigh": 1, "eigvalsh": 2})
+        later = ({"eigh": 0, "eigvalsh": prescored}, {"eigh": 0, "eigvalsh": 1})
+        assert stages == [(first, nothing, live)] + [(later, nothing, live)] * 3
 
 
 def test_counterexample_search_roots_computed_once(eig_counts):
