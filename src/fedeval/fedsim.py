@@ -20,8 +20,9 @@ block sums -- and calls the library's aggregation on it (``fid_avg`` /
 ``log_likelihood_scores``, ``prdc_aggregate``), so protocol == library
 holds by construction.  In ``scores`` mode the clients run that
 aggregation on their own set and reply with their per-client entries.
-Each row of the mode-collapse timeline and of the variance-limited
-sweep is scored by the same aggregation, on the clients' raw samples.
+Each row of the mode-collapse timeline and of both sweeps is scored by
+the same aggregation (the toy sweep's analytic columns on the exact
+Gaussian parameters).
 
 Requesting a score the mode cannot produce is a hard
 :class:`~fedeval.errors.CapabilityError`, never an approximation.
@@ -40,14 +41,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError
-from .frechet import _psd_sqrts, fid_all, fid_avg
-from .kernelmmd import KernelSpec, KernelStats, kernel_stats
+from .frechet import _clamp, _references, fid_all, fid_avg
+from .kernelmmd import KernelSpec, KernelStats, _is_real, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
     Client,
     ClientSet,
     GaussianModel,
     GaussianStats,
+    _check_mean_cov,
     log_likelihood_scores,
     moments,
 )
@@ -367,32 +369,49 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
 # Synthetic scenarios
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool (which Python counts as one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    """A flat mean and a covariance matrix; a scalar ``cov`` stands for ``cov * I``."""
+    """A flat mean and a covariance matrix, checked as :class:`GaussianStats`
+    checks them; a scalar ``cov`` stands for ``cov * I``."""
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+    if mean.shape[0] < 1:
+        raise ValueError("Gaussian spec mean must have at least one entry")
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim == 0:
         cov = float(cov) * np.eye(mean.shape[0])
-    return mean, cov
+    return _check_mean_cov(mean, cov)
+
+
+def _check_n_and_seed(spec) -> None:
+    if not (_is_int(spec.n) and spec.n >= 1):
+        raise ValueError(f"sample count n must be an integer >= 1, got {spec.n!r}")
+    if spec.seed is not None and not (_is_int(spec.seed) and spec.seed >= 0):
+        raise ValueError(f"spec seed must be null or an integer >= 0, got {spec.seed!r}")
 
 
 @dataclass
 class ClientSpec:
-    """Recipe for one synthetic Gaussian client."""
+    """Recipe for one synthetic Gaussian client, checked when it is built."""
 
     id: str
     mean: np.ndarray
     cov: np.ndarray
     n: int
     seed: int | None = None
+    kind = "gaussian"  # not a field: every client is Gaussian
 
     def __post_init__(self):
         self.mean, self.cov = _mean_and_cov(self.mean, self.cov)
+        _check_n_and_seed(self)
 
 
 @dataclass
 class GeneratorSpec:
-    """Recipe for one synthetic generator output set.
+    """Recipe for one synthetic generator output set, checked when it is built.
 
     ``kind="gaussian"`` draws from a Gaussian; ``kind="point"`` emits a
     single point plus Gaussian jitter of scale ``jitter`` (default 1e-6)
@@ -419,6 +438,11 @@ class GeneratorSpec:
             if self.point is None:
                 raise ValueError("point generator spec needs a point")
             self.point = np.asarray(self.point, dtype=np.float64).reshape(-1)
+            if not np.isfinite(self.point).all():
+                raise ValueError("non-finite entry in generator point")
+            if not (_is_real(self.jitter) and math.isfinite(self.jitter)):
+                raise ValueError(f"point jitter must be a finite number, got {self.jitter!r}")
+        _check_n_and_seed(self)
 
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
@@ -426,36 +450,50 @@ def _spawn_seeds(seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _draw_gaussian(rng, mean, root, n):
-    """``n`` draws of ``N(mean, root @ root)``; ``root`` is the covariance's
-    :func:`~fedeval.frechet.psd_sqrt`, or the error it raised, raised after
-    the draw."""
-    z = rng.standard_normal((n, mean.shape[0]))
-    if isinstance(root, Exception):
-        raise root
-    return mean + z @ root
-
-
-def _client(spec: ClientSpec, seed: int | None, root) -> Client:
+def _draw(spec, seed: int | None, root) -> np.ndarray:
+    """``spec.n`` samples of one spec; ``root`` is a Gaussian spec's covariance root."""
     rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
-    return Client(id=spec.id, embeddings=_draw_gaussian(rng, spec.mean, root, spec.n))
+    if spec.kind == "point":
+        return spec.point + spec.jitter * rng.standard_normal((spec.n, spec.point.shape[0]))
+    return spec.mean + rng.standard_normal((spec.n, spec.mean.shape[0])) @ root
 
 
-def _generator(spec: GeneratorSpec, seed: int | None, root) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
-    if spec.kind == "gaussian":
-        return _draw_gaussian(rng, spec.mean, root, spec.n)
-    d = spec.point.shape[0]
-    return spec.point + spec.jitter * rng.standard_normal((spec.n, d))
+def _draws(specs, seeds) -> list[np.ndarray]:
+    """Every spec's samples, in order, from the spec's own seed or else its
+    entry of ``seeds``.
+
+    The Gaussian specs' sampling roots come from one stacked ``eigh`` per
+    dimension (:func:`~fedeval.frechet._references`).  Their covariances
+    are PSD-checked in spec order before anything is drawn.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for i, spec in enumerate(specs):
+        if spec.kind == "gaussian":
+            by_dim.setdefault(spec.mean.shape[0], []).append(i)
+    roots, spectra = {}, {}
+    for rows in by_dim.values():
+        refs = _references([specs[i] for i in rows])
+        roots.update(zip(rows, refs.roots))
+        spectra.update(zip(rows, refs.spectra))
+    for i in sorted(spectra):
+        _clamp(spectra[i], "matrix")
+    return [_draw(spec, seed, roots.get(i)) for i, (spec, seed) in enumerate(zip(specs, seeds))]
+
+
+def _materialize(clients: list[ClientSpec], generators: list[GeneratorSpec], seed: int):
+    """The client set and generator samples of the specs, seeded from ``seed``."""
+    seeds = _spawn_seeds(seed, len(clients) + len(generators))
+    samples = _draws(clients + generators, seeds)
+    client_set = ClientSet([Client(id=s.id, embeddings=x) for s, x in zip(clients, samples)])
+    return client_set, samples[len(clients):]
 
 
 def materialize_client(spec: ClientSpec, seed: int | None = None) -> Client:
-    return _client(spec, seed, _psd_sqrts([spec.cov])[0])
+    return Client(id=spec.id, embeddings=_draws([spec], [seed])[0])
 
 
 def materialize_generator(spec: GeneratorSpec, seed: int | None = None) -> np.ndarray:
-    root = _psd_sqrts([spec.cov])[0] if spec.kind == "gaussian" else None
-    return _generator(spec, seed, root)
+    return _draws([spec], [seed])[0]
 
 
 @dataclass
@@ -476,23 +514,23 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in ("round", "collapse"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if not isinstance(self.metrics, (list, tuple)):
+            raise ValueError(f"metrics must be a list of metric names, got {self.metrics!r}")
+        self.metrics = list(self.metrics)
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"scenario seed must be an integer >= 0, got {self.seed!r}")
+        if self.kind == "collapse" and not _is_int(self.collapse_step):
+            raise ValueError(
+                f"collapse scenario needs an integer collapse_step, got {self.collapse_step!r}"
+            )
+        if not _is_real(self.detection_threshold):
+            raise ValueError(
+                f"detection_threshold must be a number, got {self.detection_threshold!r}"
+            )
+        self.detection_threshold = float(self.detection_threshold)
 
     def materialize(self) -> tuple[ClientSet, list[np.ndarray]]:
-        seeds = _spawn_seeds(self.seed, len(self.clients) + len(self.generators))
-        # Every Gaussian spec's sampling root, clients then generators, from
-        # one stacked eigh per dimension; a spec's root error is raised in
-        # its turn, after its draw.
-        gaussian = self.clients + [g for g in self.generators if g.kind == "gaussian"]
-        roots = iter(_psd_sqrts([spec.cov for spec in gaussian]))
-        clients = ClientSet(
-            [_client(spec, seeds[i], next(roots)) for i, spec in enumerate(self.clients)]
-        )
-        offset = len(self.clients)
-        generators = [
-            _generator(spec, seeds[offset + i], next(roots) if spec.kind == "gaussian" else None)
-            for i, spec in enumerate(self.generators)
-        ]
-        return clients, generators
+        return _materialize(self.clients, self.generators, self.seed)
 
     def to_json_dict(self) -> dict:
         def spec_dict(s):
@@ -527,7 +565,7 @@ class Scenario:
                 id=str(c["id"]),
                 mean=c["mean"],
                 cov=c["cov"],
-                n=int(c["n"]),
+                n=c["n"],
                 seed=c.get("seed"),
             )
             for c in obj["clients"]
@@ -538,7 +576,7 @@ class Scenario:
                 GeneratorSpec(
                     id=str(g["id"]),
                     kind=g.get("kind", "gaussian"),
-                    n=int(g["n"]),
+                    n=g["n"],
                     mean=g.get("mean"),
                     cov=g.get("cov"),
                     point=g.get("point"),
@@ -552,12 +590,12 @@ class Scenario:
             kind=obj.get("kind", "round"),
             clients=clients,
             generators=generators,
-            metrics=list(obj.get("metrics", ["fid_avg", "fid_all"])),
+            metrics=obj.get("metrics", ["fid_avg", "fid_all"]),
             mode=obj.get("mode", RAW),
             kernel=KernelSpec.from_json_dict(kernel) if kernel is not None else None,
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
             collapse_step=obj.get("collapse_step"),
-            detection_threshold=float(obj.get("detection_threshold", 2.0)),
+            detection_threshold=obj.get("detection_threshold", 2.0),
         )
 
 
@@ -675,9 +713,13 @@ def default_collapse_scenario(seed: int = 0) -> Scenario:
 
 
 def run_scenario(scenario: Scenario) -> dict:
-    """Materialize and run a scenario; returns rows plus report/trace data."""
-    clients, generators = scenario.materialize()
+    """Materialize and run a scenario; returns rows plus report/trace data.
+
+    A collapse scenario draws only its clients here: the timeline draws
+    each generator in its step.
+    """
     if scenario.kind == "collapse":
+        clients, _ = _materialize(scenario.clients, [], scenario.seed)
         result = mode_collapse_timeline(
             clients,
             scenario.generators,
@@ -687,6 +729,7 @@ def run_scenario(scenario: Scenario) -> dict:
             kernel=scenario.kernel,
         )
         return {"kind": "collapse", "result": result, "rows": result.rows}
+    clients, generators = scenario.materialize()
     trace = ProtocolTrace()
     rows = []
     reports = []
@@ -779,17 +822,18 @@ def toy_mixture_sweep(
         gen = np.random.default_rng(seeds[2 + i]).standard_normal(
             (n_per_client, 2)
         ) * np.array([np.sqrt(v), 1.0])
-        gen_stats = moments(gen)
-        kid = kernel_stats(kid_set, gen[:kid_n], kernel)
+        analytic_fd = _aggregate(analytic, g_model, ("fid_avg", "fid_all"), kernel)[0]
+        sampled_fd = _aggregate(sampled, gen, ("fid_avg", "fid_all"), kernel)[0]
+        sampled_kd = _aggregate(kid_set, gen[:kid_n], ("kid_avg", "kid_all"), kernel)[0]
         rows.append(
             {
                 "var_x": v,
-                "fd_avg_analytic": fid_avg(analytic, g_model).value,
-                "fd_all_analytic": fid_all(analytic, g_model).value,
-                "fd_avg_sampled": fid_avg(sampled, gen_stats).value,
-                "fd_all_sampled": fid_all(sampled, gen_stats).value,
-                "kd_avg_sampled": kid.kid_avg().value,
-                "kd_all_sampled": kid.kid_all(),
+                "fd_avg_analytic": analytic_fd["fid_avg"],
+                "fd_all_analytic": analytic_fd["fid_all"],
+                "fd_avg_sampled": sampled_fd["fid_avg"],
+                "fd_all_sampled": sampled_fd["fid_all"],
+                "kd_avg_sampled": sampled_kd["kid_avg"],
+                "kd_all_sampled": sampled_kd["kid_all"],
             }
         )
     return rows

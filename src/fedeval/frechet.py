@@ -15,14 +15,13 @@ Every distance is scored through one path: references are stacked
 (:class:`_References`, their roots from one stacked ``eigh``) and a
 Gaussian is scored against the whole stack with one stacked ``eigvalsh``
 (:func:`_distances`).  A single pair is a one-row stack; ``fid_avg``
-stacks the K clients, and the counterexample search adds the pool.
-numpy solves a stack matrix by matrix, so a row does not depend on the
-rows stacked with it.  :func:`psd_sqrt` is the one-matrix case of
-:func:`_psd_sqrts`, which roots a list of matrices with one stacked
-``eigh`` per size (a scenario's sampling roots).  The barycenter
-iteration takes both ``C^1/2`` and ``C^-1/2`` of each iterate from a
-single eigendecomposition; the avg decomposition scores the converged
-iterate, with that root, against the K clients.
+stacks the K clients, the counterexample search adds the pool, and a
+scenario draws its Gaussian specs' samples with the roots of their
+stack.  numpy solves a stack matrix by matrix, so a row does not depend
+on the rows stacked with it.  The barycenter iteration takes both
+``C^1/2`` and ``C^-1/2`` of each iterate from a single
+eigendecomposition; the avg decomposition scores the converged iterate,
+with that root, against the K clients.
 """
 
 from __future__ import annotations
@@ -83,59 +82,13 @@ def _symmetric(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _stacked_roots(stack: np.ndarray) -> list:
-    """The PSD root of every matrix of a stack of symmetric matrices, from
-    one ``eigh``, or the error the one-matrix solve raises on it."""
-    try:
-        w, v = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:  # seen on non-finite matrices, solved alone
-        return [exc] * len(stack)
-    roots = _root(np.clip(w, 0.0, None), v)
-    out = []
-    for spectrum, root in zip(w, roots):
-        try:
-            _clamp(spectrum, "matrix")
-        except (NotPsdError, IndexError) as exc:  # a 0 x 0 matrix has no eigenvalue
-            root = exc
-        out.append(root)
-    return out
-
-
-def _psd_sqrts(mats) -> list:
-    """:func:`psd_sqrt` of every matrix, in order; where it would raise,
-    the entry is the error it raises on that matrix, not a root.
-
-    The finite matrices of one size share one stacked ``eigh``.  numpy
-    solves a stack one matrix at a time, so a root does not depend on the
-    matrices stacked with it.  A matrix with a NaN or infinite entry is
-    solved alone: the sign bits of the NaNs it yields depend on the stack,
-    and ``eigh`` failing on it would fail the whole stack.
-    """
-    out, stacks = [], {}
-    for i, a in enumerate(mats):
-        try:
-            out.append(_symmetric(a))
-        except (ValueError, TypeError, NotPsdError) as exc:
-            out.append(exc)
-        else:
-            stacks.setdefault(out[i].shape if np.isfinite(out[i]).all() else i, []).append(i)
-    for rows in stacks.values():
-        for i, root in zip(rows, _stacked_roots(np.stack([out[i] for i in rows]))):
-            out[i] = root
-    return out
-
-
 def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Requires symmetry within ``1e-10 * ||a||_F`` and eigenvalues above
-    ``-1e-8 * lambda_max`` (clamped to zero when negative).  The one-matrix
-    case of the stacked roots (:func:`_psd_sqrts`).
+    ``-1e-8 * lambda_max`` (clamped to zero when negative).
     """
-    (root,) = _psd_sqrts([a])
-    if isinstance(root, Exception):
-        raise root
-    return root
+    return _root(*_clamped_eigh(_symmetric(a), "matrix"))
 
 
 @dataclass
@@ -173,7 +126,8 @@ class _References:
 
 def _references(refs: list) -> _References:
     """Stack Gaussian statistics, their roots from one ``eigh``.  Their
-    covariances are symmetric, as :class:`GaussianStats` validates."""
+    covariances are symmetric, as :class:`GaussianStats` and the scenario
+    specs validate."""
     covs = np.stack([r.cov for r in refs])
     w, v = np.linalg.eigh((covs + np.swapaxes(covs, 1, 2)) / 2.0)
     roots = _root(np.clip(w, 0.0, None), v)

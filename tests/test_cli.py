@@ -409,6 +409,125 @@ def test_simulate_collapse_scenario(tmp_path, capsys):
     assert out["detections"]["fid_avg"] is False
 
 
+def small_scenario(**fields):
+    """A valid round scenario with one client and two generators, then ``fields``."""
+    scenario = {
+        "name": "small",
+        "kind": "round",
+        "metrics": ["fid_avg"],
+        "clients": [{"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 20}],
+        "generators": [
+            {"id": "g1", "kind": "gaussian", "mean": [1.5, 0.0], "cov": 1.0, "n": 30},
+            {"id": "g2", "kind": "point", "point": [0.0, 0.0], "n": 30},
+        ],
+    }
+    scenario.update(fields)
+    return scenario
+
+
+MALFORMED_SCENARIOS = {
+    "collapse_step-missing": (
+        {"kind": "collapse"},
+        "collapse scenario needs an integer collapse_step, got None",
+    ),
+    "collapse_step-null": (
+        {"kind": "collapse", "collapse_step": None},
+        "collapse scenario needs an integer collapse_step, got None",
+    ),
+    "collapse_step-string": (
+        {"kind": "collapse", "collapse_step": "3"},
+        "collapse scenario needs an integer collapse_step, got '3'",
+    ),
+    "metrics-string": (
+        {"metrics": "fid_avg"},
+        "metrics must be a list of metric names, got 'fid_avg'",
+    ),
+    "seed-fraction": ({"seed": 1.5}, "scenario seed must be an integer >= 0, got 1.5"),
+    "seed-null": ({"seed": None}, "scenario seed must be an integer >= 0, got None"),
+    "seed-string": ({"seed": "x"}, "scenario seed must be an integer >= 0, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_field_exit_1(tmp_path, capsys, case):
+    """A malformed scenario-level field is one input error line and exit 1."""
+    fields, message = MALFORMED_SCENARIOS[case]
+    (tmp_path / "s.json").write_text(json.dumps(small_scenario(**fields)))
+    assert run_cli(["simulate", "--scenario", tmp_path / "s.json"]) == 1
+    assert capsys.readouterr().err == f"fedeval: error: {message}\n"
+
+
+def _client_field(**fields):
+    return {"clients": [{"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 20, **fields}]}
+
+
+def _generator_field(**fields):
+    spec = {"id": "g1", "kind": "gaussian", "mean": [1.5, 0.0], "cov": 1.0, "n": 30, **fields}
+    return {"generators": [spec]}
+
+
+MALFORMED_SPECS = {
+    "n-null": (_client_field(n=None), 1, "sample count n must be an integer >= 1, got None"),
+    "n-string": (_client_field(n="20"), 1, "sample count n must be an integer >= 1, got '20'"),
+    "n-fraction": (_generator_field(n=2.5), 1, "sample count n must be an integer >= 1, got 2.5"),
+    "n-zero": (_generator_field(n=0), 1, "sample count n must be an integer >= 1, got 0"),
+    "seed-string": (
+        _client_field(seed="x"), 1, "spec seed must be null or an integer >= 0, got 'x'"
+    ),
+    "seed-bool": (
+        _generator_field(seed=True), 1, "spec seed must be null or an integer >= 0, got True"
+    ),
+    "empty-mean": (_client_field(mean=[]), 1, "Gaussian spec mean must have at least one entry"),
+    "dimension-mismatch": (
+        _client_field(cov=[[1.0]]), 1, "mean dimension 2 does not match covariance (1, 1)"
+    ),
+    "nan-cov": (
+        _client_field(cov=[[float("nan")] * 2] * 2),
+        1,
+        "non-finite entry in Gaussian parameters",
+    ),
+    "nan-cov-lapack": (
+        _generator_field(mean=[0.0] * 3, cov=[[float("nan")] * 3] * 3),
+        1,
+        "non-finite entry in Gaussian parameters",
+    ),
+    "nan-point": (
+        _generator_field(kind="point", point=[float("nan"), 0.0]),
+        1,
+        "non-finite entry in generator point",
+    ),
+    "string-jitter": (
+        _generator_field(kind="point", point=[0.0, 0.0], jitter="x"),
+        1,
+        "point jitter must be a finite number, got 'x'",
+    ),
+    "asymmetric-cov": (
+        _client_field(cov=[[1.0, 0.5], [0.0, 1.0]]), 2, "covariance is not symmetric"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_fails_when_built(tmp_path, capsys, case):
+    """A malformed client or generator spec is one error line, exit 1 for
+    bad input and 2 for a covariance that fails a PSD check, never a
+    traceback."""
+    fields, code, message = MALFORMED_SPECS[case]
+    (tmp_path / "s.json").write_text(json.dumps(small_scenario(**fields)))
+    assert run_cli(["simulate", "--scenario", tmp_path / "s.json"]) == code
+    prefix = "fedeval: error: " if code == 1 else "fedeval: numerical failure: "
+    assert capsys.readouterr().err == f"{prefix}{message}\n"
+
+
+def test_non_psd_spec_fails_when_drawn(tmp_path, capsys):
+    scenario = small_scenario(**_generator_field(cov=[[-1.0, 0.0], [0.0, 1.0]]))
+    (tmp_path / "s.json").write_text(json.dumps(scenario))
+    assert run_cli(["simulate", "--scenario", tmp_path / "s.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fedeval: numerical failure: matrix is not PSD: eigenvalue -1.000e+00")
+    assert err.count("\n") == 1
+
+
 def test_csv_cells_are_plain_numbers(tmp_path):
     # every score cell of a sweep or simulate CSV parses with float(); a numpy
     # scalar would print as np.float64(...)

@@ -37,7 +37,7 @@ from fedeval import (
     variance_limited_sweep,
 )
 from fedeval.fedsim import materialize_client, materialize_generator, write_score_csv
-from fedeval.frechet import _clamp, _psd_sqrts, psd_sqrt
+from fedeval.frechet import _clamp, _references, psd_sqrt
 from fedeval.kernelmmd import kernel_stats
 
 from conftest import random_raw_clients
@@ -367,7 +367,7 @@ def test_scenario_regeneration_is_bit_reproducible():
 
 # ---------------------------------------------------------------------------
 # materialization: stacked sampling roots against one psd_sqrt per spec,
-# taken in the spec's turn (the oracle)
+# taken in the spec's turn (the oracle); malformed specs fail when built
 
 
 def oracle_psd_sqrt(a):
@@ -413,11 +413,11 @@ def _materialized(materialize, scenario):
 
 FAULTS = {
     "negative-n": lambda rng, d: {"n": -1},
-    "not-psd": lambda rng, d: {"cov": np.diag(np.r_[-1.0, np.ones(d - 1)])},
+    "not-psd": lambda rng, d: {"cov": np.diag(np.r_[-rng.uniform(0.5, 2.0), np.ones(d - 1)])},
     "asymmetric": lambda rng, d: {"cov": np.eye(d) + np.triu(np.ones((d, d)), 1)},
     "not-square": lambda rng, d: {"cov": np.ones((d, d + 1))},
     "negative-n-not-psd": lambda rng, d: {"n": -1, "cov": np.diag(np.r_[-1.0, np.ones(d - 1)])},
-    # eigh raises LinAlgError on this matrix, alone or stacked with others.
+    # psd_sqrt's eigh raises LinAlgError on this matrix.
     "non-finite": lambda rng, d: {"cov": np.full((d, d), np.nan)},
 }
 
@@ -425,7 +425,7 @@ FAULTS = {
 @st.composite
 def gaussian_specs(draw, d, faults):
     """The fields of one Gaussian spec: a scalar, full-rank, rank-deficient
-    or roundoff-indefinite covariance, perhaps with one fault."""
+    or roundoff-indefinite covariance, perhaps not PSD."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["scalar", "full", "deficient", "roundoff"]))
     if kind == "scalar":
@@ -439,7 +439,8 @@ def gaussian_specs(draw, d, faults):
             cov = (cov + cov.T) / 2.0
     fields = {"mean": rng.normal(size=d), "cov": cov, "n": int(rng.integers(2, 6))}
     if faults and draw(st.booleans()):
-        fields.update(FAULTS[draw(st.sampled_from(sorted(FAULTS)))](rng, d))
+        # The one fault a spec accepts when it is built: it fails the draw.
+        fields.update(FAULTS["not-psd"](rng, d))
     return fields
 
 
@@ -473,8 +474,8 @@ MATERIALIZE = settings(
 @given(st.booleans().flatmap(scenarios))
 def test_materialize_matches_per_spec_roots(scenario):
     """Scalar and full covariances, clients and generators of several
-    dimensions, some specs faulty: the stacked roots draw the same bytes as
-    one psd_sqrt per spec, or raise the first faulty spec's error."""
+    dimensions, some covariances not PSD: the stacked roots draw the same
+    bytes as one psd_sqrt per spec, or raise the first non-PSD spec's error."""
     assert _materialized(Scenario.materialize, scenario) == _materialized(
         oracle_materialize, scenario
     )
@@ -494,44 +495,62 @@ def _root_outcome(root_of, a):
 )
 def test_stacked_roots_equal_psd_sqrt(cases, seed):
     """Full-rank and rank-deficient matrices of several sizes, some faulty:
-    each stacked entry is psd_sqrt's root of that matrix, bit for bit, or
-    the error psd_sqrt raises on it."""
+    psd_sqrt gives the oracle's root, bit for bit, or raises its error; and
+    where it gives a root of a covariance a spec accepts, the root from the
+    stack of those covariances (one stack per size) is the same bits."""
     rng = np.random.default_rng(seed)
     mats = []
     for d, fault in cases:
         a = rng.normal(size=(d, int(rng.integers(1, d + 2))))
         mats.append(FAULTS[fault](rng, d).get("cov", a @ a.T) if fault else a @ a.T)
-    for a, root in zip(mats, _psd_sqrts(mats)):
-        stacked = (type(root), str(root)) if isinstance(root, Exception) else root.tobytes()
-        assert stacked == _root_outcome(psd_sqrt, a) == _root_outcome(oracle_psd_sqrt, a)
+    by_size = {}
+    for a in mats:
+        outcome = _root_outcome(psd_sqrt, a)
+        assert outcome == _root_outcome(oracle_psd_sqrt, a)
+        try:
+            model = GaussianModel(mean=np.zeros(len(a)), cov=a)
+        except (ValueError, NumericalError):
+            continue
+        if isinstance(outcome, bytes):
+            by_size.setdefault(len(a), []).append((model, outcome))
+    for pairs in by_size.values():
+        stacked = _references([model for model, _ in pairs]).roots
+        assert [root.tobytes() for root in stacked] == [outcome for _, outcome in pairs]
 
 
 @pytest.mark.parametrize(
     "faults, error, message",
     [
-        (["negative-n", "not-psd"], ValueError, "negative dimensions are not allowed"),
-        (["not-psd", "negative-n"], NotPsdError, "matrix is not PSD"),
-        (["not-square", "asymmetric"], ValueError, "matrix must be square, got shape (3, 4)"),
-        (["asymmetric", "not-square"], NotPsdError, "matrix is not symmetric"),
-        (["negative-n-not-psd"], ValueError, "negative dimensions are not allowed"),
-        (["non-finite", "not-psd"], np.linalg.LinAlgError, "Eigenvalues did not converge"),
-        (["not-psd", "non-finite"], NotPsdError, "matrix is not PSD"),
+        (["negative-n", "not-psd"], ValueError, "sample count n must be an integer >= 1, got -1"),
+        (["not-psd", "negative-n"], ValueError, "sample count n must be an integer >= 1, got -1"),
+        (["not-square", "asymmetric"], ValueError, "covariance must be square, got shape (3, 4)"),
+        (["asymmetric", "not-square"], NotPsdError, "covariance is not symmetric"),
+        (["negative-n-not-psd"], ValueError, "sample count n must be an integer >= 1, got -1"),
+        (["non-finite", "not-psd"], ValueError, "non-finite entry in Gaussian parameters"),
+        (["not-psd", "non-finite"], ValueError, "non-finite entry in Gaussian parameters"),
+        (["not-psd", "not-psd"], NotPsdError, "matrix is not PSD: eigenvalue -1.455e+00"),
     ],
 )
 def test_materialize_first_fault_wins(faults, error, message):
-    """Each spec's root error is raised in its turn, after its draw."""
-    rng = np.random.default_rng(0)
-    clients = [ClientSpec(id="ok", mean=np.zeros(3), cov=np.eye(3), n=4)]
-    for i, fault in enumerate(faults):
-        fields = {"mean": np.zeros(3), "cov": 2.0, "n": 4, **FAULTS[fault](rng, 3)}
-        clients.append(ClientSpec(id=f"bad{i}", **fields))
-    scenario = Scenario(name="s", kind="round", clients=clients, generators=[])
+    """A malformed field fails when its spec is built, before any draw; of
+    the specs that build, the first non-PSD one fails the draw, as the
+    oracle's per-spec roots do."""
+
+    def scenario():
+        rng = np.random.default_rng(0)
+        clients = [ClientSpec(id="ok", mean=np.zeros(3), cov=np.eye(3), n=4)]
+        for i, fault in enumerate(faults):
+            fields = {"mean": np.zeros(3), "cov": 2.0, "n": 4, **FAULTS[fault](rng, 3)}
+            clients.append(ClientSpec(id=f"bad{i}", **fields))
+        return Scenario(name="s", kind="round", clients=clients, generators=[])
+
     with pytest.raises(error) as info:
-        scenario.materialize()
+        scenario().materialize()
     assert str(info.value).startswith(message)
-    assert _materialized(Scenario.materialize, scenario) == _materialized(
-        oracle_materialize, scenario
-    )
+    if set(faults) == {"not-psd"}:
+        assert _materialized(Scenario.materialize, scenario()) == _materialized(
+            oracle_materialize, scenario()
+        )
 
 
 def test_materialize_solves_one_eigh_per_dimension(monkeypatch):
@@ -593,6 +612,22 @@ def test_collapse_timeline_detections_and_pinned_ratios():
     # from the first run of the fixed seed-0 scenario
     assert result.detections["fid_avg"] is False
     assert result.ratios["fid_avg"] == pytest.approx(0.8517547368280065, rel=1e-9)
+
+
+def test_collapse_scenario_draws_each_spec_once(monkeypatch):
+    """run_scenario draws a collapse scenario's clients, and the timeline
+    draws each generator spec in its step: 5 generator draws for 5 specs."""
+    drawn = []
+    real_draw = fedsim._draw
+
+    def draw(spec, seed, root):
+        drawn.append(spec)
+        return real_draw(spec, seed, root)
+
+    monkeypatch.setattr(fedsim, "_draw", draw)
+    scenario = default_collapse_scenario(seed=0)
+    run_scenario(scenario)
+    assert drawn == scenario.clients + scenario.generators
 
 
 def test_collapse_at_step_zero_rejected(rng):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedeval import (
     Client,
@@ -19,6 +21,8 @@ from fedeval import (
     kid_constant_gap,
     mmd2,
 )
+
+from fedeval.kernelmmd import kernel_stats
 
 from conftest import random_raw_clients
 
@@ -251,6 +255,44 @@ def test_constant_gap_property(kind):
             gen = rng.normal(size=(int(rng.integers(2, 40)), clients.dim))
             diff = kid_avg(clients, gen, spec).value - kid_all(clients, gen, spec)
             assert abs(diff - gap) <= 1e-9 * (1.0 + abs(gap))
+
+
+@st.composite
+def gap_cases(draw):
+    """K clients of random sizes with natural or explicit weights, a
+    generator and a kernel kind; the samples come from one drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    clients = [
+        Client(id=f"c{i}", embeddings=rng.normal(size=(n, d)) + 2.0 * rng.normal(size=d))
+        for i, n in enumerate(sizes)
+    ]
+    if not draw(st.booleans()):
+        w = rng.random(len(sizes)) + 0.1
+        w = w / w.sum()
+        w[-1] = 1.0 - w[:-1].sum()
+        for client, weight in zip(clients, w):
+            client.weight = float(weight)
+    gen = rng.normal(size=(draw(st.integers(1, 40)), d)) + rng.normal(size=d)
+    return ClientSet(clients), gen, KernelSpec(kind=draw(st.sampled_from(["polynomial", "rbf"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gap_cases())
+def test_constant_gap_hypothesis_property(case):
+    """Under vstat, kid_avg - kid_all equals the generator-free gap.  Each
+    squared MMD cancels kernel means, so the roundoff scales with the
+    largest mean kernel value; 1500 seeded draws measured at most 6.5e-16
+    of it, and the bound is 1e-14 of it."""
+    clients, gen, spec = case
+    diff = kid_avg(clients, gen, spec).value - kid_all(clients, gen, spec)
+    stats = kernel_stats(clients, gen, spec)
+    scale = max(
+        np.abs(stats.sums / np.outer(stats.counts, stats.counts)).max(),
+        abs(stats.gen_sum) / stats.gen_count**2,
+    )
+    assert abs(diff - kid_constant_gap(clients, spec)) <= 1e-14 * scale
 
 
 def test_ranking_preserved_between_avg_and_all():

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedeval import (
     Client,
@@ -193,6 +195,32 @@ def test_pooling_identity_property():
             np.linalg.norm(oracle.mean), 1.0
         )
         assert pooled.n == sum(c.n for c in clients)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    st.integers(1, 8),
+    st.floats(0.0, 1e3),
+)
+def test_pooling_hypothesis_property(seed, sizes, d, shift):
+    """Natural weights: pool_moments equals moments of the concatenated
+    samples.  Pooling subtracts mean mean^T from the pooled second moment
+    S, so its covariance carries roundoff of order eps * |S|, which grows
+    as (shift / sigma)^2 against the covariance itself.  The bound is
+    1e-14 * max |S_jk|: it keeps that known cancellation bounded, and
+    visible, at every shift."""
+    rng = np.random.default_rng(seed)
+    center = shift * rng.normal(size=d)
+    mats = [center + rng.normal(size=d) + rng.normal(size=(n, d)) for n in sizes]
+    pooled = pool_moments(ClientSet([Client(id=f"c{i}", embeddings=m) for i, m in enumerate(mats)]))
+    x = np.concatenate(mats)
+    oracle = moments(x)
+    second = np.abs(oracle.cov + np.outer(oracle.mean, oracle.mean)).max()
+    assert np.abs(pooled.cov - oracle.cov).max() <= 1e-14 * second
+    assert np.abs(pooled.mean - oracle.mean).max() <= 1e-14 * np.abs(x).max()
+    assert pooled.n == x.shape[0]
 
 
 def test_weights_must_sum_to_one():
