@@ -81,7 +81,7 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = statkit.json_text(obj)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -178,34 +178,23 @@ def _cmd_prdc(args) -> int:
 
 def _cmd_barycenter(args) -> int:
     clients = statkit.load_client_set(args.clients)
+    out: dict = {}
     if args.gen:
         gen_stats = _load_gaussian(args.gen)
         result = frechet.fid_avg_decomposition(
             clients, gen_stats, tol=args.tol, max_iter=args.max_iter
         )
-        _emit(
-            {
-                "barycenter_part": result.barycenter_part,
-                "const_part": result.const_part,
-                "fid_avg": frechet.fid_avg(clients, gen_stats).value,
-                "mean": result.solution.mean.tolist(),
-                "cov": result.solution.cov.tolist(),
-                "iterations": result.solution.iterations,
-                "residual": result.solution.residual,
-            },
-            args.out,
-        )
-        return 0
-    solution = frechet.barycenter(clients, tol=args.tol, max_iter=args.max_iter)
-    _emit(
-        {
-            "mean": solution.mean.tolist(),
-            "cov": solution.cov.tolist(),
-            "iterations": solution.iterations,
-            "residual": solution.residual,
-        },
-        args.out,
-    )
+        solution = result.solution
+        out["barycenter_part"] = result.barycenter_part
+        out["const_part"] = result.const_part
+        out["fid_avg"] = frechet.fid_avg(clients, gen_stats).value
+    else:
+        solution = frechet.barycenter(clients, tol=args.tol, max_iter=args.max_iter)
+    out["mean"] = solution.mean.tolist()
+    out["cov"] = solution.cov.tolist()
+    out["iterations"] = solution.iterations
+    out["residual"] = solution.residual
+    _emit(out, args.out)
     return 0
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .frechet import _clamp, _distances, _references
-from .statkit import ClientSet, GaussianModel, _check_finite, pool_moments
+from .statkit import ClientSet, GaussianModel, _JsonFields, _check_finite, pool_moments
 
 DEGENERATE_U_TOL = 1e-10
 SIGN_FIX_TOL = 1e-12
@@ -45,7 +45,7 @@ RESIDUAL_TARGET = 1e-6
 
 
 @dataclass
-class CounterexampleReport:
+class CounterexampleReport(_JsonFields):
     """Everything measured about a matched-score generator pair."""
 
     g_hat: GaussianModel
@@ -61,23 +61,6 @@ class CounterexampleReport:
     claimed_gap_lower_bound: float
     converged: bool = True
     evaluations: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g_hat": self.g_hat.to_json_dict(),
-            "g_prime": self.g_prime.to_json_dict(),
-            "u": self.u,
-            "beta": self.beta.tolist(),
-            "per_client_fid_hat": self.per_client_fid_hat,
-            "per_client_fid_prime": self.per_client_fid_prime,
-            "per_client_residuals": self.per_client_residuals,
-            "fid_all_hat": self.fid_all_hat,
-            "fid_all_prime": self.fid_all_prime,
-            "measured_gap": self.measured_gap,
-            "claimed_gap_lower_bound": self.claimed_gap_lower_bound,
-            "converged": self.converged,
-            "evaluations": self.evaluations,
-        }
 
 
 def _mean_complement_basis(means: np.ndarray) -> np.ndarray:

@@ -49,7 +49,12 @@ from .statkit import (
     ClientSet,
     GaussianModel,
     GaussianStats,
+    _JsonFields,
     _check_mean_cov,
+    _floats,
+    _json_object,
+    _json_objects,
+    json_text,
     log_likelihood_scores,
     moments,
 )
@@ -131,19 +136,12 @@ class ProtocolTrace:
 
 
 @dataclass
-class ScoreReport:
+class ScoreReport(_JsonFields):
     """Aggregate scores plus per-client values, ordered by client id."""
 
     scores: dict
     per_client: dict
     client_ids: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scores": self.scores,
-            "per_client": self.per_client,
-            "client_ids": self.client_ids,
-        }
 
 
 def _normalize_mode(mode) -> str:
@@ -377,10 +375,10 @@ def _is_int(value) -> bool:
 def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     """A flat mean and a covariance matrix, checked as :class:`GaussianStats`
     checks them; a scalar ``cov`` stands for ``cov * I``."""
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+    mean = _floats(mean, "mean").reshape(-1)
     if mean.shape[0] < 1:
         raise ValueError("Gaussian spec mean must have at least one entry")
-    cov = np.asarray(cov, dtype=np.float64)
+    cov = _floats(cov, "covariance")
     if cov.ndim == 0:
         cov = float(cov) * np.eye(mean.shape[0])
     return _check_mean_cov(mean, cov)
@@ -437,7 +435,7 @@ class GeneratorSpec:
         else:
             if self.point is None:
                 raise ValueError("point generator spec needs a point")
-            self.point = np.asarray(self.point, dtype=np.float64).reshape(-1)
+            self.point = _floats(self.point, "generator point").reshape(-1)
             if not np.isfinite(self.point).all():
                 raise ValueError("non-finite entry in generator point")
             if not (_is_real(self.jitter) and math.isfinite(self.jitter)):
@@ -560,6 +558,7 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Scenario":
+        _json_object(obj, "scenario")
         clients = [
             ClientSpec(
                 id=str(c["id"]),
@@ -568,10 +567,10 @@ class Scenario:
                 n=c["n"],
                 seed=c.get("seed"),
             )
-            for c in obj["clients"]
+            for c in _json_objects(obj["clients"], "scenario clients")
         ]
         generators = []
-        for g in obj["generators"]:
+        for g in _json_objects(obj["generators"], "scenario generators"):
             generators.append(
                 GeneratorSpec(
                     id=str(g["id"]),
@@ -614,19 +613,11 @@ _SAMPLED_METRICS = ("fid_avg", "fid_all", "kid_avg", "kid_all")
 
 
 @dataclass
-class TimelineResult:
+class TimelineResult(_JsonFields):
     rows: list[dict]
     ratios: dict
     detections: dict
     collapse_step: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "ratios": self.ratios,
-            "detections": self.detections,
-            "collapse_step": self.collapse_step,
-        }
 
 
 def mode_collapse_timeline(
@@ -919,7 +910,7 @@ TIE_TOL = 1e-12
 
 
 @dataclass
-class RankingComparison:
+class RankingComparison(_JsonFields):
     """Kendall rank agreement between two score tables over the same ids."""
 
     table_a: dict
@@ -930,17 +921,6 @@ class RankingComparison:
     argmin_a: str
     argmin_b: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "table_a": self.table_a,
-            "table_b": self.table_b,
-            "kendall_tau": self.kendall_tau,
-            "concordant": self.concordant,
-            "discordant": self.discordant,
-            "argmin_a": self.argmin_a,
-            "argmin_b": self.argmin_b,
-        }
-
 
 def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
     """Tie-adjusted Kendall tau between two generator score tables.
@@ -949,8 +929,13 @@ def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
     adjustment handles ties, and an all-tied table yields tau 0.
     Argmins break ties by generator id.
     """
+    for table in (table_a, table_b):
+        _json_object(table, "score table")
     if set(table_a) != set(table_b):
         raise ValueError("score tables cover different generator ids")
+    scores = [*table_a.values(), *table_b.values()]
+    if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in scores):
+        raise ValueError("score table values must be numbers")
     ids = sorted(table_a)
     concordant = discordant = ties_a = ties_b = 0
     for i in range(len(ids)):
@@ -984,6 +969,4 @@ def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
 
 
 def save_trace(trace: ProtocolTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(trace.to_json_dict()), encoding="utf-8")

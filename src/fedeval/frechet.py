@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NotPsdError, NumericalError
-from .statkit import ClientSet, pool_moments
+from .statkit import ClientSet, _JsonFields, pool_moments
 
 EIGENVALUE_CLAMP_REL = 1e-8
 SYMMETRY_RTOL = 1e-10
@@ -92,19 +92,12 @@ def psd_sqrt(a) -> np.ndarray:
 
 
 @dataclass
-class FrechetResult:
+class FrechetResult(_JsonFields):
     """Squared Gaussian 2-Wasserstein distance, split into its two terms."""
 
     value: float
     mean_term: float
     trace_term: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "mean_term": self.mean_term,
-            "trace_term": self.trace_term,
-        }
 
 
 @dataclass

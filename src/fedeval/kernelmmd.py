@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SampleCountError
-from .statkit import ClientSet, as_embeddings
+from .statkit import ClientSet, _JsonFields, as_embeddings
 
 VSTAT_CLAMP = 1e-10
 # Side of the square tiles of every kernel and distance pass: no larger
@@ -222,7 +222,7 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 
 @dataclass
-class MmdResult:
+class MmdResult(_JsonFields):
     """Squared MMD with its three kernel-mean blocks."""
 
     value: float
@@ -230,15 +230,6 @@ class MmdResult:
     within_gen: float
     cross: float
     estimator: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "within_ref": self.within_ref,
-            "within_gen": self.within_gen,
-            "cross": self.cross,
-            "estimator": self.estimator,
-        }
 
 
 def _check_estimator(estimator: str) -> None:

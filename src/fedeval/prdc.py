@@ -22,7 +22,8 @@ in neighbor distance resolve to the same radius value regardless of
 index order.  The ball tests compare clipped, rooted distances with the
 radii.  ``prdc_aggregate`` reads the pooled radii, every client's radii
 (its diagonal blocks) and every ball test (row blocks of one pooled x
-generated pass) from a single pass over the pooled samples.
+generated pass) from a single pass over the pooled samples;
+``prdc_scores`` is the same pass over one client.
 """
 
 from __future__ import annotations
@@ -33,25 +34,17 @@ import numpy as np
 
 from .errors import SampleCountError
 from .kernelmmd import _row_norms, _squared_distances, _tiles
-from .statkit import ClientSet, as_embeddings
+from .statkit import ClientSet, _JsonFields, as_embeddings
 
 DEFAULT_K = 5
 
 
 @dataclass
-class PrdcResult:
+class PrdcResult(_JsonFields):
     precision: float
     recall: float
     density: float
     coverage: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "density": self.density,
-            "coverage": self.coverage,
-        }
 
 
 def _stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -96,45 +89,41 @@ def _merge_nearest(best: np.ndarray, lo: int, dists: np.ndarray) -> None:
     best[rows] = pool[:, :k]
 
 
-def _radii(x: np.ndarray, k: int, bounds: np.ndarray | None = None):
-    """k-th nearest-neighbor distance (self excluded) of every row of ``x``.
+def _radii(x: np.ndarray, k: int, partitions: list[np.ndarray]) -> list[np.ndarray]:
+    """k-th nearest-neighbor distance (self excluded) of every row of ``x``
+    among the rows of its own block, for each partition of the rows.
 
-    Returns ``(pooled, own)``: the radius over all rows and, when block
-    ``bounds`` are given, over the rows of the row's own block (else None).
-    The k smallest squared distances are kept unclipped; only the k-th is
-    clipped and rooted, which gives the same bits as selecting among the
-    distances, since both steps are non-decreasing.
+    A partition is a list of block bounds: rows ``bounds[p]:bounds[p + 1]``
+    form block ``p``, and ``[0, n]`` is the whole set.  The k smallest
+    squared distances are kept unclipped; only the k-th is clipped and
+    rooted, which gives the same bits as selecting among the distances,
+    since both steps are non-decreasing.
     """
     n = x.shape[0]
     x_sq = _row_norms(x)
-    pooled = np.full((n, k), np.inf)
-    own = None if bounds is None else np.full((n, k), np.inf)
+    best = [np.full((n, k), np.inf) for _ in partitions]
     for r0, r1, c0, c1 in _tiles(n, n, symmetric=True):
         dists = _squared_distances(x[r0:r1], x[c0:c1], x_sq[r0:r1], x_sq[c0:c1])
         if c0 == r0:
             np.fill_diagonal(dists, np.inf)
-        _merge_nearest(pooled, r0, dists)
-        if c0 != r0:
-            _merge_nearest(pooled, c0, dists.T)
-        if own is None:
-            continue
-        p, p_end, _ = _segments(bounds, r0, r1)
-        q, q_end, _ = _segments(bounds, c0, c1)
-        for b in range(max(p, q), min(p_end, q_end)):
-            a0, a1 = max(bounds[b], r0), min(bounds[b + 1], r1)
-            b0, b1 = max(bounds[b], c0), min(bounds[b + 1], c1)
-            block = dists[a0 - r0 : a1 - r0, b0 - c0 : b1 - c0]
-            _merge_nearest(own, a0, block)
-            if c0 != r0:
-                _merge_nearest(own, b0, block.T)
-    return _distances(pooled[:, k - 1]), None if own is None else _distances(own[:, k - 1])
+        for bounds, kept in zip(partitions, best):
+            p, p_end, _ = _segments(bounds, r0, r1)
+            q, q_end, _ = _segments(bounds, c0, c1)
+            for b in range(max(p, q), min(p_end, q_end)):
+                a0, a1 = max(bounds[b], r0), min(bounds[b + 1], r1)
+                b0, b1 = max(bounds[b], c0), min(bounds[b + 1], c1)
+                block = dists[a0 - r0 : a1 - r0, b0 - c0 : b1 - c0]
+                _merge_nearest(kept, a0, block)
+                if c0 != r0:
+                    _merge_nearest(kept, b0, block.T)
+    return [_distances(kept[:, k - 1]) for kept in best]
 
 
 def knn_radii(x, k: int) -> np.ndarray:
     """Distance from each sample to its k-th nearest neighbor (self excluded)."""
     x = as_embeddings(x)
     _check_knn(k, [x.shape[0]])
-    return _radii(x, k)[0]
+    return _radii(x, k, [np.array([0, x.shape[0]])])[0]
 
 
 def _ball_scores(ref, gen, gen_radii, k, partitions) -> list[list[PrdcResult]]:
@@ -179,49 +168,39 @@ def _ball_scores(ref, gen, gen_radii, k, partitions) -> list[list[PrdcResult]]:
     return results
 
 
+def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int):
+    """Scores of ``gen`` against the stacked sample blocks ``mats`` and
+    against each block, from one pass; one block is scored only as a whole.
+
+    Returns ``(pooled, per_block)``.
+    """
+    _check_dims(mats[0], gen)
+    counts = [x.shape[0] for x in mats]
+    _check_knn(k, [counts[0], gen.shape[0], *counts[1:]])
+    pooled, bounds = _stack(mats)
+    partitions = [bounds[[0, -1]]] + ([bounds] if len(mats) > 1 else [])
+    radii = _radii(pooled, k, partitions)
+    gen_radii = knn_radii(gen, k)
+    results = _ball_scores(pooled, gen, gen_radii, k, list(zip(radii, partitions)))
+    return results[0][0], results[-1]
+
+
 def prdc_scores(ref, gen, k: int = DEFAULT_K) -> PrdcResult:
     """All four manifold metrics for a generated set against a reference set."""
-    ref = as_embeddings(ref)
-    gen = as_embeddings(gen)
-    _check_dims(ref, gen)
-    _check_knn(k, [ref.shape[0], gen.shape[0]])
-    ref_radii = _radii(ref, k)[0]
-    gen_radii = _radii(gen, k)[0]
-    bounds = np.array([0, ref.shape[0]])
-    return _ball_scores(ref, gen, gen_radii, k, [(ref_radii, bounds)])[0][0]
+    return _scores([as_embeddings(ref)], as_embeddings(gen), k)[0]
 
 
 @dataclass
-class PrdcAggregate:
+class PrdcAggregate(_JsonFields):
     all: PrdcResult
     avg: PrdcResult
     per_client: list[PrdcResult]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all": self.all.to_json_dict(),
-            "avg": self.avg.to_json_dict(),
-            "per_client": [r.to_json_dict() for r in self.per_client],
-        }
 
 
 def prdc_aggregate(clients: ClientSet, gen, k: int = DEFAULT_K) -> PrdcAggregate:
     """Pooled-reference scores plus the weighted mean of per-client scores."""
     gen = as_embeddings(gen)
-    mats = clients.client_embeddings()
-    _check_dims(mats[0], gen)
-    counts = [x.shape[0] for x in mats]
-    _check_knn(k, [counts[0], gen.shape[0], *counts[1:]])
-    pooled, bounds = _stack(mats)
-    pooled_radii, client_radii = _radii(pooled, k, bounds)
-    gen_radii = knn_radii(gen, k)
-    (all_,), per_client = _ball_scores(
-        pooled,
-        gen,
-        gen_radii,
-        k,
-        [(pooled_radii, np.array([0, pooled.shape[0]])), (client_radii, bounds)],
-    )
+    all_, per_client = _scores(clients.client_embeddings(), gen, k)
     w = clients.weights
     avg = PrdcResult(
         precision=float(w @ [r.precision for r in per_client]),

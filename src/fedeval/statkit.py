@@ -21,6 +21,14 @@ Binary (``.fevb``)
 Moments JSON
     ``{"n": int, "mean": [...], "cov": [[...]]}`` with an optional
     ``second_moment`` entry that is validated against ``cov + mean mean^T``.
+
+JSON output
+-----------
+Every JSON file the library writes and every JSON output of the CLI is
+rendered by :func:`json_text`: sorted keys, a 2-space indent and a
+trailing newline.  A result record's ``to_json_dict`` gives each
+dataclass field under its own name, with arrays as nested lists, numpy
+scalars as Python numbers and nested records as their own dicts.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,14 +167,61 @@ def write_embeddings(x, path, fmt: str | None = None, dtype: str = "float64") ->
     Path(path).write_bytes(bytes(out))
 
 
+def _json_value(value):
+    """``value`` with arrays as nested lists, numpy scalars as Python numbers
+    and records as their JSON dicts; lists are converted element by element."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+class _JsonFields:
+    """Gives a dataclass a ``to_json_dict`` of its fields, by field name."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def json_text(obj) -> str:
+    """The JSON text of every output: sorted keys, 2-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ValueError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _json_objects(value, what: str) -> list[dict]:
+    """``value`` if it is a list of JSON objects, else a ValueError naming ``what``."""
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise ValueError(f"{what} must be a list of JSON objects")
+    return value
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array; a JSON object or other non-number is a
+    ValueError naming ``what``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except TypeError:
+        raise ValueError(f"{what} must be a number or nested lists of numbers") from None
+
+
 def _check_finite(mean, cov) -> None:
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("non-finite entry in Gaussian parameters")
 
 
 def _check_mean_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    cov = np.asarray(cov, dtype=np.float64)
+    mean = _floats(mean, "mean").reshape(-1)
+    cov = _floats(cov, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
     if cov.shape[0] != mean.shape[0]:
@@ -181,7 +236,7 @@ def _check_mean_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class GaussianStats:
+class GaussianStats(_JsonFields):
     """Sample count plus first and second moments of an embedding matrix."""
 
     n: int
@@ -201,18 +256,16 @@ class GaussianStats:
     def second_moment(self) -> np.ndarray:
         return self.cov + np.outer(self.mean, self.mean)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": int(self.n),
-            "mean": self.mean.tolist(),
-            "cov": self.cov.tolist(),
-        }
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GaussianStats":
-        stats = cls(n=int(obj["n"]), mean=obj["mean"], cov=obj["cov"])
+        _json_object(obj, "moments")
+        try:
+            n = int(obj["n"])
+        except TypeError:
+            raise ValueError(f"sample count n must be a number, got {obj['n']!r}") from None
+        stats = cls(n=n, mean=obj["mean"], cov=obj["cov"])
         if "second_moment" in obj and obj["second_moment"] is not None:
-            s = np.asarray(obj["second_moment"], dtype=np.float64)
+            s = _floats(obj["second_moment"], "second_moment")
             expected = stats.second_moment
             scale = max(float(np.linalg.norm(expected)), 1.0)
             if np.linalg.norm(s - expected) > SECOND_MOMENT_RTOL * scale:
@@ -221,7 +274,7 @@ class GaussianStats:
 
 
 @dataclass
-class GaussianModel:
+class GaussianModel(_JsonFields):
     """A Gaussian surrogate distribution (mean and covariance only)."""
 
     mean: np.ndarray
@@ -234,9 +287,6 @@ class GaussianModel:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
 
 def load_stats(path) -> GaussianStats:
     with open(path, "r", encoding="utf-8") as fh:
@@ -244,9 +294,7 @@ def load_stats(path) -> GaussianStats:
 
 
 def save_stats(stats: GaussianStats, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(stats.to_json_dict()), encoding="utf-8")
 
 
 def moments(x, estimator: str = "population") -> GaussianStats:
@@ -387,10 +435,10 @@ def load_client_set(path) -> ClientSet:
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _json_object(json.load(fh), "client set")
     base = path.parent
     clients = []
-    for entry in obj["clients"]:
+    for entry in _json_objects(obj["clients"], "clients"):
         embeddings = None
         stats = None
         if entry.get("embeddings"):
@@ -431,15 +479,12 @@ def pool_moments(clients: ClientSet, estimator: str = "population") -> GaussianS
 
 
 @dataclass
-class LogLikelihoodScores:
+class LogLikelihoodScores(_JsonFields):
     """Per-client mean log-densities plus their two aggregations."""
 
     per_client: list[float]
     avg: float
     all: float
-
-    def to_json_dict(self) -> dict:
-        return {"per_client": self.per_client, "avg": self.avg, "all": self.all}
 
 
 def gaussian_log_density(x, model: GaussianModel) -> np.ndarray:

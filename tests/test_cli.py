@@ -519,6 +519,83 @@ def test_malformed_spec_fails_when_built(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"{prefix}{message}\n"
 
 
+_LIST_OF_OBJECTS = "must be a list of JSON objects"
+_NUMBERS = "must be a number or nested lists of numbers"
+
+MALFORMED_JSON_INPUTS = {
+    "scenario-clients-object": (
+        "scenario", small_scenario(clients={"id": "c"}), f"scenario clients {_LIST_OF_OBJECTS}"
+    ),
+    "scenario-clients-strings": (
+        "scenario", small_scenario(clients=["c1"]), f"scenario clients {_LIST_OF_OBJECTS}"
+    ),
+    "scenario-generators-null": (
+        "scenario", small_scenario(generators=None), f"scenario generators {_LIST_OF_OBJECTS}"
+    ),
+    "scenario-mean-object": (
+        "scenario", small_scenario(**_client_field(mean={})), f"mean {_NUMBERS}"
+    ),
+    "scenario-cov-object": (
+        "scenario", small_scenario(**_client_field(cov={})), f"covariance {_NUMBERS}"
+    ),
+    "scenario-point-object": (
+        "scenario",
+        small_scenario(**_generator_field(kind="point", point={})),
+        f"generator point {_NUMBERS}",
+    ),
+    "scenario-list": ("scenario", [], "scenario must be a JSON object"),
+    "clients-object": ("clients", {"clients": {"id": "c"}}, f"clients {_LIST_OF_OBJECTS}"),
+    "clients-strings": ("clients", {"clients": ["c1"]}, f"clients {_LIST_OF_OBJECTS}"),
+    "clients-list": ("clients", [], "client set must be a JSON object"),
+    "moments-mean-object": (
+        "moments", {"n": 5, "mean": {}, "cov": [[1.0, 0.0], [0.0, 1.0]]}, f"mean {_NUMBERS}"
+    ),
+    "moments-cov-object": (
+        "moments", {"n": 5, "mean": [0.0, 0.0], "cov": {}}, f"covariance {_NUMBERS}"
+    ),
+    "moments-second-moment-object": (
+        "moments",
+        {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "second_moment": {}},
+        f"second_moment {_NUMBERS}",
+    ),
+    "moments-n-object": (
+        "moments",
+        {"n": {}, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        "sample count n must be a number, got {}",
+    ),
+    "moments-list": ("moments", [], "moments must be a JSON object"),
+    "rank-string-score": (
+        "rank", ({"a": "x", "b": 1}, {"a": 1, "b": 2}), "score table values must be numbers"
+    ),
+    "rank-null-score": (
+        "rank", ({"a": 1, "b": 2}, {"a": None, "b": 1}), "score table values must be numbers"
+    ),
+    "rank-lists": ("rank", ([1], [1]), "score table must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON_INPUTS))
+def test_malformed_json_input_exit_1(workspace, capsys, case):
+    """A JSON input of the wrong structure (a scenario, a client set, a
+    moments file or a pair of rank tables) is one input error line and
+    exit 1, never a traceback."""
+    kind, obj, message = MALFORMED_JSON_INPUTS[case]
+    tmp, _ = workspace
+    path, path_b = tmp / "input.json", tmp / "table_b.json"
+    if kind == "rank":
+        obj, table_b = obj
+        path_b.write_text(json.dumps(table_b))
+    path.write_text(json.dumps(obj))
+    args = {
+        "scenario": ["simulate", "--scenario", path],
+        "clients": ["stats", "--clients", path],
+        "moments": ["fid", "--ref", path, "--gen", tmp / "gen.fevb"],
+        "rank": ["rank", "--table-a", path, "--table-b", path_b],
+    }[kind]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == f"fedeval: error: {message}\n"
+
+
 def test_non_psd_spec_fails_when_drawn(tmp_path, capsys):
     scenario = small_scenario(**_generator_field(cov=[[-1.0, 0.0], [0.0, 1.0]]))
     (tmp_path / "s.json").write_text(json.dumps(scenario))
