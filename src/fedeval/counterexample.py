@@ -37,7 +37,14 @@ import numpy as np
 
 from .errors import NumericalError
 from .frechet import _clamp, _distances, _references
-from .statkit import ClientSet, GaussianModel, _JsonFields, _check_finite, pool_moments
+from .statkit import (
+    ClientSet,
+    GaussianModel,
+    _JsonFields,
+    _check_finite,
+    _mixture_moments,
+    pool_moments,
+)
 
 DEGENERATE_U_TOL = 1e-10
 SIGN_FIX_TOL = 1e-12
@@ -80,10 +87,17 @@ def _mean_complement_basis(means: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _spread_trace(means: np.ndarray, weights: np.ndarray) -> float:
-    """Trace of the weighted between-client mean spread."""
-    mean_hat = weights @ means
-    return float(weights @ np.sum(means**2, axis=1) - np.sum(mean_hat**2))
+def _client_spread(clients: ClientSet):
+    """The client means (fewer than the dimensions, else a ValueError), ``u = Tr B`` and ``W``."""
+    stats = clients.stats_list()
+    means = np.stack([s.mean for s in stats])
+    k, d = means.shape
+    if k >= d:
+        raise ValueError(
+            f"no orthogonal direction: need fewer clients ({k}) than dimensions ({d})"
+        )
+    _, within, between = _mixture_moments(stats, clients.weights)
+    return means, float(np.trace(between)), within
 
 
 def _starting_simplex(x0: np.ndarray) -> np.ndarray:
@@ -138,23 +152,13 @@ def construct(clients: ClientSet) -> CounterexampleReport:
     mean direction exists) and at least two distinct client means (so
     the spread ``u`` is positive).
     """
-    stats = clients.stats_list()
-    means = np.stack([s.mean for s in stats])
-    k, d = means.shape
-    if k >= d:
-        raise ValueError(
-            f"no orthogonal direction: need fewer clients ({k}) than dimensions ({d})"
-        )
-    weights = clients.weights
-    u = _spread_trace(means, weights)
+    means, u, within = _client_spread(clients)
     if u <= DEGENERATE_U_TOL:
         raise ValueError("u = 0, construction degenerate: client means coincide")
     beta = _mean_complement_basis(means)[:, 0]
     pooled, refs = _client_and_pool_references(clients)
     g_hat = GaussianModel(mean=pooled.mean, cov=pooled.cov)
-    cov_prime = np.einsum("i,ijk->jk", weights, np.stack([s.cov for s in stats]))
-    cov_prime = (cov_prime + cov_prime.T) / 2.0
-    g_prime = GaussianModel(mean=pooled.mean + np.sqrt(u) * beta, cov=cov_prime)
+    g_prime = GaussianModel(mean=pooled.mean + np.sqrt(u) * beta, cov=within)
     return _measure(refs, g_hat, g_prime, u, beta)
 
 
@@ -182,15 +186,8 @@ def search_matched_pair(
     """
     from scipy.optimize import minimize
 
-    stats = clients.stats_list()
-    means = np.stack([s.mean for s in stats])
+    means, u, _ = _client_spread(clients)
     k, d = means.shape
-    if k >= d:
-        raise ValueError(
-            f"no orthogonal direction: need fewer clients ({k}) than dimensions ({d})"
-        )
-    weights = clients.weights
-    u = _spread_trace(means, weights)
     if k >= 2 and u <= DEGENERATE_U_TOL:
         raise ValueError("u = 0, construction degenerate: client means coincide")
     basis = _mean_complement_basis(means)

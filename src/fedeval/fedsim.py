@@ -5,7 +5,7 @@ and the clients.  The aggregation mode decides what the clients reveal
 and therefore which aggregate scores exist at all:
 
 * ``scores``        -- clients send scalar scores; only avg aggregates.
-* ``moments``       -- clients send ``(n, mean, second moment)``; the
+* ``moments``       -- clients send ``(n, mean, covariance)``; the
   pooled-reference distance becomes exactly computable.
 * ``raw``           -- clients upload their embeddings; every metric.
 * ``kernel_blocks`` -- clients send within-block and cross-generator
@@ -13,7 +13,7 @@ and therefore which aggregate scores exist at all:
   exchange between clients, whose bytes are charged to the trace.
 
 The server assembles the library's own statistic from the replies -- a
-``ClientSet`` of ``GaussianStats`` rebuilt from the moments, a
+``ClientSet`` of the clients' own ``GaussianStats``, a
 ``ClientSet`` of the uploaded embeddings, or a ``KernelStats`` of the
 block sums -- and calls the library's aggregation on it (``fid_avg`` /
 ``fid_all``, ``KernelStats.kid_avg`` / ``kid_all``,
@@ -52,6 +52,7 @@ from .statkit import (
     _JsonFields,
     _check_mean_cov,
     _floats,
+    _is_int,
     _json_object,
     _json_objects,
     json_text,
@@ -270,13 +271,9 @@ def run_round(
 
 def _moments_replies(clients, trace) -> ClientSet:
     rebuilt = []
-    for client, weight in zip(clients, clients.weights):
-        stats = client.get_stats()
+    for client, weight, stats in zip(clients, clients.weights, clients.stats_list()):
         d = stats.dim
         trace.append(Message(client.id, SERVER, "MomentsReply", 1 + d + d * d, {"n": stats.n}))
-        # Server-side reconstruction from the transmitted (n, mean, S).
-        cov = stats.second_moment - np.outer(stats.mean, stats.mean)
-        stats = GaussianStats(n=stats.n, mean=stats.mean, cov=(cov + cov.T) / 2.0)
         rebuilt.append(Client(id=client.id, weight=float(weight), stats=stats))
     return ClientSet(rebuilt)
 
@@ -365,11 +362,6 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
 
 # ---------------------------------------------------------------------------
 # Synthetic scenarios
-
-
-def _is_int(value) -> bool:
-    """An integer, and not a bool (which Python counts as one)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
@@ -851,11 +843,17 @@ def variance_limited_sweep(
     client's samples from ``N(center, within_var I)``; the generator at
     grid value ``v`` draws from ``N(0, (v + within_var) I)``.
     """
+    if k_clients < 1:
+        raise ValueError(f"need at least 1 client, got {k_clients}")
+    if not within_var >= 0:
+        raise ValueError(f"within-client variance must be >= 0, got {within_var!r}")
     if within_var > between_var:
         raise ValueError("within-client variance must not exceed between-client variance")
     grid = [float(v) for v in generator_var_grid]
     if not grid:
         raise ValueError("generator variance grid is empty")
+    if any(v < 0 for v in grid):
+        raise ValueError("variance grid values must be >= 0")
     kernel = kernel or KernelSpec()
     seeds = _spawn_seeds(seed, 1 + k_clients + len(grid))
     centers = np.sqrt(between_var) * np.random.default_rng(seeds[0]).standard_normal(
@@ -936,6 +934,8 @@ def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
     scores = [*table_a.values(), *table_b.values()]
     if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in scores):
         raise ValueError("score table values must be numbers")
+    if not table_a:
+        raise ValueError("score tables are empty")
     ids = sorted(table_a)
     concordant = discordant = ties_a = ties_b = 0
     for i in range(len(ids)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NotPsdError, NumericalError
-from .statkit import ClientSet, _JsonFields, pool_moments
+from .statkit import ClientSet, _JsonFields, _mixture_moments, pool_moments
 
 EIGENVALUE_CLAMP_REL = 1e-8
 SYMMETRY_RTOL = 1e-10
@@ -236,10 +236,8 @@ def _barycenter(
     stats = clients.stats_list()
     weights = clients.weights
     d = clients.dim
-    mean = weights @ np.stack([s.mean for s in stats])
+    mean, cov, _ = _mixture_moments(stats, weights)
     covs = np.stack([s.cov for s in stats])
-    cov = np.einsum("i,ijk->jk", weights, covs)
-    cov = (cov + cov.T) / 2.0
 
     history: list[float] = []
     for iteration in range(max_iter):

@@ -214,6 +214,11 @@ def _floats(value, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a number or nested lists of numbers") from None
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool (which Python counts as one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_finite(mean, cov) -> None:
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("non-finite entry in Gaussian parameters")
@@ -244,29 +249,21 @@ class GaussianStats(_JsonFields):
     cov: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ValueError(f"sample count n must be an integer >= 1, got {self.n!r}")
         self.mean, self.cov = _check_mean_cov(self.mean, self.cov)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def second_moment(self) -> np.ndarray:
-        return self.cov + np.outer(self.mean, self.mean)
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GaussianStats":
         _json_object(obj, "moments")
-        try:
-            n = int(obj["n"])
-        except TypeError:
-            raise ValueError(f"sample count n must be a number, got {obj['n']!r}") from None
-        stats = cls(n=n, mean=obj["mean"], cov=obj["cov"])
+        stats = cls(n=obj["n"], mean=obj["mean"], cov=obj["cov"])
         if "second_moment" in obj and obj["second_moment"] is not None:
             s = _floats(obj["second_moment"], "second_moment")
-            expected = stats.second_moment
+            expected = stats.cov + np.outer(stats.mean, stats.mean)
             scale = max(float(np.linalg.norm(expected)), 1.0)
             if np.linalg.norm(s - expected) > SECOND_MOMENT_RTOL * scale:
                 raise ValueError("second_moment inconsistent with cov + mean mean^T")
@@ -456,26 +453,33 @@ def load_client_set(path) -> ClientSet:
     return ClientSet(clients)
 
 
+def _mixture_moments(stats: list[GaussianStats], w: np.ndarray):
+    """The mixture of ``stats`` under weights ``w``: its mean ``m``, within
+    part ``W = sum_i w_i C_i`` and between part ``B = sum_i w_i d_i d_i^T``
+    over the centred means ``d_i = m_i - m``, both symmetrized.  Centring
+    keeps a shift common to every client out of ``B``'s roundoff."""
+    means = np.stack([s.mean for s in stats])
+    mean = w @ means
+    within = np.einsum("i,ijk->jk", w, np.stack([s.cov for s in stats]))
+    centred = means - mean
+    between = (w * centred.T) @ centred
+    return mean, (within + within.T) / 2.0, (between + between.T) / 2.0
+
+
 def pool_moments(clients: ClientSet, estimator: str = "population") -> GaussianStats:
     """Moments of the weighted mixture of the clients' distributions.
 
-    Pooled mean is the weighted mean of client means; the pooled
-    covariance adds the between-client mean spread to the weighted
-    within-client covariances.  With weights ``n_i / n`` and population
-    covariances this equals the moments of the concatenated samples.
+    The pooled mean ``m`` is the weighted mean of the client means; the
+    pooled covariance adds the spread of the centred means ``m_i - m`` to
+    the weighted within-client covariances.  With weights ``n_i / n`` and
+    population covariances this equals the moments of the concatenated samples.
     """
     stats = clients.stats_list(estimator=estimator)
     w = clients.weights
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"client weights sum to {w.sum()!r}, expected 1")
-    means = np.stack([s.mean for s in stats])
-    seconds = np.stack([s.second_moment for s in stats])
-    mean_hat = w @ means
-    second_hat = np.einsum("i,ijk->jk", w, seconds)
-    cov_hat = second_hat - np.outer(mean_hat, mean_hat)
-    cov_hat = (cov_hat + cov_hat.T) / 2.0
-    n_total = int(sum(s.n for s in stats))
-    return GaussianStats(n=n_total, mean=mean_hat, cov=cov_hat)
+    mean, within, between = _mixture_moments(stats, w)
+    return GaussianStats(n=int(sum(s.n for s in stats)), mean=mean, cov=within + between)
 
 
 @dataclass

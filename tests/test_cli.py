@@ -348,6 +348,23 @@ def test_sweep_variance_limited(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--grid", "0:1:0.5", "--within-var", "-0.5"], "within-client variance must be >= 0"),
+        (["--grid=-2:-1:0.5"], "variance grid values must be >= 0"),
+        (["--grid", "0:1:0.5", "--k-clients", "-1"], "need at least 1 client, got -1"),
+    ],
+)
+def test_sweep_variance_limited_rejects_bad_regime(capsys, args, message):
+    """A negative variance or client count is one input error line, with no
+    numpy warning before it."""
+    assert run_cli(["sweep", "variance-limited", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fedeval: error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "family",
     [
         ["toy-mixture", "--grid", "0:1:0.5", "--n", "40", "--seed", "7"],
@@ -561,7 +578,27 @@ MALFORMED_JSON_INPUTS = {
     "moments-n-object": (
         "moments",
         {"n": {}, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
-        "sample count n must be a number, got {}",
+        "sample count n must be an integer >= 1, got {}",
+    ),
+    "moments-n-fraction": (
+        "moments",
+        {"n": 5.7, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        "sample count n must be an integer >= 1, got 5.7",
+    ),
+    "moments-n-string": (
+        "moments",
+        {"n": "5", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        "sample count n must be an integer >= 1, got '5'",
+    ),
+    "moments-n-bool": (
+        "moments",
+        {"n": True, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        "sample count n must be an integer >= 1, got True",
+    ),
+    "moments-n-zero": (
+        "moments",
+        {"n": 0, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        "sample count n must be an integer >= 1, got 0",
     ),
     "moments-list": ("moments", [], "moments must be a JSON object"),
     "rank-string-score": (
@@ -571,6 +608,7 @@ MALFORMED_JSON_INPUTS = {
         "rank", ({"a": 1, "b": 2}, {"a": None, "b": 1}), "score table values must be numbers"
     ),
     "rank-lists": ("rank", ([1], [1]), "score table must be a JSON object"),
+    "rank-empty": ("rank", ({}, {}), "score tables are empty"),
 }
 
 

@@ -30,6 +30,7 @@ from fedeval import (
     search_matched_pair,
 )
 from fedeval.frechet import _distances
+from fedeval.statkit import _mixture_moments
 
 from conftest import random_cov
 
@@ -234,7 +235,7 @@ def oracle_search(clients, seed=0, budget=10000):
             f"no orthogonal direction: need fewer clients ({k}) than dimensions ({d})"
         )
     weights = clients.weights
-    u = counterexample._spread_trace(means, weights)
+    u = float(np.trace(_mixture_moments(stats, weights)[2]))
     if k >= 2 and u <= counterexample.DEGENERATE_U_TOL:
         raise ValueError("u = 0, construction degenerate: client means coincide")
     basis = counterexample._mean_complement_basis(means)
@@ -363,7 +364,7 @@ def test_search_prescoring_failure_raises_like_the_oracle():
                 stacked_errors.append(str(exc))
             raise
 
-    clients = _search_instance(2, 4, 3, 1e14)
+    clients = _search_instance(2, 4, 16, 1e12)
     with mock.patch.object(counterexample, "_distances", recording):
         got = _outcome(search_matched_pair, clients, 3, 40, None)
     assert stacked_errors == [got[1]]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_moments_mode_reply_bytes(rng):
     replies = [m for m in trace.messages if m.kind == "MomentsReply"]
     assert len(replies) == 2
     for reply in replies:
-        assert reply.payload_bytes == (1 + 2 + 4) * 8 + 16  # n, mean, second moment
+        assert reply.payload_bytes == (1 + 2 + 4) * 8 + 16  # n, mean, covariance
 
 
 def test_raw_mode_reply_bytes(rng):
@@ -212,15 +213,13 @@ MODE_METRICS = {
 
 @pytest.mark.parametrize("mode", list(MODE_METRICS))
 def test_round_matches_library(mode):
-    # scores, raw and kernel_blocks rounds call the library on the clients'
-    # own arrays, so every score and per-client value is exact: scores-mode
-    # kid is kid_avg's statistic, raw-mode kid the one pass CLI `kid --agg
-    # both` takes, and the kernel_blocks replies carry that statistic's
-    # entries.  The moments round rebuilds each covariance from the second
-    # moment, so it agrees to 1e-9.
+    # Every round calls the library on the clients' own statistics or
+    # arrays, so every score and per-client value is exact: the moments
+    # replies carry each client's own (n, mean, covariance), scores-mode kid
+    # is kid_avg's statistic, raw-mode kid the one pass CLI `kid --agg both`
+    # takes, and the kernel_blocks replies carry that statistic's entries.
     kernel = KernelSpec()
     k_neighbors = 3
-    exact = mode != "moments"
     for seed in range(8):
         rng = np.random.default_rng(seed + 200)
         clients = make_clients(rng, k=int(rng.integers(1, 5)), n=int(rng.integers(6, 25)))
@@ -236,18 +235,43 @@ def test_round_matches_library(mode):
             assert list(report.scores) == metrics
             assert list(report.per_client) == list(per_client)
             assert report.client_ids == clients.ids
-            if exact:
-                assert report.scores == scores, (mode, metrics)
-                assert report.per_client == per_client, (mode, metrics)
-                continue
-            for metric in metrics:
-                assert report.scores[metric] == pytest.approx(
-                    scores[metric], rel=1e-9, abs=1e-12
-                ), (mode, metric)
-            for family, values in per_client.items():
-                assert report.per_client[family] == pytest.approx(
-                    values, rel=1e-9, abs=1e-12
-                ), (mode, family)
+            assert report.scores == scores, (mode, metrics)
+            assert report.per_client == per_client, (mode, metrics)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 30), min_size=2, max_size=6),
+    st.floats(0.0, 1e6),
+)
+def test_fid_scores_translation_invariant(seed, d, extras, shift):
+    """A shift common to the clients and the generator moves fid_avg,
+    fid_all and the moments round's scores only by roundoff, of order
+    eps * (max|shift| + max|x|) * sqrt(max|C|) per dimension, with C the
+    covariance of all unshifted samples.  Every covariance is well
+    conditioned (at least 8 samples per dimension): the trace term's root
+    amplifies a perturbation by the inverse root of the smallest
+    eigenvalue, and a rank-deficient covariance makes it move with the
+    square root of the perturbation."""
+    rng = np.random.default_rng(seed)
+    *sizes, m = (8 * d + e for e in extras)
+    mats = [rng.normal(size=d) + rng.normal(size=(n, d)) for n in sizes]
+    gen = rng.normal(size=d) + rng.normal(size=(m, d))
+    offset = shift * rng.normal(size=d)
+
+    def scores(offset):
+        clients = ClientSet([Client(id=f"c{i}", embeddings=x + offset) for i, x in enumerate(mats)])
+        g = moments(gen + offset)
+        report, _ = run_round(clients, g, "moments", ["fid_avg", "fid_all"])
+        library = [fid_avg(clients, g).value, fid_all(clients, g).value]
+        return np.array(library + [report.scores["fid_avg"], report.scores["fid_all"]])
+
+    x = np.concatenate(mats + [gen])
+    scale = np.sqrt(np.abs(moments(x).cov).max())
+    bound = 16 * np.finfo(float).eps * (np.abs(offset).max() + np.abs(x).max()) * scale * d
+    assert np.abs(scores(offset) - scores(np.zeros(d))).max() <= bound
 
 
 def test_round_ll_and_prdc_in_raw_mode(rng):
@@ -748,6 +772,14 @@ def test_variance_sweep_validates_regime():
         variance_limited_sweep(3, 2.0, 1.0, [0.5], seed=0)
     with pytest.raises(ValueError, match="empty"):
         variance_limited_sweep(3, 0.1, 1.0, [], seed=0)
+    for within_var in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="within-client variance must be >= 0"):
+            variance_limited_sweep(3, within_var, 1.0, [0.5], seed=0)
+    with pytest.raises(ValueError, match="variance grid values must be >= 0"):
+        variance_limited_sweep(3, 0.05, 1.0, [-2.0, -1.5, -1.0], seed=0)
+    for k_clients in (0, -1):
+        with pytest.raises(ValueError, match="need at least 1 client"):
+            variance_limited_sweep(k_clients, 0.05, 1.0, [0.5], seed=0)
 
 
 def one_kernel_pass(sizes, m):
