@@ -18,8 +18,10 @@ The server assembles the library's own statistic from the replies -- a
 block sums -- and calls the library's aggregation on it (``fid_avg`` /
 ``fid_all``, ``KernelStats.kid_avg`` / ``kid_all``,
 ``log_likelihood_scores``, ``prdc_aggregate``), so protocol == library
-holds by construction.  In ``scores`` mode the clients run that
-aggregation on their own set and reply with their per-client entries.
+holds by construction.  In ``scores`` mode each client scores its own
+samples and replies with its entries; the round asks for no pooled
+score, so no pooled statistic is built (``kernel_stats(cross=False)``,
+``prdc_aggregate(pooled=False)``, ``log_likelihood_scores(pooled=False)``).
 Each row of the mode-collapse timeline and of both sweeps is scored by
 the same aggregation (the toy sweep's analytic columns on the exact
 Gaussian parameters).
@@ -229,9 +231,12 @@ def run_round(
     client set of Gaussian moments or of embeddings, or a ``KernelStats``
     of block sums) and calls the library's aggregation on it, so the
     scores equal the direct library calls by construction.  In ``scores``
-    mode the clients run that aggregation on their own set and each
-    replies with its per-client entries.  The trace lists one generator
-    broadcast followed by the clients' replies in client-id order.
+    mode each client's entries come from its own samples alone, as a
+    client would compute them: its kernel score from its own blocks, its
+    PRDC from the one-client pass ``prdc_scores`` runs (equal-size small
+    clients stacked, same bits) and its mean log-density; no pooled
+    statistic is built.  The trace lists one generator broadcast followed
+    by the clients' replies in client-id order.
     """
     mode = _normalize_mode(mode)
     metrics = _normalize_metrics(metrics)
@@ -273,7 +278,8 @@ def _moments_replies(clients, trace) -> ClientSet:
     rebuilt = []
     for client, weight, stats in zip(clients, clients.weights, clients.stats_list()):
         d = stats.dim
-        trace.append(Message(client.id, SERVER, "MomentsReply", 1 + d + d * d, {"n": stats.n}))
+        body = {"n": int(stats.n)}
+        trace.append(Message(client.id, SERVER, "MomentsReply", 1 + d + d * d, body))
         rebuilt.append(Client(id=client.id, weight=float(weight), stats=stats))
     return ClientSet(rebuilt)
 
@@ -346,12 +352,14 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
             if want_all:
                 pooled = stats.kid_all()
         elif family == "ll":
-            result = log_likelihood_scores(source, _generator_model(generator))
+            result = log_likelihood_scores(source, _generator_model(generator), pooled=want_all)
             values, avg, pooled = result.per_client, result.avg, result.all
         else:
-            result = prdc_aggregate(source, generator, k=k_neighbors)
+            result = prdc_aggregate(source, generator, k=k_neighbors, pooled=want_all)
             values = [r.to_json_dict() for r in result.per_client]
-            avg, pooled = result.avg.to_json_dict(), result.all.to_json_dict()
+            avg = result.avg.to_json_dict()
+            if want_all:
+                pooled = result.all.to_json_dict()
         per_client[family] = values
         if f"{family}_avg" in metrics:
             scores[f"{family}_avg"] = avg
@@ -847,6 +855,8 @@ def variance_limited_sweep(
         raise ValueError(f"need at least 1 client, got {k_clients}")
     if not within_var >= 0:
         raise ValueError(f"within-client variance must be >= 0, got {within_var!r}")
+    if not math.isfinite(between_var):
+        raise ValueError(f"between-client variance must be finite, got {between_var!r}")
     if within_var > between_var:
         raise ValueError("within-client variance must not exceed between-client variance")
     grid = [float(v) for v in generator_var_grid]
@@ -854,6 +864,10 @@ def variance_limited_sweep(
         raise ValueError("generator variance grid is empty")
     if any(v < 0 for v in grid):
         raise ValueError("variance grid values must be >= 0")
+    if n_per_client < 1:
+        raise ValueError(f"need at least 1 sample per client (n), got {n_per_client}")
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     kernel = kernel or KernelSpec()
     seeds = _spawn_seeds(seed, 1 + k_clients + len(grid))
     centers = np.sqrt(between_var) * np.random.default_rng(seeds[0]).standard_normal(

@@ -23,7 +23,12 @@ index order.  The ball tests compare clipped, rooted distances with the
 radii.  ``prdc_aggregate`` reads the pooled radii, every client's radii
 (its diagonal blocks) and every ball test (row blocks of one pooled x
 generated pass) from a single pass over the pooled samples;
-``prdc_scores`` is the same pass over one client.
+``prdc_scores`` is the same pass over one client.  Without the pooled
+score (``pooled=False``, a scores round) each client is scored by that
+one-client pass alone, so no pooled radius or cross-client distance is
+built; equal-size clients whose own and generator blocks each fit at
+least twice in one tile are scored in stacks of at most TILE^2 elements
+per block, with the bits of their own ``prdc_scores`` calls.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SampleCountError
-from .kernelmmd import _row_norms, _squared_distances, _tiles
+from .kernelmmd import _row_norms, _squared_distances, _stack_depth, _tiles
 from .statkit import ClientSet, _JsonFields, as_embeddings
 
 DEFAULT_K = 5
@@ -69,9 +74,12 @@ def _check_knn(k: int, counts) -> None:
             raise SampleCountError(f"k-NN radii require more than k={k} samples, got {n}")
 
 
-def _check_dims(ref: np.ndarray, gen: np.ndarray) -> None:
-    if ref.shape[1] != gen.shape[1]:
-        raise ValueError(f"dimension mismatch: {ref.shape[1]} vs {gen.shape[1]}")
+def _check_blocks(mats: list[np.ndarray], gen: np.ndarray, k: int) -> None:
+    """The first block's dimension against the generator's, then every set
+    large enough for k-NN radii: the first block, the generator, the rest."""
+    if mats[0].shape[1] != gen.shape[1]:
+        raise ValueError(f"dimension mismatch: {mats[0].shape[1]} vs {gen.shape[1]}")
+    _check_knn(k, [mats[0].shape[0], gen.shape[0], *(x.shape[0] for x in mats[1:])])
 
 
 def _distances(sq: np.ndarray) -> np.ndarray:
@@ -156,16 +164,21 @@ def _ball_scores(ref, gen, gen_radii, k, partitions) -> list[list[PrdcResult]]:
         sets = []
         for p in range(len(bounds) - 1):
             rows = slice(bounds[p], bounds[p + 1])
-            sets.append(
-                PrdcResult(
-                    precision=float((cover[p] > 0).mean()),
-                    recall=float(recalled[rows].mean()),
-                    density=float(cover[p].mean() / k),
-                    coverage=float(hit[rows].mean()),
-                )
-            )
+            sets.append(_result(cover[p], recalled[rows], hit[rows], k))
         results.append(sets)
     return results
+
+
+def _result(cover, recalled, covered, k: int) -> PrdcResult:
+    """The metrics of one reference set: ``cover`` counts its balls around
+    each generated sample, ``recalled`` marks its samples inside a
+    generated ball and ``covered`` its balls holding a generated sample."""
+    return PrdcResult(
+        precision=float((cover > 0).mean()),
+        recall=float(recalled.mean()),
+        density=float(cover.mean() / k),
+        coverage=float(covered.mean()),
+    )
 
 
 def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int):
@@ -174,15 +187,62 @@ def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int):
 
     Returns ``(pooled, per_block)``.
     """
-    _check_dims(mats[0], gen)
-    counts = [x.shape[0] for x in mats]
-    _check_knn(k, [counts[0], gen.shape[0], *counts[1:]])
+    _check_blocks(mats, gen, k)
     pooled, bounds = _stack(mats)
     partitions = [bounds[[0, -1]]] + ([bounds] if len(mats) > 1 else [])
     radii = _radii(pooled, k, partitions)
     gen_radii = knn_radii(gen, k)
     results = _ball_scores(pooled, gen, gen_radii, k, list(zip(radii, partitions)))
     return results[0][0], results[-1]
+
+
+def _stacked_scores(xs: np.ndarray, gen: np.ndarray, gen_radii: np.ndarray, k: int):
+    """``prdc_scores`` of each block of a stack of equal-size blocks that,
+    with its generator block, fits in one tile: the same distances, radii
+    and ball counts, from one stacked call each."""
+    x_sq = _row_norms(xs)
+    own = _squared_distances(xs, xs, x_sq, x_sq)
+    rows = np.arange(xs.shape[1])
+    own[:, rows, rows] = np.inf
+    radii = _distances(np.partition(own, k - 1, axis=-1)[..., k - 1])
+    dists = _distances(_squared_distances(xs, gen, x_sq, _row_norms(gen)))
+    recalled = (dists < gen_radii).any(axis=-1)
+    inside = dists < radii[..., None]
+    covers = inside.sum(axis=1, dtype=np.int64)
+    covered = inside.any(axis=-1)
+    return [_result(*sets, k) for sets in zip(covers, recalled, covered)]
+
+
+def _own_scores(mats: list[np.ndarray], gen: np.ndarray, k: int) -> list[PrdcResult]:
+    """Each block's ``prdc_scores`` against ``gen``, from its own one-block
+    pass: no pooled radii or ball tests are built, and the generator radii
+    are taken once.
+
+    Equal-size blocks whose self and generator blocks each fit at least
+    twice in one tile are scored together, in stacks of at most TILE^2
+    elements per block pair; every other block runs the one-block pass.
+    """
+    _check_blocks(mats, gen, k)
+    gen_radii = knn_radii(gen, k)
+    m = gen.shape[0]
+    results: list = [None] * len(mats)
+    stacks: dict[int, list[int]] = {}
+    for i, x in enumerate(mats):
+        n = x.shape[0]
+        if _stack_depth(n, n) and _stack_depth(n, m):
+            stacks.setdefault(n, []).append(i)
+            continue
+        whole = [np.array([0, n])]
+        radii = _radii(x, k, whole)
+        results[i] = _ball_scores(x, gen, gen_radii, k, list(zip(radii, whole)))[0][0]
+    for n, members in stacks.items():
+        depth = min(_stack_depth(n, n), _stack_depth(n, m))
+        for s in range(0, len(members), depth):
+            chunk = members[s : s + depth]
+            scores = _stacked_scores(np.stack([mats[i] for i in chunk]), gen, gen_radii, k)
+            for i, result in zip(chunk, scores):
+                results[i] = result
+    return results
 
 
 def prdc_scores(ref, gen, k: int = DEFAULT_K) -> PrdcResult:
@@ -192,15 +252,26 @@ def prdc_scores(ref, gen, k: int = DEFAULT_K) -> PrdcResult:
 
 @dataclass
 class PrdcAggregate(_JsonFields):
-    all: PrdcResult
+    all: PrdcResult | None
     avg: PrdcResult
     per_client: list[PrdcResult]
 
 
-def prdc_aggregate(clients: ClientSet, gen, k: int = DEFAULT_K) -> PrdcAggregate:
-    """Pooled-reference scores plus the weighted mean of per-client scores."""
+def prdc_aggregate(
+    clients: ClientSet, gen, k: int = DEFAULT_K, pooled: bool = True
+) -> PrdcAggregate:
+    """Pooled-reference scores plus the weighted mean of per-client scores.
+
+    ``pooled=False`` scores each client on its own data alone, as a client
+    holding only its samples runs ``prdc_scores``: no pooled radii or
+    pooled ball tests are built, and ``all`` is None.
+    """
     gen = as_embeddings(gen)
-    all_, per_client = _scores(clients.client_embeddings(), gen, k)
+    mats = clients.client_embeddings()
+    if pooled:
+        all_, per_client = _scores(mats, gen, k)
+    else:
+        all_, per_client = None, _own_scores(mats, gen, k)
     w = clients.weights
     avg = PrdcResult(
         precision=float(w @ [r.precision for r in per_client]),

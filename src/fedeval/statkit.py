@@ -488,7 +488,7 @@ class LogLikelihoodScores(_JsonFields):
 
     per_client: list[float]
     avg: float
-    all: float
+    all: float | None
 
 
 def gaussian_log_density(x, model: GaussianModel) -> np.ndarray:
@@ -508,16 +508,20 @@ def gaussian_log_density(x, model: GaussianModel) -> np.ndarray:
     return -0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
 
 
-def log_likelihood_scores(clients: ClientSet, model: GaussianModel) -> LogLikelihoodScores:
+def log_likelihood_scores(
+    clients: ClientSet, model: GaussianModel, pooled: bool = True
+) -> LogLikelihoodScores:
     """Mean log-density scores per client plus the two aggregates.
 
     ``avg`` is the weighted mean of per-client scores; ``all`` is the
     mean log-density over the pooled samples.  With weights ``n_i / n``
-    the two coincide up to summation order.
+    the two coincide up to summation order.  ``pooled=False`` leaves the
+    pooled samples unscored and ``all`` None.
     """
     mats = clients.client_embeddings()
     per_client = [float(np.mean(gaussian_log_density(x, model))) for x in mats]
     avg = float(clients.weights @ np.asarray(per_client))
-    pooled = np.concatenate(mats, axis=0)
-    all_score = float(np.mean(gaussian_log_density(pooled, model)))
+    all_score = None
+    if pooled:
+        all_score = float(np.mean(gaussian_log_density(np.concatenate(mats, axis=0), model)))
     return LogLikelihoodScores(per_client=per_client, avg=avg, all=all_score)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fedeval import Client, ClientSet, GaussianStats, kernelmmd
+from fedeval import Client, ClientSet, GaussianStats, kernelmmd, prdc
 
 # On CI a failing property prints the blob that reproduces it
 # (``@reproduce_failure``); example counts and deadlines are the tests' own.
@@ -69,14 +69,31 @@ def rng():
 
 @pytest.fixture
 def gram_elements(monkeypatch):
-    """Sizes of the Gram tiles the kernel passes evaluate, in call order."""
+    """Sizes of the Gram tiles the kernel passes evaluate, in call order; a
+    stacked call counts every tile of its stack (G n m elements)."""
     elements = []
-    real_gram = kernelmmd.gram
+    real_gram = kernelmmd._gram
 
     def counting_gram(spec, x, y):
         out = real_gram(spec, x, y)
         elements.append(out.size)
         return out
 
-    monkeypatch.setattr(kernelmmd, "gram", counting_gram)
+    monkeypatch.setattr(kernelmmd, "_gram", counting_gram)
+    return elements
+
+
+@pytest.fixture
+def distance_elements(monkeypatch):
+    """Sizes of the distance tiles the k-NN and ball passes evaluate, in call
+    order; a stacked call counts every tile of its stack."""
+    elements = []
+    real_distances = prdc._squared_distances
+
+    def counting_distances(x, y, x_sq, y_sq):
+        out = real_distances(x, y, x_sq, y_sq)
+        elements.append(out.size)
+        return out
+
+    monkeypatch.setattr(prdc, "_squared_distances", counting_distances)
     return elements

@@ -353,11 +353,16 @@ def test_sweep_variance_limited(tmp_path):
         (["--grid", "0:1:0.5", "--within-var", "-0.5"], "within-client variance must be >= 0"),
         (["--grid=-2:-1:0.5"], "variance grid values must be >= 0"),
         (["--grid", "0:1:0.5", "--k-clients", "-1"], "need at least 1 client, got -1"),
+        (["--grid", "0:1:0.5", "--between-var", "nan"], "between-client variance must be finite, got nan"),
+        (["--grid", "0:1:0.5", "--between-var", "inf"], "between-client variance must be finite, got inf"),
+        (["--grid", "0:1:0.5", "--n", "0"], "need at least 1 sample per client (n), got 0"),
+        (["--grid", "0:1:0.5", "--d", "0"], "dimension d must be >= 1, got 0"),
     ],
 )
 def test_sweep_variance_limited_rejects_bad_regime(capsys, args, message):
-    """A negative variance or client count is one input error line, with no
-    numpy warning before it."""
+    """A negative or non-finite variance, client count, sample count or
+    dimension is one input error line naming it, with no numpy warning
+    before it."""
     assert run_cli(["sweep", "variance-limited", *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"fedeval: error: {message}")

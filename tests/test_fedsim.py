@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 import math
 
 import numpy as np
@@ -32,8 +33,10 @@ from fedeval import (
     mode_collapse_timeline,
     moments,
     prdc_aggregate,
+    prdc_scores,
     run_round,
     run_scenario,
+    statkit,
     toy_mixture_sweep,
     variance_limited_sweep,
 )
@@ -75,6 +78,39 @@ def test_moments_mode_reply_bytes(rng):
     assert len(replies) == 2
     for reply in replies:
         assert reply.payload_bytes == (1 + 2 + 4) * 8 + 16  # n, mean, covariance
+
+
+def test_moments_reply_writes_numpy_integer_n(rng, tmp_path):
+    # GaussianStats accepts a numpy-integer n; the reply body carries an int
+    clients = ClientSet(
+        [
+            Client(id=f"c{i}", stats=GaussianStats(n=np.int64(20 + i), mean=np.zeros(2), cov=np.eye(2)))
+            for i in range(2)
+        ]
+    )
+    _, trace = run_round(clients, moments(rng.normal(size=(10, 2))), "moments", ["fid_avg"])
+    fedsim.save_trace(trace, tmp_path / "trace.json")
+    replies = json.loads((tmp_path / "trace.json").read_text())["messages"][1:]
+    assert [r["body"] for r in replies] == [{"n": 20}, {"n": 21}]
+    assert all(type(m.body["n"]) is int for m in trace.messages[1:])
+
+
+def test_scores_round_scores_no_pooled_samples(monkeypatch, rng):
+    # a scores round's ll_avg takes each client's mean log-density alone
+    clients = make_clients(rng, k=3, n=20)
+    rows = []
+    real_density = statkit.gaussian_log_density
+
+    def density(x, model):
+        rows.append(len(x))
+        return real_density(x, model)
+
+    monkeypatch.setattr(statkit, "gaussian_log_density", density)
+    gen = moments(rng.normal(size=(30, 3)))
+    report, _ = run_round(clients, gen, "scores", ["ll_avg"])
+    assert rows == [20, 20, 20]
+    model = GaussianModel(mean=gen.mean, cov=gen.cov)
+    assert report.scores["ll_avg"] == log_likelihood_scores(clients, model).avg
 
 
 def test_raw_mode_reply_bytes(rng):
@@ -191,10 +227,18 @@ def _library_round(clients, gen, metrics, kid_stats, k_neighbors):
         ll = log_likelihood_scores(clients, GaussianModel(mean=gen_stats.mean, cov=gen_stats.cov))
         per_client["ll"] = ll.per_client
         scores.update(ll_avg=ll.avg, ll_all=ll.all)
-    if "prdc" in families:
+    if "prdc" in families and "prdc_all" in metrics:
         agg = prdc_aggregate(clients, gen, k=k_neighbors)
         per_client["prdc"] = [r.to_json_dict() for r in agg.per_client]
         scores.update(prdc_avg=agg.avg.to_json_dict(), prdc_all=agg.all.to_json_dict())
+    elif "prdc" in families:
+        # without the pooled score, each client runs prdc_scores on its own samples
+        own = [prdc_scores(c.embeddings, gen, k=k_neighbors) for c in clients]
+        per_client["prdc"] = [r.to_json_dict() for r in own]
+        scores["prdc_avg"] = {
+            key: float(clients.weights @ [getattr(r, key) for r in own])
+            for key in ("precision", "recall", "density", "coverage")
+        }
     return {m: scores[m] for m in metrics}, per_client
 
 
@@ -216,8 +260,9 @@ def test_round_matches_library(mode):
     # Every round calls the library on the clients' own statistics or
     # arrays, so every score and per-client value is exact: the moments
     # replies carry each client's own (n, mean, covariance), scores-mode kid
-    # is kid_avg's statistic, raw-mode kid the one pass CLI `kid --agg both`
-    # takes, and the kernel_blocks replies carry that statistic's entries.
+    # is kid_avg's statistic and scores-mode prdc each client's prdc_scores,
+    # raw-mode kid the one pass CLI `kid --agg both` takes, and the
+    # kernel_blocks replies carry that statistic's entries.
     kernel = KernelSpec()
     k_neighbors = 3
     for seed in range(8):
@@ -780,6 +825,14 @@ def test_variance_sweep_validates_regime():
     for k_clients in (0, -1):
         with pytest.raises(ValueError, match="need at least 1 client"):
             variance_limited_sweep(k_clients, 0.05, 1.0, [0.5], seed=0)
+    for between_var in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="between-client variance must be finite"):
+            variance_limited_sweep(3, 0.05, between_var, [0.5], seed=0)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=r"need at least 1 sample per client \(n\)"):
+            variance_limited_sweep(3, 0.05, 1.0, [0.5], seed=0, n_per_client=n)
+    with pytest.raises(ValueError, match="dimension d must be >= 1, got 0"):
+        variance_limited_sweep(3, 0.05, 1.0, [0.5], seed=0, d=0)
 
 
 def one_kernel_pass(sizes, m):

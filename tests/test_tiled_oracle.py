@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from fedeval import Client, ClientSet, KernelSpec, kernelmmd, prdc
 from fedeval.errors import NumericalError, SampleCountError
+from fedeval.fedsim import run_round
 
 SMALL_TILE = 7
 REL = 1e-9
@@ -354,6 +355,170 @@ def test_client_scores_bit_identical_to_mmd2(case, kind, cross):
                     assert type(got) is type(want) and str(got) == str(want)
                 else:
                     assert got == want, (i, estimator)
+
+
+# ---------------------------------------------------------------------------
+# stacked block pairs against the per-pair tile loop
+
+
+def per_pair_tiled_sums(spec, xs, ys=None, cross=True):
+    """The per-pair tile loop the stacked pass replaced: every block pair on
+    its own tile grid, one ``gram`` call per tile."""
+    symmetric = ys is None
+    cols = xs if symmetric else ys
+    sums = np.full((len(xs), len(cols)), np.nan)
+    traces = np.zeros(len(xs)) if symmetric else None
+    for p, x in enumerate(xs):
+        if not symmetric:
+            qs = range(len(cols))
+        else:
+            qs = range(p, len(cols)) if cross else (p,)
+        for q in qs:
+            self_block = symmetric and q == p
+            total = 0.0
+            for r0, r1, c0, c1 in kernelmmd._tiles(x.shape[0], cols[q].shape[0], self_block):
+                tile = kernelmmd.gram(spec, x[r0:r1], cols[q][c0:c1])
+                part = tile.sum()
+                total += part
+                if not self_block:
+                    continue
+                if c0 != r0:
+                    total += part
+                else:
+                    traces[p] += np.diagonal(tile).sum()
+            sums[p, q] = total
+            if symmetric:
+                sums[q, p] = total
+    return sums, traces
+
+
+@contextmanager
+def per_pair_sums():
+    saved = kernelmmd._tiled_sums
+    kernelmmd._tiled_sums = per_pair_tiled_sums
+    try:
+        yield
+    finally:
+        kernelmmd._tiled_sums = saved
+
+
+def assert_same_stats(got, want):
+    """Every ``KernelStats`` field has the same bits."""
+    for name in ("weights", "natural_weights", "counts", "sums", "traces", "gen_count",
+                 "gen_sums", "gen_sum", "gen_trace"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.asarray(a).dtype == np.asarray(b).dtype, name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+@st.composite
+def size_pool_clients(draw, min_n, max_n, max_clients):
+    """Up to ``max_clients`` clients whose sizes come from a pool of at most
+    three, so that equal-size blocks stack, and a generator set."""
+    k = draw(st.integers(1, max_clients))
+    pool = draw(st.lists(st.integers(min_n, max_n), min_size=1, max_size=3))
+    # from d ~ 16 BLAS rounds a self block's x x^T (syrk) unlike x y^T (gemm)
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.normal(size=(int(rng.choice(pool)), d)) + rng.normal(size=d) for _ in range(k)]
+    gen = 1.3 * rng.normal(size=(draw(st.integers(min_n, max_n)), d))
+    weights = [None] * k
+    if draw(st.booleans()):
+        w = rng.random(k) + 0.1
+        weights = [float(v) for v in w / w.sum()]
+    clients = ClientSet(
+        [Client(id=f"c{i:02d}", weight=wi, embeddings=x) for i, (wi, x) in enumerate(zip(weights, mats))]
+    )
+    return clients, gen
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from([4, 6, 8]).flatmap(
+        lambda tile: st.tuples(st.just(tile), size_pool_clients(1, 2 * tile + 2, 60))
+    ),
+    st.sampled_from(["polynomial", "rbf"]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+)
+def test_stacked_block_sums_bit_identical_to_per_pair_tiles(case, kind, degree, cross, with_gen):
+    # block sizes on both sides of the two-per-tile threshold and of the tile side
+    tile, (clients, gen) = case
+    gen = gen if with_gen else None
+    spec = KernelSpec(kind=kind, degree=degree) if kind == "polynomial" else KernelSpec(kind=kind)
+    with small_tiles(tile):
+        got = kernelmmd.kernel_stats(clients, gen, spec, cross=cross)
+        with per_pair_sums():
+            want = kernelmmd.kernel_stats(clients, gen, spec, cross=cross)
+    assert_same_stats(got, want)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "rbf"])
+def test_stacked_block_sums_at_tile_side(kind, rng):
+    # at TILE = 256: 181 x 181 self blocks fit twice in a tile, 182 x 182
+    # once; 128 x 256 pairs twice, 129 x 256 once; 257 rows span two tiles
+    sizes = (181, 181, 182, 182, 128, 129, 256, 257, 3, 3)
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(n, 40))) for i, n in enumerate(sizes)]
+    )
+    gen = rng.normal(size=(256, 40))
+    spec = KernelSpec(kind=kind)
+    for cross in (True, False):
+        got = kernelmmd.kernel_stats(clients, gen, spec, cross=cross)
+        with per_pair_sums():
+            want = kernelmmd.kernel_stats(clients, gen, spec, cross=cross)
+        assert_same_stats(got, want)
+
+
+def test_many_small_pairs_take_few_stacked_calls(gram_elements, rng):
+    # K=50 clients of 20 samples: 1 275 block pairs in 1 + ceil(1225 / 163)
+    # stacked calls of at most TILE^2 elements, the same elements in all
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(20, 8))) for i in range(50)]
+    )
+    kernelmmd.kernel_stats(clients, cross=True)
+    assert len(gram_elements) == 1 + 8
+    assert max(gram_elements) <= kernelmmd.TILE**2
+    assert sum(gram_elements) == 1275 * 20 * 20
+
+
+@SETTINGS
+@given(
+    size_pool_clients(4, 20, 30),
+    st.integers(1, 3),
+    st.sampled_from([8, 16, kernelmmd.TILE]),
+)
+def test_scores_round_prdc_is_each_clients_prdc_scores(case, k, tile):
+    # a scores round scores each client on its own samples, stacked or not,
+    # with the bits of the prdc_scores call the client runs
+    clients, gen = case
+    with small_tiles(tile):
+        report, _ = run_round(clients, gen, "scores", ["prdc_avg"], k_neighbors=k)
+        own = [prdc.prdc_scores(c.embeddings, gen, k=k) for c in clients]
+    assert report.per_client["prdc"] == [r.to_json_dict() for r in own]
+    w = clients.weights
+    assert report.scores["prdc_avg"] == {
+        key: float(w @ [getattr(r, key) for r in own])
+        for key in ("precision", "recall", "density", "coverage")
+    }
+
+
+@pytest.mark.parametrize("tile, sizes, m", [(256, (20, 20, 20, 25), 30), (24, (20, 20, 22), 23)])
+def test_scores_round_evaluates_no_cross_client_distance(distance_elements, rng, tile, sizes, m):
+    """Each client's radii (n_i^2), the generator's radii (m^2) and each
+    client's ball tests (n_i m): stacked (tile 256) or one client at a time
+    (tile 24, where no pair fits twice), no cross-client distance."""
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(n, 3))) for i, n in enumerate(sizes)]
+    )
+    gen = rng.normal(size=(m, 3))
+    with small_tiles(tile):
+        run_round(clients, gen, "scores", ["prdc_avg"])
+    n = np.array(sizes)
+    assert sum(distance_elements) == int((n**2).sum() + m * m + n.sum() * m)
 
 
 # ---------------------------------------------------------------------------
