@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .frechet import _clamp, _references, fid_all, fid_avg
-from .kernelmmd import KernelSpec, KernelStats, _is_real, kernel_stats
+from .kernelmmd import KernelSpec, KernelStats, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
     Client,
@@ -55,6 +55,7 @@ from .statkit import (
     _check_mean_cov,
     _floats,
     _is_int,
+    _is_real,
     _json_object,
     _json_objects,
     json_text,
@@ -233,8 +234,8 @@ def run_round(
     scores equal the direct library calls by construction.  In ``scores``
     mode each client's entries come from its own samples alone, as a
     client would compute them: its kernel score from its own blocks, its
-    PRDC from the one-client pass ``prdc_scores`` runs (equal-size small
-    clients stacked, same bits) and its mean log-density; no pooled
+    PRDC from its own block pairs (bit for bit ``prdc_scores``) and its
+    mean log-density; no pooled
     statistic is built.  The trace lists one generator broadcast followed
     by the clients' replies in client-id order.
     """

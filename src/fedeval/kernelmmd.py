@@ -20,18 +20,20 @@ the generator-generator sum, plus the diagonal sums ``ustat`` removes.
 It is computed exactly (no block subsampling) in one pass over the
 block pairs, each in square Gram tiles of side ``TILE``, so memory does
 not grow with the sample count and there is no cap on it; the
-aggregations are then O(K^2) algebra on the sums.  Each block pair is
-tiled on its own grid from its blocks' first rows, so a block sum
-depends only on its two sample sets: a client's score is bit for bit
-``mmd2(client, gen)`` whether or not the cross-client blocks are built,
-and the protocol simulator's kernel_blocks round sends this statistic's
-entries.  Block pairs that fit at least twice in one TILE x TILE tile
-are evaluated in stacks of equal-shape pairs, at most TILE^2 elements
-per stacked ``matmul``, so memory stays one tile.  numpy's stacked
-``matmul`` runs one BLAS product per pair, so a stacked pair's sum has
-the bits of its own ``gram`` call.  Many tiny clients thus pay a few
-calls, not one per pair (K=50 clients of 20 samples, d=8: 1 275 pairs
-in 9 calls).  Larger pairs keep one ``gram`` call per tile.
+aggregations are then O(K^2) algebra on the sums.
+
+The pass runs on one scheduler (``_schedule``), which the k-NN radii and
+ball tests of ``prdc`` share.  A work unit is one tile of one block pair;
+each pair is tiled on its own grid from its blocks' first rows, so a
+block sum depends only on its two sample sets: a client's score is bit
+for bit ``mmd2(client, gen)`` whether or not the cross-client blocks are
+built, and the protocol simulator's kernel_blocks round sends this
+statistic's entries.  Units of equal shape go in stacks of at most
+TILE^2 elements, one stacked ``matmul`` each; numpy runs one BLAS product
+per stacked tile, so a unit has the same bits in a stack as alone.  Many
+tiny clients thus pay a few calls, not one per pair (K=50 clients of 20
+samples, d=8: 1 275 pairs in 9 calls).  A kernel sum that is not finite
+raises ``NumericalError``.
 
 The polynomial kernel scales and offsets the ``x @ y.T`` product in
 place and takes the power by repeated products, not by a ``pow`` per
@@ -50,18 +52,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SampleCountError
-from .statkit import ClientSet, _JsonFields, as_embeddings
+from .statkit import ClientSet, _is_real, _JsonFields, as_embeddings
 
 VSTAT_CLAMP = 1e-10
 # Side of the square tiles of every kernel and distance pass: no larger
 # kernel or distance matrix is ever held, so memory does not grow with N.
 TILE = 256
-
-
-def _is_real(value) -> bool:
-    """A real number, and not a bool (which Python counts as an integer)."""
-    real = (int, float, np.integer, np.floating)
-    return isinstance(value, real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -179,23 +175,65 @@ def _gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp(-sq / (2.0 * sigma**2))
 
 
-def _tiles(n_rows: int, n_cols: int, symmetric: bool):
-    """``(r0, r1, c0, c1)`` of the TILE x TILE tiles covering an n_rows x n_cols
-    matrix, row tile by row tile; ``symmetric`` keeps those on or above the
-    diagonal."""
-    for r0 in range(0, n_rows, TILE):
-        for c0 in range(r0 if symmetric else 0, n_cols, TILE):
-            yield r0, min(r0 + TILE, n_rows), c0, min(c0 + TILE, n_cols)
+def _stack_depth(n_rows: int, n_cols: int, dim: int) -> int:
+    """How many n_rows x n_cols units of ``dim``-column samples one stacked
+    call holds: as many as keep both its result and its stacked inputs
+    within TILE^2 elements, and at least one.  The input bound keeps a stack
+    of thin tiles along a long block from copying that block."""
+    result = TILE * TILE // (n_rows * n_cols)
+    inputs = TILE * TILE // ((n_rows + n_cols) * dim)
+    return max(1, min(result, inputs))
 
 
-def _stack_depth(n_rows: int, n_cols: int) -> int:
-    """How many n_rows x n_cols blocks one stacked call holds: as many as fit
-    in TILE^2 elements, or 0 (no stacking) when fewer than two fit in one
-    TILE x TILE tile."""
-    if n_rows > TILE or n_cols > TILE:
-        return 0
-    depth = TILE * TILE // (n_rows * n_cols)
-    return depth if depth >= 2 else 0
+def _schedule(xs, ys, pairs):
+    """The work units of block pairs, and their stacks.
+
+    ``pairs`` lists ``(p, q)``: row block ``xs[p]`` against column block
+    ``ys[q]``; it is a self pair when ``ys is xs`` and ``q == p``.  Each pair
+    is tiled on its own TILE grid from its blocks' first rows (a self pair on
+    and above its diagonal), and each tile is one unit ``(p, q, r0, c0)``,
+    listed pair by pair in row-major tile order.  Units of equal shape whose
+    tiles are all diagonal tiles of self pairs, or all not, form stacks of
+    ``_stack_depth`` units.  Returns the units and the stacks, each
+    ``(members, n_rows, n_cols, diagonal)`` with ``members`` its unit indices.
+    """
+    units = []
+    groups: dict[tuple, list[int]] = {}
+    for p, q in pairs:
+        self_pair = ys is xs and q == p
+        n_rows, n_cols = xs[p].shape[0], ys[q].shape[0]
+        for r0 in range(0, n_rows, TILE):
+            rows = min(TILE, n_rows - r0)
+            for c0 in range(r0 if self_pair else 0, n_cols, TILE):
+                key = (rows, min(TILE, n_cols - c0), self_pair and c0 == r0)
+                groups.setdefault(key, []).append(len(units))
+                units.append((p, q, r0, c0))
+    dim = xs[0].shape[-1]
+    stacks = []
+    for (n_rows, n_cols, diagonal), members in groups.items():
+        depth = _stack_depth(n_rows, n_cols, dim)
+        for s in range(0, len(members), depth):
+            stacks.append((members[s : s + depth], n_rows, n_cols, diagonal))
+    return units, stacks
+
+
+def _gather(blocks, units, side: int, length: int) -> np.ndarray:
+    """The ``length`` rows each unit of a stack reads from its row (``side``
+    0) or column (``side`` 1) block, stacked; one unit's rows are a view."""
+    rows = [blocks[u[side]][u[side + 2] : u[side + 2] + length] for u in units]
+    if len(rows) == 1:
+        return rows[0][None]
+    return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
+
+
+def _operands(xs, ys, units, stack):
+    """A stack's units and its stacked row and column operands.  A stack of
+    diagonal tiles has one array on both sides, as in a self block's own
+    product, so BLAS takes the same symmetric (syrk) product."""
+    members, n_rows, n_cols, diagonal = stack
+    chosen = [units[i] for i in members]
+    x = _gather(xs, chosen, 0, n_rows)
+    return chosen, x, x if diagonal else _gather(ys, chosen, 1, n_cols)
 
 
 def _tiled_sums(spec, xs, ys=None, cross=True):
@@ -203,62 +241,47 @@ def _tiled_sums(spec, xs, ys=None, cross=True):
     plus the diagonal sums of each row block when the blocks are paired with
     themselves (``ys`` None).
 
-    Each pair is tiled on its own TILE grid from the blocks' first rows and
-    its tile sums are added in row-major tile order, so a block pair's sum
-    does not depend on the other blocks; a self block evaluates the tiles on
-    or above its diagonal and adds each off-diagonal tile's sum twice.
-    Pairs that fit at least twice in one tile are one tile each, and those
-    of equal shape (and both self blocks or both not) are evaluated together
-    in stacks of at most TILE^2 elements: a pair's sum is the flat sum of
-    its slice and a self block's trace the diagonal of its slice, the same
-    bits as its own ``gram`` call.  ``cross=False`` visits only the self
-    pairs and leaves the other sums NaN.
+    The pairs' tiles are ``_schedule``'s units: a stack is one ``_gram``
+    call, a unit's sum the flat sum of its slice and a diagonal unit's trace
+    the diagonal of its slice.  A pair's sum adds its units' sums in
+    row-major tile order, an off-diagonal tile of a self block twice, so it
+    does not depend on the other blocks or on the stacking.  ``cross=False``
+    visits only the self pairs and leaves the other sums NaN.  A sum that is
+    not finite raises ``NumericalError``.
     """
     symmetric = ys is None
     cols = xs if symmetric else ys
+    if symmetric:
+        pairs = [(p, q) for p in range(len(xs)) for q in (range(p, len(xs)) if cross else (p,))]
+    else:
+        pairs = [(p, q) for p in range(len(xs)) for q in range(len(cols))]
+    units, stacks = _schedule(xs, cols, pairs)
+    parts = np.empty(len(units))
+    diagonals = np.zeros(len(units))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stack in stacks:
+            members = stack[0]
+            tiles = _gram(spec, *_operands(xs, cols, units, stack)[1:])
+            parts[members] = tiles.reshape(len(members), -1).sum(axis=1)
+            if stack[3]:
+                diagonals[members] = np.diagonal(tiles, axis1=1, axis2=2).sum(axis=1)
+    if not (np.isfinite(parts).all() and np.isfinite(diagonals).all()):
+        raise NumericalError("kernel sum is not finite")
     sums = np.full((len(xs), len(cols)), np.nan)
     traces = np.zeros(len(xs)) if symmetric else None
-    stacks: dict[tuple, list] = {}
-    for p, x in enumerate(xs):
-        if not symmetric:
-            qs = range(len(cols))
-        else:
-            qs = range(p, len(cols)) if cross else (p,)
-        for q in qs:
-            self_block = symmetric and q == p
-            shape = (x.shape[0], cols[q].shape[0])
-            if _stack_depth(*shape):
-                stacks.setdefault((*shape, self_block), []).append((p, q))
-                continue
-            total = 0.0
-            for r0, r1, c0, c1 in _tiles(*shape, self_block):
-                tile = gram(spec, x[r0:r1], cols[q][c0:c1])
-                part = tile.sum()
+    totals: dict[tuple, float] = {}
+    for (p, q, r0, c0), part, trace in zip(units, parts.tolist(), diagonals.tolist()):
+        total = totals.get((p, q), 0.0) + part
+        if symmetric and q == p:
+            if c0 != r0:
                 total += part
-                if not self_block:
-                    continue
-                if c0 != r0:
-                    total += part
-                else:
-                    traces[p] += np.diagonal(tile).sum()
-            sums[p, q] = total
-            if symmetric:
-                sums[q, p] = total
-    for (n_rows, n_cols, self_block), pairs in stacks.items():
-        depth = _stack_depth(n_rows, n_cols)
-        for s in range(0, len(pairs), depth):
-            ps, qs = (list(idx) for idx in zip(*pairs[s : s + depth]))
-            x = np.stack([xs[p] for p in ps])
-            # one array on both sides, as in a self block's own gram call, so
-            # BLAS takes the same symmetric (syrk) product and rounds the same
-            y = x if self_block else np.stack([cols[q] for q in qs])
-            tiles = _gram(spec, x, y)
-            parts = tiles.reshape(len(ps), -1).sum(axis=1)
-            sums[ps, qs] = parts
-            if symmetric:
-                sums[qs, ps] = parts
-            if self_block:
-                traces[ps] += np.diagonal(tiles, axis1=1, axis2=2).sum(axis=1)
+            else:
+                traces[p] += trace
+        totals[p, q] = total
+    for (p, q), total in totals.items():
+        sums[p, q] = total
+        if symmetric:
+            sums[q, p] = total
     return sums, traces
 
 

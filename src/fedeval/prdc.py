@@ -10,25 +10,25 @@ neighbor" around each sample and test strict containment:
 * coverage  -- fraction of reference balls containing at least one
   generated sample.
 
-Nearest neighbors are exact.  Distances are taken in square tiles of
-``kernelmmd.TILE`` rows and columns, so memory does not grow with the
-sample count: each row keeps its k smallest squared distances so far,
-unclipped, merged tile by tile with ``np.partition``.  Only the k-th
-value kept is clipped at 0 and square-rooted.  Both steps are
-non-decreasing, so they commute with taking the k-th smallest and the
-radius has the same bits as selecting among clipped, rooted distances.
-Row norms are computed once per sample array, not once per tile.  Ties
-in neighbor distance resolve to the same radius value regardless of
-index order.  The ball tests compare clipped, rooted distances with the
-radii.  ``prdc_aggregate`` reads the pooled radii, every client's radii
-(its diagonal blocks) and every ball test (row blocks of one pooled x
-generated pass) from a single pass over the pooled samples;
-``prdc_scores`` is the same pass over one client.  Without the pooled
-score (``pooled=False``, a scores round) each client is scored by that
-one-client pass alone, so no pooled radius or cross-client distance is
-built; equal-size clients whose own and generator blocks each fit at
-least twice in one tile are scored in stacks of at most TILE^2 elements
-per block, with the bits of their own ``prdc_scores`` calls.
+Nearest neighbors are exact.  Distances are taken on the kernel's work
+units (``kernelmmd._schedule``): every pair of sample sets is tiled on its
+own grid of ``kernelmmd.TILE`` rows and columns from the sets' first
+rows, so memory does not grow with the sample count and a set's
+distances do not depend on the other sets.  Each row keeps its k
+smallest squared distances so far, unclipped; only the k-th is clipped
+at 0 and square-rooted.  Both steps are non-decreasing, so the radius
+has the same bits as selecting among clipped, rooted distances, and ties
+resolve to the same value regardless of index order.  The ball tests
+compare clipped, rooted distances with the radii.
+
+``prdc_aggregate`` runs one pass.  Each client's self pair and the
+generator's give their own radii, bit for bit those of ``knn_radii``.
+The pooled radii start from the clients' k smallest and take in only
+the cross-client pairs.  One walk over the client x generator pairs
+tests every distance against the generator, client and pooled radii,
+so each client's scores are its own ``prdc_scores``.  Without the pooled
+score (``pooled=False``, a scores round) no cross-client distance is
+taken.  No pooled copy of the samples is made.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SampleCountError
-from .kernelmmd import _row_norms, _squared_distances, _stack_depth, _tiles
+from . import kernelmmd
+from .errors import NumericalError, SampleCountError
+from .kernelmmd import _gather, _operands, _row_norms, _schedule, _squared_distances
 from .statkit import ClientSet, _JsonFields, as_embeddings
 
 DEFAULT_K = 5
@@ -50,20 +51,6 @@ class PrdcResult(_JsonFields):
     recall: float
     density: float
     coverage: float
-
-
-def _stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stack sample blocks; block ``p`` is rows ``bounds[p]:bounds[p + 1]``."""
-    bounds = np.cumsum([0] + [m.shape[0] for m in mats])
-    return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)), bounds
-
-
-def _segments(bounds: np.ndarray, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
-    """Blocks ``first:last`` that meet rows ``lo:hi``, and where each starts
-    within that range."""
-    first = int(np.searchsorted(bounds, lo, side="right")) - 1
-    last = int(np.searchsorted(bounds, hi, side="left"))
-    return first, last, np.maximum(bounds[first:last], lo) - lo
 
 
 def _check_knn(k: int, counts) -> None:
@@ -88,85 +75,83 @@ def _distances(sq: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _merge_nearest(best: np.ndarray, lo: int, dists: np.ndarray) -> None:
-    """Fold a block of distances into the k smallest kept for rows ``lo..``."""
+def _merge_nearest(best: np.ndarray, lo: int, *dists: np.ndarray) -> None:
+    """Fold blocks of distances into the k smallest kept for rows ``lo..``."""
     k = best.shape[1]
-    rows = slice(lo, lo + dists.shape[0])
-    pool = np.concatenate([best[rows], dists], axis=1)
+    rows = slice(lo, lo + dists[0].shape[0])
+    pool = np.concatenate([best[rows], *dists], axis=1)
     pool.partition(k - 1, axis=1)
     best[rows] = pool[:, :k]
 
 
-def _radii(x: np.ndarray, k: int, partitions: list[np.ndarray]) -> list[np.ndarray]:
-    """k-th nearest-neighbor distance (self excluded) of every row of ``x``
-    among the rows of its own block, for each partition of the rows.
+def _smallest(sq: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest entries of each row of each tile of a stack (all of a
+    row that has at most k), in an array of their own; ``sq`` is
+    partitioned in place."""
+    if sq.shape[-1] > k:
+        sq.partition(k - 1, axis=-1)
+    return sq[..., :k].copy()
 
-    A partition is a list of block bounds: rows ``bounds[p]:bounds[p + 1]``
-    form block ``p``, and ``[0, n]`` is the whole set.  The k smallest
-    squared distances are kept unclipped; only the k-th is clipped and
-    rooted, which gives the same bits as selecting among the distances,
-    since both steps are non-decreasing.
+
+def _tile_distances(blocks, norms, units, stack) -> tuple[np.ndarray, list]:
+    """Unclipped squared distances of a stack of units, and its units.  A
+    distance that is not finite raises ``NumericalError``."""
+    chosen, x, y = _operands(blocks, blocks, units, stack)
+    sq = _squared_distances(x, y, *_operands(norms, norms, units, stack)[1:])
+    if not np.isfinite(sq.max()):
+        raise NumericalError("squared distance is not finite")
+    return sq, chosen
+
+
+def _nearest(blocks, norms, best, pairs, k: int) -> None:
+    """Merge the squared distances of block pairs into the k smallest kept
+    per row: pair ``(p, q)``'s rows go to ``best[p]`` and its columns to
+    ``best[q]``; a self pair leaves out each row's distance to itself.
+
+    Each stack of units is cut to the k smallest per tile row and per tile
+    column by one stacked partition each.  These are held per owner row
+    range, about TILE^2 of them at most, and each range then takes them in
+    with one merge.  Only values are kept, so the k smallest do not depend
+    on the stacking or on the order of the merges.
     """
-    n = x.shape[0]
-    x_sq = _row_norms(x)
-    best = [np.full((n, k), np.inf) for _ in partitions]
-    for r0, r1, c0, c1 in _tiles(n, n, symmetric=True):
-        dists = _squared_distances(x[r0:r1], x[c0:c1], x_sq[r0:r1], x_sq[c0:c1])
-        if c0 == r0:
-            np.fill_diagonal(dists, np.inf)
-        for bounds, kept in zip(partitions, best):
-            p, p_end, _ = _segments(bounds, r0, r1)
-            q, q_end, _ = _segments(bounds, c0, c1)
-            for b in range(max(p, q), min(p_end, q_end)):
-                a0, a1 = max(bounds[b], r0), min(bounds[b + 1], r1)
-                b0, b1 = max(bounds[b], c0), min(bounds[b + 1], c1)
-                block = dists[a0 - r0 : a1 - r0, b0 - c0 : b1 - c0]
-                _merge_nearest(kept, a0, block)
-                if c0 != r0:
-                    _merge_nearest(kept, b0, block.T)
-    return [_distances(kept[:, k - 1]) for kept in best]
+    units, stacks = _schedule(blocks, blocks, pairs)
+    held: dict[tuple, list] = {}
+    size = 0
+    for stack in stacks:
+        sq, chosen = _tile_distances(blocks, norms, units, stack)
+        if stack[3]:
+            diagonal = np.arange(stack[1])
+            sq[:, diagonal, diagonal] = np.inf
+        else:
+            near = _smallest(np.swapaxes(sq, 1, 2).copy(), k)
+            for (_, q, _, c0), cols in zip(chosen, near):
+                held.setdefault((q, c0), []).append(cols)
+            size += near.size
+        near = _smallest(sq, k)
+        for (p, _, r0, _), rows in zip(chosen, near):
+            held.setdefault((p, r0), []).append(rows)
+        size += near.size
+        if size >= kernelmmd.TILE**2 or stack is stacks[-1]:
+            for (owner, lo), found in held.items():
+                _merge_nearest(best[owner], lo, *found)
+            held.clear()
+            size = 0
+
+
+def _radius(best: np.ndarray) -> np.ndarray:
+    """Each row's k-th nearest-neighbor distance from its k smallest
+    squared distances."""
+    return _distances(best[:, -1].copy())
 
 
 def knn_radii(x, k: int) -> np.ndarray:
     """Distance from each sample to its k-th nearest neighbor (self excluded)."""
     x = as_embeddings(x)
     _check_knn(k, [x.shape[0]])
-    return _radii(x, k, [np.array([0, x.shape[0]])])[0]
-
-
-def _ball_scores(ref, gen, gen_radii, k, partitions) -> list[list[PrdcResult]]:
-    """Scores of ``gen`` against sets of ``ref`` rows, from one pass over the
-    ref x gen distance tiles.
-
-    Each partition is ``(radii, bounds)``: ref row ``i`` carries a ball of
-    radius ``radii[i]``, and rows ``bounds[p]:bounds[p + 1]`` form reference
-    set ``p``.  Returns one list of results per partition.
-    """
-    n, m = ref.shape[0], gen.shape[0]
-    # ref balls of each set that contain each generated sample
-    covers = [np.zeros((len(b) - 1, m), dtype=np.int64) for _, b in partitions]
-    # ref balls that contain any generated sample
-    covered = [np.zeros(n, dtype=bool) for _ in partitions]
-    # ref samples inside any generated ball
-    recalled = np.zeros(n, dtype=bool)
-    ref_sq, gen_sq = _row_norms(ref), _row_norms(gen)
-    for r0, r1, c0, c1 in _tiles(n, m, symmetric=False):
-        sq = _squared_distances(ref[r0:r1], gen[c0:c1], ref_sq[r0:r1], gen_sq[c0:c1])
-        dists = _distances(sq)
-        recalled[r0:r1] |= (dists < gen_radii[None, c0:c1]).any(axis=1)
-        for (radii, bounds), cover, hit in zip(partitions, covers, covered):
-            inside = dists < radii[r0:r1, None]
-            hit[r0:r1] |= inside.any(axis=1)
-            p, p_end, starts = _segments(bounds, r0, r1)
-            cover[p:p_end, c0:c1] += np.add.reduceat(inside, starts, axis=0, dtype=np.int64)
-    results = []
-    for (_, bounds), cover, hit in zip(partitions, covers, covered):
-        sets = []
-        for p in range(len(bounds) - 1):
-            rows = slice(bounds[p], bounds[p + 1])
-            sets.append(_result(cover[p], recalled[rows], hit[rows], k))
-        results.append(sets)
-    return results
+    best = np.full((x.shape[0], k), np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _nearest([x], [_row_norms(x)], [best], [(0, 0)], k)
+    return _radius(best)
 
 
 def _result(cover, recalled, covered, k: int) -> PrdcResult:
@@ -181,73 +166,60 @@ def _result(cover, recalled, covered, k: int) -> PrdcResult:
     )
 
 
-def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int):
-    """Scores of ``gen`` against the stacked sample blocks ``mats`` and
-    against each block, from one pass; one block is scored only as a whole.
+def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
+    """Scores of ``gen`` against each block of ``mats`` and, when ``pooled``,
+    against their union, from one pass over the block pairs.
 
-    Returns ``(pooled, per_block)``.
+    Every set's k smallest squared distances come from its self pair; the
+    union's start from the blocks' and take in the cross-block pairs.  One
+    walk over the block x generator pairs then tests every distance
+    against the generator radii and each set of block radii.
+    Returns ``(union, per_block)``, ``union`` None unless ``pooled``; one
+    block is its own union.
     """
     _check_blocks(mats, gen, k)
-    pooled, bounds = _stack(mats)
-    partitions = [bounds[[0, -1]]] + ([bounds] if len(mats) > 1 else [])
-    radii = _radii(pooled, k, partitions)
-    gen_radii = knn_radii(gen, k)
-    results = _ball_scores(pooled, gen, gen_radii, k, list(zip(radii, partitions)))
-    return results[0][0], results[-1]
-
-
-def _stacked_scores(xs: np.ndarray, gen: np.ndarray, gen_radii: np.ndarray, k: int):
-    """``prdc_scores`` of each block of a stack of equal-size blocks that,
-    with its generator block, fits in one tile: the same distances, radii
-    and ball counts, from one stacked call each."""
-    x_sq = _row_norms(xs)
-    own = _squared_distances(xs, xs, x_sq, x_sq)
-    rows = np.arange(xs.shape[1])
-    own[:, rows, rows] = np.inf
-    radii = _distances(np.partition(own, k - 1, axis=-1)[..., k - 1])
-    dists = _distances(_squared_distances(xs, gen, x_sq, _row_norms(gen)))
-    recalled = (dists < gen_radii).any(axis=-1)
-    inside = dists < radii[..., None]
-    covers = inside.sum(axis=1, dtype=np.int64)
-    covered = inside.any(axis=-1)
-    return [_result(*sets, k) for sets in zip(covers, recalled, covered)]
-
-
-def _own_scores(mats: list[np.ndarray], gen: np.ndarray, k: int) -> list[PrdcResult]:
-    """Each block's ``prdc_scores`` against ``gen``, from its own one-block
-    pass: no pooled radii or ball tests are built, and the generator radii
-    are taken once.
-
-    Equal-size blocks whose self and generator blocks each fit at least
-    twice in one tile are scored together, in stacks of at most TILE^2
-    elements per block pair; every other block runs the one-block pass.
-    """
-    _check_blocks(mats, gen, k)
-    gen_radii = knn_radii(gen, k)
-    m = gen.shape[0]
-    results: list = [None] * len(mats)
-    stacks: dict[int, list[int]] = {}
-    for i, x in enumerate(mats):
-        n = x.shape[0]
-        if _stack_depth(n, n) and _stack_depth(n, m):
-            stacks.setdefault(n, []).append(i)
-            continue
-        whole = [np.array([0, n])]
-        radii = _radii(x, k, whole)
-        results[i] = _ball_scores(x, gen, gen_radii, k, list(zip(radii, whole)))[0][0]
-    for n, members in stacks.items():
-        depth = min(_stack_depth(n, n), _stack_depth(n, m))
-        for s in range(0, len(members), depth):
-            chunk = members[s : s + depth]
-            scores = _stacked_scores(np.stack([mats[i] for i in chunk]), gen, gen_radii, k)
-            for i, result in zip(chunk, scores):
-                results[i] = result
-    return results
+    blocks, g, m = [*mats, gen], len(mats), gen.shape[0]
+    best = [np.full((b.shape[0], k), np.inf) for b in blocks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [_row_norms(b) for b in blocks]
+        _nearest(blocks, norms, best, [(p, p) for p in range(g + 1)], k)
+        radii = [[_radius(b) for b in best]]
+        if pooled and g > 1:
+            # the union's k smallest: the blocks' own, then the cross pairs
+            _nearest(blocks, norms, best, [(p, q) for p in range(g) for q in range(p + 1, g)], k)
+            radii.append([_radius(b) for b in best[:g]])
+        # per radii set: the balls of each block (of the union) around each
+        # generated sample, and each block's balls that hold one; then each
+        # block's samples in a generated ball
+        cover = [np.zeros((g, m), dtype=np.int64), np.zeros((1, m), dtype=np.int64)][: len(radii)]
+        covered = [[np.zeros(x.shape[0], dtype=bool) for x in mats] for _ in radii]
+        recalled = [np.zeros(x.shape[0], dtype=bool) for x in mats]
+        units, stacks = _schedule(blocks, blocks, [(p, g) for p in range(g)])
+        for stack in stacks:
+            sq, chosen = _tile_distances(blocks, norms, units, stack)
+            dists = _distances(sq)
+            n_rows, n_cols = stack[1], stack[2]
+            near_gen = (dists < _gather(radii[0], chosen, 1, n_cols)[:, None, :]).any(axis=2)
+            for (p, _, r0, _), hit in zip(chosen, near_gen):
+                recalled[p][r0 : r0 + n_rows] |= hit
+            for s, set_radii in enumerate(radii):
+                inside = dists < _gather(set_radii, chosen, 0, n_rows)[..., None]
+                counts = inside.sum(axis=1, dtype=np.int64)
+                for (p, _, r0, c0), count, hit in zip(chosen, counts, inside.any(axis=2)):
+                    cover[s][0 if s else p, c0 : c0 + n_cols] += count
+                    covered[s][p][r0 : r0 + n_rows] |= hit
+    per_block = [_result(cover[0][p], recalled[p], covered[0][p], k) for p in range(g)]
+    if not pooled:
+        return None, per_block
+    if g == 1:
+        return per_block[0], per_block
+    union = _result(cover[1][0], np.concatenate(recalled), np.concatenate(covered[1]), k)
+    return union, per_block
 
 
 def prdc_scores(ref, gen, k: int = DEFAULT_K) -> PrdcResult:
     """All four manifold metrics for a generated set against a reference set."""
-    return _scores([as_embeddings(ref)], as_embeddings(gen), k)[0]
+    return _scores([as_embeddings(ref)], as_embeddings(gen), k, pooled=False)[1][0]
 
 
 @dataclass
@@ -262,16 +234,13 @@ def prdc_aggregate(
 ) -> PrdcAggregate:
     """Pooled-reference scores plus the weighted mean of per-client scores.
 
-    ``pooled=False`` scores each client on its own data alone, as a client
-    holding only its samples runs ``prdc_scores``: no pooled radii or
-    pooled ball tests are built, and ``all`` is None.
+    Each client's scores are its own ``prdc_scores``, bit for bit.
+    ``pooled=False`` builds no pooled radii or pooled ball tests, as a
+    scores round, where each client holds only its samples; ``all`` is
+    then None.
     """
     gen = as_embeddings(gen)
-    mats = clients.client_embeddings()
-    if pooled:
-        all_, per_client = _scores(mats, gen, k)
-    else:
-        all_, per_client = None, _own_scores(mats, gen, k)
+    all_, per_client = _scores(clients.client_embeddings(), gen, k, pooled)
     w = clients.weights
     avg = PrdcResult(
         precision=float(w @ [r.precision for r in per_client]),

@@ -205,18 +205,32 @@ def _json_objects(value, what: str) -> list[dict]:
     return value
 
 
+def _json_field(obj: dict, key: str, what: str):
+    """``obj[key]``, else a ValueError naming ``what`` and the missing field."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{what} has no field {key!r}") from None
+
+
 def _floats(value, what: str) -> np.ndarray:
-    """``value`` as a float64 array; a JSON object or other non-number is a
-    ValueError naming ``what``."""
+    """``value`` as a float64 array; a JSON object, a string or a ragged
+    list is a ValueError naming ``what``."""
     try:
         return np.asarray(value, dtype=np.float64)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number or nested lists of numbers") from None
 
 
 def _is_int(value) -> bool:
     """An integer, and not a bool (which Python counts as one)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number, and not a bool (which Python counts as an integer)."""
+    real = (int, float, np.integer, np.floating)
+    return isinstance(value, real) and not isinstance(value, bool)
 
 
 def _check_finite(mean, cov) -> None:
@@ -260,8 +274,9 @@ class GaussianStats(_JsonFields):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GaussianStats":
         _json_object(obj, "moments")
-        stats = cls(n=obj["n"], mean=obj["mean"], cov=obj["cov"])
-        if "second_moment" in obj and obj["second_moment"] is not None:
+        n, mean, cov = (_json_field(obj, key, "moments") for key in ("n", "mean", "cov"))
+        stats = cls(n=n, mean=mean, cov=cov)
+        if obj.get("second_moment") is not None:
             s = _floats(obj["second_moment"], "second_moment")
             expected = stats.cov + np.outer(stats.mean, stats.mean)
             scale = max(float(np.linalg.norm(expected)), 1.0)
@@ -384,6 +399,8 @@ class ClientSet:
             self.weights = counts / counts.sum()
         elif all(w is not None for w in explicit):
             w = np.array(explicit, dtype=np.float64)
+            if not np.isfinite(w).all():
+                raise ValueError("client weights must be finite")
             if (w < 0).any():
                 raise ValueError("client weights must be nonnegative")
             if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -435,19 +452,24 @@ def load_client_set(path) -> ClientSet:
         obj = _json_object(json.load(fh), "client set")
     base = path.parent
     clients = []
-    for entry in _json_objects(obj["clients"], "clients"):
-        embeddings = None
-        stats = None
-        if entry.get("embeddings"):
-            embeddings = ingest(base / entry["embeddings"])
-        if entry.get("moments"):
-            stats = load_stats(base / entry["moments"])
+
+    def data_file(entry: dict, key: str) -> Path | None:
+        name = entry.get(key)
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"client set field {key!r} must be a file path, got {name!r}")
+        return base / name if name else None
+
+    for entry in _json_objects(_json_field(obj, "clients", "client set"), "clients"):
+        weight = entry.get("weight")
+        if weight is not None and not _is_real(weight):
+            raise ValueError(f"client set field 'weight' must be a number, got {weight!r}")
+        embeddings, stats = data_file(entry, "embeddings"), data_file(entry, "moments")
         clients.append(
             Client(
-                id=str(entry["id"]),
-                weight=entry.get("weight"),
-                embeddings=embeddings,
-                stats=stats,
+                id=str(_json_field(entry, "id", "client set entry")),
+                weight=weight,
+                embeddings=None if embeddings is None else ingest(embeddings),
+                stats=None if stats is None else load_stats(stats),
             )
         )
     return ClientSet(clients)

@@ -255,6 +255,19 @@ def test_barycenter_lapack_failure_exit_2(workspace, capsys, monkeypatch):
     assert err.startswith("fedeval: numerical failure: Eigenvalues did not converge")
 
 
+def test_non_finite_scores_exit_2(workspace, capsys):
+    """A kernel sum or a distance that overflows is a numerical failure,
+    with one error line and no warning, not a NaN score."""
+    tmp, data = workspace
+    (tmp / "k.json").write_text(json.dumps({"offset": 1e200}))
+    args = ["kid", "--ref", tmp / "gen.fevb", "--gen", tmp / "gen.fevb", "--kernel", tmp / "k.json"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == "fedeval: numerical failure: kernel sum is not finite\n"
+    write_embeddings(data["gen"] * 1e160, tmp / "huge.fevb")
+    assert run_cli(["prdc", "--ref", tmp / "huge.fevb", "--gen", tmp / "gen.fevb"]) == 2
+    assert capsys.readouterr().err == "fedeval: numerical failure: squared distance is not finite\n"
+
+
 def test_counterexample_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(2)
     write_embeddings(rng.normal(size=(20, 3)) + np.array([1.0, 0, 0]), tmp_path / "a.fevb")
@@ -560,6 +573,11 @@ MALFORMED_JSON_INPUTS = {
     "scenario-cov-object": (
         "scenario", small_scenario(**_client_field(cov={})), f"covariance {_NUMBERS}"
     ),
+    "scenario-cov-string": (
+        "scenario",
+        small_scenario(**_client_field(cov=[["x", 0.0], [0.0, 1.0]])),
+        f"covariance {_NUMBERS}",
+    ),
     "scenario-point-object": (
         "scenario",
         small_scenario(**_generator_field(kind="point", point={})),
@@ -569,6 +587,36 @@ MALFORMED_JSON_INPUTS = {
     "clients-object": ("clients", {"clients": {"id": "c"}}, f"clients {_LIST_OF_OBJECTS}"),
     "clients-strings": ("clients", {"clients": ["c1"]}, f"clients {_LIST_OF_OBJECTS}"),
     "clients-list": ("clients", [], "client set must be a JSON object"),
+    "clients-missing": ("clients", {}, "client set has no field 'clients'"),
+    "clients-id-missing": (
+        "clients", {"clients": [{"embeddings": "c1.fevb"}]}, "client set entry has no field 'id'"
+    ),
+    "clients-moments-object": (
+        "clients",
+        {"clients": [{"id": "c1", "moments": {"a": 1}}]},
+        "client set field 'moments' must be a file path, got {'a': 1}",
+    ),
+    "clients-moments-list": (
+        "clients",
+        {"clients": [{"id": "c1", "moments": ["m.json"]}]},
+        "client set field 'moments' must be a file path, got ['m.json']",
+    ),
+    "clients-weight-string": (
+        "clients",
+        {"clients": [{"id": "c1", "embeddings": "c1.fevb", "weight": "x"}]},
+        "client set field 'weight' must be a number, got 'x'",
+    ),
+    "clients-weight-nan": (
+        "clients",
+        {"clients": [{"id": "c1", "embeddings": "c1.fevb", "weight": float("nan")}]},
+        "client weights must be finite",
+    ),
+    "moments-mean-missing": (
+        "moments", {"n": 5, "cov": [[1.0, 0.0], [0.0, 1.0]]}, "moments has no field 'mean'"
+    ),
+    "moments-cov-string": (
+        "moments", {"n": 5, "mean": [0.0, 0.0], "cov": [["x", 0.0], [0.0, 1.0]]}, f"covariance {_NUMBERS}"
+    ),
     "moments-mean-object": (
         "moments", {"n": 5, "mean": {}, "cov": [[1.0, 0.0], [0.0, 1.0]]}, f"mean {_NUMBERS}"
     ),

@@ -22,6 +22,7 @@ from fedeval import (
     mmd2,
 )
 
+from fedeval.errors import NumericalError
 from fedeval.kernelmmd import kernel_stats
 
 from conftest import random_raw_clients
@@ -329,3 +330,12 @@ def test_no_gram_cap():
     # scores are built from bounded tiles, so more than 20000 samples per
     # side (the size the old full-matrix path refused) are scored
     assert mmd2(KernelSpec(), np.zeros((20001, 1)), np.zeros((2, 1))).value == 0.0
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(offset=1e200), KernelSpec(offset=-1e200, degree=2)])
+def test_non_finite_kernel_sum_raises(spec, rng):
+    x = rng.normal(size=(10, 3))
+    clients = ClientSet([Client(id="a", embeddings=x), Client(id="b", embeddings=x + 1.0)])
+    for score in (lambda: mmd2(spec, x, x), lambda: kernel_stats(clients, x, spec)):
+        with pytest.raises(NumericalError, match="^kernel sum is not finite$"):
+            score()

@@ -13,6 +13,7 @@ from fedeval import (
     prdc_aggregate,
     prdc_scores,
 )
+from fedeval.errors import NumericalError
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +200,14 @@ def test_aggregate_requires_raw_embeddings(rng):
     )
     with pytest.raises(ValueError, match="raw"):
         prdc_aggregate(clients, rng.normal(size=(8, 1)), k=2)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_non_finite_distances_raise(rng, scale):
+    # squared norms overflow: the distances would be inf or NaN, and every
+    # ball test silently false
+    ref, gen = scale * rng.normal(size=(12, 3)), scale * rng.normal(size=(10, 3))
+    with pytest.raises(NumericalError, match="^squared distance is not finite$"):
+        prdc_scores(ref, gen, k=2)
+    with pytest.raises(NumericalError, match="^squared distance is not finite$"):
+        knn_radii(ref, k=2)

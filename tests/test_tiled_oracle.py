@@ -17,6 +17,7 @@ carry no duplicates.
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -361,6 +362,15 @@ def test_client_scores_bit_identical_to_mmd2(case, kind, cross):
 # stacked block pairs against the per-pair tile loop
 
 
+def tiles(n_rows, n_cols, symmetric, side):
+    """``(r0, r1, c0, c1)`` of the side x side tiles covering an n_rows x
+    n_cols matrix, row tile by row tile; ``symmetric`` keeps those on or
+    above the diagonal."""
+    for r0 in range(0, n_rows, side):
+        for c0 in range(r0 if symmetric else 0, n_cols, side):
+            yield r0, min(r0 + side, n_rows), c0, min(c0 + side, n_cols)
+
+
 def per_pair_tiled_sums(spec, xs, ys=None, cross=True):
     """The per-pair tile loop the stacked pass replaced: every block pair on
     its own tile grid, one ``gram`` call per tile."""
@@ -376,7 +386,7 @@ def per_pair_tiled_sums(spec, xs, ys=None, cross=True):
         for q in qs:
             self_block = symmetric and q == p
             total = 0.0
-            for r0, r1, c0, c1 in kernelmmd._tiles(x.shape[0], cols[q].shape[0], self_block):
+            for r0, r1, c0, c1 in tiles(x.shape[0], cols[q].shape[0], self_block, kernelmmd.TILE):
                 tile = kernelmmd.gram(spec, x[r0:r1], cols[q][c0:c1])
                 part = tile.sum()
                 total += part
@@ -621,3 +631,204 @@ def test_radii_on_real_valued_duplicates(rng):
         assert prdc.knn_radii(x, k).tobytes() == oracle_radii(x, k).tobytes()
         with small_tiles():
             assert prdc.knn_radii(x, k).tobytes() == oracle_radii(x, k).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the client-block tile engine
+
+
+@st.composite
+def copying_instances(draw, max_clients=4):
+    """Clients on both sides of the small tile side and a generator set that
+    copies some client samples: the memorisation PRDC exists to detect,
+    which puts ball tests on exact distance ties."""
+    d = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(4, 3 * SMALL_TILE), min_size=1, max_size=max_clients))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mats = [rng.integers(-2, 3, size=(n, d)).astype(np.float64) for n in sizes]
+    else:
+        mats = [rng.normal(size=(n, d)) + rng.normal(size=d) for n in sizes]
+    pooled = np.concatenate(mats)
+    copies = pooled[rng.choice(len(pooled), size=draw(st.integers(1, len(pooled))))]
+    gen = np.concatenate([copies, 1.3 * rng.normal(size=(draw(st.integers(0, 12)), d))])
+    if len(gen) < 4:
+        gen = np.concatenate([gen, rng.normal(size=(4, d))])
+    rng.shuffle(gen)
+    return ClientSet([Client(id=f"c{i}", embeddings=x) for i, x in enumerate(mats)]), gen
+
+
+@contextmanager
+def recorded_radii():
+    """Every radius array the PRDC pass computes, in order: each client's,
+    the generator's, then each client's pooled ones."""
+    saved, radii = prdc._radius, []
+
+    def recording(best):
+        radii.append(saved(best))
+        return radii[-1]
+
+    prdc._radius = recording
+    try:
+        yield radii
+    finally:
+        prdc._radius = saved
+
+
+@SETTINGS
+@given(copying_instances(), st.integers(1, 3))
+def test_prdc_aggregate_per_client_is_prdc_scores(case, k):
+    # each client's radii and ball tests come from its own block pairs, so
+    # the pooled pass scores it bit for bit as prdc_scores does, with or
+    # without the pooled radii
+    clients, gen = case
+    with small_tiles():
+        pooled = prdc.prdc_aggregate(clients, gen, k=k)
+        own = prdc.prdc_aggregate(clients, gen, k=k, pooled=False)
+        alone = [prdc.prdc_scores(c.embeddings, gen, k=k) for c in clients]
+    assert pooled.per_client == alone
+    assert own.per_client == alone
+    assert pooled.avg == own.avg
+
+
+@SETTINGS
+@given(copying_instances(), st.integers(1, 3))
+def test_prdc_aggregate_radii_are_knn_radii(case, k):
+    clients, gen = case
+    sets = [*(c.embeddings for c in clients), gen]
+    with small_tiles():
+        with recorded_radii() as radii:
+            prdc.prdc_aggregate(clients, gen, k=k)
+        want = [prdc.knn_radii(x, k) for x in sets]
+    assert [r.tobytes() for r in radii[: len(sets)]] == [r.tobytes() for r in want]
+    if len(clients) > 1:
+        # the pooled radii on the integer grid, where every distance is exact
+        pooled = np.concatenate(radii[len(sets) :])
+        if all((x == np.round(x)).all() for x in sets):
+            assert pooled.tobytes() == oracle_radii(np.concatenate(sets[:-1]), k).tobytes()
+
+
+@SETTINGS
+@given(copying_instances(), st.integers(1, 3), st.sampled_from(["polynomial", "rbf"]), st.data())
+def test_client_scores_independent_of_other_clients(case, k, kind, data):
+    # a client's KID and PRDC scores do not change when other clients are
+    # added, removed or renamed (which reorders them)
+    clients, gen = case
+    mats = [c.embeddings for c in clients]
+    keep = data.draw(st.permutations(range(len(mats))))[: data.draw(st.integers(1, len(mats)))]
+    extra = [Client(id="r9", embeddings=gen[: data.draw(st.integers(4, len(gen)))] + 0.5)]
+    renamed = ClientSet(
+        [Client(id=f"r{j}", embeddings=mats[i]) for j, i in enumerate(keep)]
+        + (extra if data.draw(st.booleans()) else [])
+    )
+    spec = KernelSpec(kind=kind)
+    with small_tiles():
+        before = prdc.prdc_aggregate(clients, gen, k=k).per_client
+        after = prdc.prdc_aggregate(renamed, gen, k=k).per_client
+        kid_before = kernelmmd.kernel_stats(clients, gen, spec)
+        kid_after = kernelmmd.kernel_stats(renamed, gen, spec)
+    for j, i in enumerate(keep):
+        assert after[j] == before[i]
+        for estimator in ("vstat", "ustat"):
+            got = outcome(lambda: kid_after.client_mmd2(j, estimator))
+            want = outcome(lambda: kid_before.client_mmd2(i, estimator))
+            assert repr(got) == repr(want)
+
+
+@contextmanager
+def unstacked():
+    saved = kernelmmd._stack_depth
+    kernelmmd._stack_depth = lambda n_rows, n_cols, dim: 1
+    try:
+        yield
+    finally:
+        kernelmmd._stack_depth = saved
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from([4, 6, 8]).flatmap(
+        lambda tile: st.tuples(st.just(tile), size_pool_clients(5, 2 * tile + 2, 16))
+    ),
+    st.sampled_from(["polynomial", "rbf"]),
+    st.integers(1, 4),
+)
+def test_stacked_units_bit_identical_to_depth_one(case, kind, k):
+    # numpy runs one BLAS product per stacked tile, so a unit has the same
+    # bits in a stack as alone: every kernel sum and every PRDC result
+    tile, (clients, gen) = case
+    spec = KernelSpec(kind=kind)
+    with small_tiles(tile):
+        got = kernelmmd.kernel_stats(clients, gen, spec)
+        got_prdc = prdc.prdc_aggregate(clients, gen, k=k)
+        with unstacked():
+            want = kernelmmd.kernel_stats(clients, gen, spec)
+            want_prdc = prdc.prdc_aggregate(clients, gen, k=k)
+    assert_same_stats(got, want)
+    assert got_prdc.to_json_dict() == want_prdc.to_json_dict()
+
+
+def test_stacks_copy_at_most_a_tile_of_inputs(rng):
+    # the thin remainder tiles along a long block have equal shapes; a stack
+    # of them holds at most TILE^2 input elements, not a copy of the block
+    d = 4
+    blocks = [rng.normal(size=(8 * 40, d)), rng.normal(size=(9, d))]
+    with small_tiles(8):
+        _, stacks = kernelmmd._schedule(blocks, blocks, [(0, 1), (1, 1)])
+    assert {(n_rows, n_cols) for _, n_rows, n_cols, _ in stacks} >= {(8, 8), (8, 1)}
+    for members, n_rows, n_cols, _ in stacks:
+        assert len(members) == 1 or len(members) * (n_rows + n_cols) * d <= 8 * 8
+        assert len(members) * n_rows * n_cols <= 8 * 8
+
+
+def tile_triangle(n, tile):
+    """U(n): the distance elements of a set's self pair, the tiles on and
+    above the diagonal of its own TILE grid."""
+    sides = [min(tile, n - s) for s in range(0, n, tile)]
+    return (n * n + sum(s * s for s in sides)) // 2
+
+
+@pytest.mark.parametrize(
+    "tile, sizes, m, k",
+    [(256, (200,) * 6, 320, 5), (7, (6, 9, 16, 16), 11, 3), (7, (9,), 15, 2)],
+)
+def test_prdc_pass_distance_elements(distance_elements, rng, tile, sizes, m, k):
+    """Each set's self pair once (U(n) elements), each cross-client pair once
+    and each client x generator pair once: at kernel-knn size (6 clients of
+    200, 320 generated samples) 1 310 016 elements."""
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(n, 3))) for i, n in enumerate(sizes)]
+    )
+    gen = rng.normal(size=(m, 3))
+    with small_tiles(tile):
+        prdc.prdc_aggregate(clients, gen, k=k)
+    n = np.array(sizes)
+    cross = (n.sum() ** 2 - (n**2).sum()) // 2
+    want = sum(tile_triangle(v, tile) for v in sizes) + cross + n.sum() * m + tile_triangle(m, tile)
+    assert sum(distance_elements) == want
+    assert tile != 256 or want == 1_310_016
+
+
+def test_memory_bounded_by_tiles_and_radii(rng):
+    """Neither pass copies the samples: the tracemalloc peak of the PRDC
+    pass is bounded by the k smallest kept per row (N k) plus a few tiles,
+    and the kernel pass's by a few tiles, both below the N d of one pooled
+    copy."""
+    k, n, d, m = prdc.DEFAULT_K, 5000, 64, 500
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(n, d))) for i in range(4)]
+    )
+    gen = rng.normal(size=(m, d))
+    big = 4 * n
+    tile = kernelmmd.TILE**2
+    for run, bound in (
+        (lambda: prdc.prdc_aggregate(clients, gen, k=k), 8 * (4 * big * k + 8 * tile)),
+        (lambda: kernelmmd.kernel_stats(clients, gen), 8 * 8 * tile),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < 8 * big * d, (peak, bound)
