@@ -19,14 +19,10 @@ gap is reported next to the nominal lower bound ``2u``.
 
 :func:`search_matched_pair` additionally runs a derivative-free search
 for a generator that matches ``g_hat``'s per-client scores numerically
-while keeping the pooled-score gap as large as possible.
-
-This is the only module that uses scipy (``null_space`` and
-Nelder–Mead), and it imports scipy inside the two functions that need
-it, on purpose: the package and the CLI load this module, and a
-module-level import would make every subcommand pay scipy's start-up
-time and memory.  ``tests/test_imports.py`` checks that no other
-subcommand loads scipy.
+while keeping the pooled-score gap as large as possible, with the
+adaptive Nelder–Mead simplex method of :func:`_nelder_mead`.  The module
+needs numpy alone: the complement of the client means comes from
+numpy's SVD.
 """
 
 from __future__ import annotations
@@ -71,10 +67,15 @@ class CounterexampleReport(_JsonFields):
 
 
 def _mean_complement_basis(means: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the complement of span{client means}."""
-    from scipy.linalg import null_space
-
-    basis = null_space(means)
+    """Orthonormal basis (columns) of the complement of span{client means}:
+    the right singular vectors past the numerical rank, the count of
+    singular values above ``s_max * eps * max(K, d)``, each signed so that
+    its first entry above ``SIGN_FIX_TOL`` in magnitude is positive."""
+    _, s, vh = np.linalg.svd(means, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(means.shape))
+    # Columns of a C-ordered V, the layout scipy's null_space returns, so
+    # products with the basis round as they always have.
+    basis = np.ascontiguousarray(vh.T)[:, np.sum(s > tol, dtype=int):]
     if basis.size == 0:
         raise ValueError(
             "no orthogonal direction: client means span the embedding space"
@@ -101,13 +102,96 @@ def _client_spread(clients: ClientSet):
 
 
 def _starting_simplex(x0: np.ndarray) -> np.ndarray:
-    """scipy's default Nelder–Mead starting simplex around ``x0``: ``x0``,
-    then ``x0`` with coordinate k scaled by ``1 + 0.05``, or set to
-    ``0.00025`` where it is 0."""
+    """The usual Nelder–Mead starting simplex around ``x0``: ``x0``, then
+    ``x0`` with coordinate k scaled by ``1 + 0.05``, or set to ``0.00025``
+    where it is 0."""
     n = x0.shape[0]
     simplex = np.tile(x0, (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     return simplex
+
+
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after the last one the budget allows."""
+
+
+def _nelder_mead(objective, simplex, maxfev, xatol, fatol) -> np.ndarray:
+    """The best vertex found by the adaptive Nelder–Mead method (Gao & Han
+    2012) from ``simplex``, its N+1 vertices in the rows.
+
+    Stops after ``maxfev`` evaluations of ``objective``, or once every
+    vertex is within ``xatol`` of the best one and every value within
+    ``fatol`` of the best value.  This is scipy's ``minimize(...,
+    method="Nelder-Mead")`` with ``initial_simplex``, ``maxfev``,
+    ``xatol``, ``fatol`` and ``adaptive=True``, operation for operation, so
+    it evaluates the same points and returns the same bits (the tests hold
+    it to scipy).  The budget ends an iteration where it runs out: a shrink
+    stops at the vertex it moved but may not evaluate, which keeps its old
+    value.
+    """
+    sim = np.array(simplex, dtype=np.float64)
+    n = sim.shape[1]
+    # Expansion, contraction and shrink; the reflection coefficient is 1
+    # and left out of the products below.
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return objective(x)
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # Sorted twice, as scipy does: argsort is not stable, so the second
+    # sort may reorder tied values.
+    sim, fsim = by_value(*by_value(sim, fsim))
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # Outside contraction.
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    # Inside contraction.
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0]
 
 
 def _client_and_pool_references(clients: ClientSet):
@@ -177,15 +261,13 @@ def search_matched_pair(
     the budget runs out before the per-client residual sum reaches
     1e-6, the best iterate is returned flagged as not converged.
 
-    Each stage starts from scipy's default simplex, built here and passed
-    as ``initial_simplex``.  The vertices scipy evaluates first are scored
-    in one stacked call before the stage runs, and its calls for exactly
-    those vertices (matched by their bytes) are answered from that table;
-    numpy solves a stack one matrix at a time, so every value is the one
-    the per-candidate path gives.
+    Each stage runs :func:`_nelder_mead` from the usual starting simplex
+    around the last stage's result.  The vertices it evaluates first are
+    scored in one stacked call before the stage runs, and its calls for
+    exactly those vertices (matched by their bytes) are answered from that
+    table; numpy solves a stack one matrix at a time, so every value is
+    the one the per-candidate path gives.
     """
-    from scipy.optimize import minimize
-
     means, u, _ = _client_spread(clients)
     k, d = means.shape
     if k >= 2 and u <= DEGENERATE_U_TOL:
@@ -219,7 +301,7 @@ def search_matched_pair(
 
     def prescore(simplex):
         # The vertices' scores from one _distances call (one eigvalsh over
-        # every vertex and reference), in the order scipy evaluates them.
+        # every vertex and reference), in the order the simplex evaluates them.
         # If a vertex fails, nothing is prescored: the live path then
         # raises the first failure in the order it always did.
         try:
@@ -245,19 +327,7 @@ def search_matched_pair(
             r, gap = residuals_and_gap(scores)
             return penalty * float(r @ r) - abs(gap)
 
-        result = minimize(
-            objective,
-            theta,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxfev": per_stage,
-                "xatol": 1e-12,
-                "fatol": 1e-14,
-                "adaptive": True,
-            },
-        )
-        theta = result.x
+        theta = _nelder_mead(objective, simplex, per_stage, xatol=1e-12, fatol=1e-14)
 
     best = GaussianModel(*candidate(theta))
     residuals, _ = residuals_and_gap(_distances(refs, best.mean, best.cov)[0])

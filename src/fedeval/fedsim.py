@@ -56,6 +56,7 @@ from .statkit import (
     _floats,
     _is_int,
     _is_real,
+    _json_field,
     _json_object,
     _json_objects,
     json_text,
@@ -562,21 +563,21 @@ class Scenario:
         _json_object(obj, "scenario")
         clients = [
             ClientSpec(
-                id=str(c["id"]),
-                mean=c["mean"],
-                cov=c["cov"],
-                n=c["n"],
+                id=str(_json_field(c, "id", "scenario client")),
+                mean=_json_field(c, "mean", "scenario client"),
+                cov=_json_field(c, "cov", "scenario client"),
+                n=_json_field(c, "n", "scenario client"),
                 seed=c.get("seed"),
             )
-            for c in _json_objects(obj["clients"], "scenario clients")
+            for c in _json_objects(_json_field(obj, "clients", "scenario"), "scenario clients")
         ]
         generators = []
-        for g in _json_objects(obj["generators"], "scenario generators"):
+        for g in _json_objects(_json_field(obj, "generators", "scenario"), "scenario generators"):
             generators.append(
                 GeneratorSpec(
-                    id=str(g["id"]),
+                    id=str(_json_field(g, "id", "scenario generator")),
                     kind=g.get("kind", "gaussian"),
-                    n=g["n"],
+                    n=_json_field(g, "n", "scenario generator"),
                     mean=g.get("mean"),
                     cov=g.get("cov"),
                     point=g.get("point"),

@@ -133,24 +133,33 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     Gaussian, or a stack that broadcasts against the references.
 
     One ``eigvalsh`` takes every product.  Returns the ``(value,
-    mean_term, trace_term)`` arrays.
+    mean_term, trace_term)`` arrays.  A product or a value that overflows
+    is a :class:`NumericalError`, not a warning.
     """
     if refs.means.shape[-1] != mean.shape[-1]:
         raise ValueError(f"dimension mismatch: {refs.means.shape[-1]} vs {mean.shape[-1]}")
-    mean_term = np.sum((refs.means - mean) ** 2, axis=-1)
-    inner = refs.roots @ cov @ refs.roots
-    w = np.linalg.eigvalsh((inner + np.swapaxes(inner, -1, -2)) / 2.0)
-    cross = np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
-    trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
-    value = mean_term + trace_term
-    if (_below_clamp(refs.spectra) | _below_clamp(w) | (value < -VALUE_CLAMP)).any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_term = np.sum((refs.means - mean) ** 2, axis=-1)
+        inner = refs.roots @ cov @ refs.roots
+        finite = np.isfinite(inner).all(axis=(-2, -1))
+        w = np.linalg.eigvalsh((inner + np.swapaxes(inner, -1, -2)) / 2.0)
+        cross = np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
+        trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
+        value = mean_term + trace_term
+    checks = _below_clamp(refs.spectra) | _below_clamp(w) | ~finite | ~np.isfinite(value)
+    if (checks | (value < -VALUE_CLAMP)).any():
         # The first failing row (in C order over a stack of targets) raises
         # its first failing check: its root, its product, then its value.
         d = w.shape[-1]
         spectra = np.broadcast_to(refs.spectra, w.shape).reshape(-1, d)
-        for spectrum, row, v in zip(spectra, w.reshape(-1, d), value.reshape(-1)):
+        rows = zip(spectra, w.reshape(-1, d), finite.reshape(-1), value.reshape(-1))
+        for spectrum, row, row_finite, v in rows:
             _clamp(spectrum, "matrix")
+            if not row_finite:
+                raise NumericalError("covariance product is not finite")
             _clamp(row, "covariance product")
+            if not np.isfinite(v):
+                raise NumericalError("distance is not finite")
             if v < -VALUE_CLAMP:
                 raise NumericalError(f"distance {float(v)!r} below clamp threshold")
     return np.where(value < 0.0, 0.0, value), mean_term, trace_term

@@ -268,6 +268,15 @@ def test_non_finite_scores_exit_2(workspace, capsys):
     assert capsys.readouterr().err == "fedeval: numerical failure: squared distance is not finite\n"
 
 
+def test_non_finite_frechet_distance_exit_2(tmp_path, capsys):
+    """A Fréchet distance that overflows is a numerical failure with one
+    error line and no warning, not an infinite score."""
+    for name, mean in (("ref", [1e308, 0.0]), ("gen", [0.0, 0.0])):
+        save_stats(fedeval.GaussianStats(n=10, mean=mean, cov=np.eye(2)), tmp_path / f"{name}.json")
+    assert run_cli(["fid", "--ref", tmp_path / "ref.json", "--gen", tmp_path / "gen.json"]) == 2
+    assert capsys.readouterr().err == "fedeval: numerical failure: distance is not finite\n"
+
+
 def test_counterexample_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(2)
     write_embeddings(rng.normal(size=(20, 3)) + np.array([1.0, 0, 0]), tmp_path / "a.fevb")
@@ -293,11 +302,10 @@ def test_counterexample_search_non_finite_candidate_exits_1(tmp_path, monkeypatc
     """A non-finite search candidate is an input error (exit 1), raised
     before any eigensolver sees it."""
 
-    def minimize(objective, theta, **kwargs):
-        objective(np.full_like(theta, np.inf))
+    def nelder_mead(objective, simplex, maxfev, **tolerances):
+        objective(np.full_like(simplex[0], np.inf))
 
-    # search_matched_pair imports minimize when called, so this patch holds.
-    monkeypatch.setattr("scipy.optimize.minimize", minimize)
+    monkeypatch.setattr("fedeval.counterexample._nelder_mead", nelder_mead)
     rng = np.random.default_rng(5)
     write_embeddings(rng.normal(size=(20, 3)) + [1.0, 0, 0], tmp_path / "a.fevb")
     write_embeddings(rng.normal(size=(20, 3)) - [1.0, 0, 0], tmp_path / "b.fevb")
@@ -457,10 +465,32 @@ def small_scenario(**fields):
         ],
     }
     scenario.update(fields)
-    return scenario
+    return {key: value for key, value in scenario.items() if value is not _DROP}
+
+
+_DROP = object()  # a small_scenario field value that removes the field
+
+
+def _without(kind, key):
+    """The first of small_scenario's ``kind`` specs, without ``key``."""
+    spec = dict(small_scenario()[kind][0])
+    del spec[key]
+    return {kind: [spec]}
 
 
 MALFORMED_SCENARIOS = {
+    "clients-missing": ({"clients": _DROP}, "scenario has no field 'clients'"),
+    "generators-missing": ({"generators": _DROP}, "scenario has no field 'generators'"),
+    **{
+        f"client-{key}-missing": (_without("clients", key), f"scenario client has no field {key!r}")
+        for key in ("id", "mean", "cov", "n")
+    },
+    **{
+        f"generator-{key}-missing": (
+            _without("generators", key), f"scenario generator has no field {key!r}"
+        )
+        for key in ("id", "n")
+    },
     "collapse_step-missing": (
         {"kind": "collapse"},
         "collapse scenario needs an integer collapse_step, got None",

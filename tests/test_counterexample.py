@@ -1,9 +1,11 @@
 """Matched-score generator pair: analytic construction and numerical search.
 
 The search scores each stage's starting simplex in one stacked call and
-answers scipy's first calls from that table.  ``oracle_search`` below is
-the per-candidate search it replaced, kept as the oracle: reports (their
-JSON bytes, ``evaluations`` included) and errors must be identical.
+answers the simplex loop's first calls from that table.  ``oracle_search``
+below is the per-candidate search it replaced, run on scipy's
+Nelder–Mead, kept as the oracle: reports (their JSON bytes,
+``evaluations`` included) and errors must be identical.  The in-repo
+simplex loop and complement basis are also held to scipy directly.
 """
 
 from __future__ import annotations
@@ -374,3 +376,154 @@ def test_search_prescoring_failure_raises_like_the_oracle():
     # that candidate first, but the live path scores x0 first, as before.
     assert _outcome(search_matched_pair, clients, 3, 40, 0.05) == got
     assert _outcome(oracle_search, clients, 3, 40, 0.05) == got
+
+
+# ---------------------------------------------------------------------------
+# oracle: scipy's Nelder–Mead and null_space, which the module replaces
+
+
+def scipy_nelder_mead(objective, simplex, maxfev, xatol, fatol):
+    from scipy.optimize import minimize
+
+    options = {
+        "initial_simplex": simplex, "maxfev": maxfev, "xatol": xatol, "fatol": fatol,
+        "adaptive": True,
+    }
+    return minimize(objective, simplex[0], method="Nelder-Mead", options=options).x
+
+
+def _run_simplex(minimizer, values, simplex, maxfev, xatol=1e-12, fatol=1e-14):
+    """The returned vertex's bytes and the bytes of every evaluated point.
+    ``values`` maps a point and the evaluation's index to its value, so a
+    drawn sequence of values can steer the method through every branch."""
+    points = []
+
+    def objective(x):
+        points.append(x.tobytes())
+        return values(x, len(points) - 1)
+
+    # Values of inf make the convergence test subtract inf from inf.
+    with np.errstate(invalid="ignore"):
+        x = minimizer(objective, simplex.copy(), maxfev, xatol=xatol, fatol=fatol)
+    return x.tobytes(), points
+
+
+@st.composite
+def simplex_problems(draw):
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.normal(size=n) * (rng.random(n) < 0.8)  # some coordinates 0
+    if draw(st.booleans()):
+        simplex = counterexample._starting_simplex(x0)
+    else:
+        simplex = x0 + draw(st.sampled_from([1e-6, 1.0])) * rng.normal(size=(n + 1, n))
+    centre, scale = rng.normal(size=n), rng.uniform(0.1, 10.0, size=n)
+    kind = draw(st.sampled_from(["quadratic", "plateaus", "wall", "constant", "sequence"]))
+    sequence = draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0, np.inf]) | st.floats(-5, 5), min_size=1)
+    )
+
+    def values(x, i):
+        q = float(scale @ (x - centre) ** 2)
+        if kind == "quadratic":
+            return q
+        if kind == "plateaus":  # ties: contractions fail and the simplex shrinks
+            return float(np.floor(4.0 * q))
+        if kind == "wall":
+            return np.inf if x[0] > centre[0] else q
+        if kind == "constant":  # every iteration shrinks
+            return 1.0
+        return sequence[i % len(sequence)]
+
+    return {"values": values, "simplex": simplex, "maxfev": draw(st.integers(1, 12 * (n + 1)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_problems())
+def test_nelder_mead_matches_scipy(problem):
+    """N from 1 to 30, budgets below and above N+1 (ending wherever they
+    end, shrinks included), objectives with ties and inf: the same points
+    evaluated in the same order and the same returned bits as scipy."""
+    args = problem["values"], problem["simplex"], problem["maxfev"]
+    assert _run_simplex(counterexample._nelder_mead, *args) == _run_simplex(scipy_nelder_mead, *args)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_nelder_mead_budget_ends_mid_shrink(n):
+    """On a constant objective each iteration evaluates the reflection,
+    the inside contraction and then the N shrunk vertices, so these budgets
+    run out inside a shrink, at a vertex moved but not evaluated."""
+    simplex = counterexample._starting_simplex(np.linspace(-1.0, 1.0, n))
+    shrink_starts = [n + 1 + it * (n + 2) + 2 for it in range(3)]
+    for maxfev in [s + j for s in shrink_starts for j in range(n)]:
+        new = _run_simplex(counterexample._nelder_mead, lambda x, i: 1.0, simplex, maxfev)
+        assert len(new[1]) == maxfev
+        assert new == _run_simplex(scipy_nelder_mead, lambda x, i: 1.0, simplex, maxfev)
+
+
+def oracle_complement_basis(means):
+    """scipy's null space of the means, then the module's sign fix."""
+    from scipy.linalg import null_space
+
+    basis = null_space(means)
+    if basis.size == 0:
+        raise ValueError("no orthogonal direction: client means span the embedding space")
+    for col in range(basis.shape[1]):
+        v = basis[:, col]
+        idx = np.flatnonzero(np.abs(v) > counterexample.SIGN_FIX_TOL)
+        if idx.size and v[idx[0]] < 0:
+            basis[:, col] = -v
+    return basis
+
+
+@st.composite
+def client_means(draw):
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(1, d + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "low-rank", "repeated", "axes", "zero", "near"]))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    if kind == "generic":
+        means = rng.normal(size=(k, d))
+    elif kind == "low-rank":
+        r = draw(st.integers(1, k))
+        means = rng.normal(size=(k, r)) @ rng.normal(size=(r, d))
+    elif kind == "repeated":
+        means = np.repeat(rng.normal(size=(1, d)), k, axis=0) * rng.integers(-2, 3, size=(k, 1))
+    elif kind == "axes":  # the benchmark's clients: scaled coordinate axes
+        means = np.zeros((k, d))
+        means[np.arange(min(k, d)), np.arange(min(k, d))] = rng.uniform(1.0, 2.0, min(k, d))
+    elif kind == "zero":
+        means = np.zeros((k, d))
+    else:  # a row within a few ulps of the span of the others
+        means = rng.normal(size=(k, d))
+        means[-1] = means[0] * (1.0 + 1e-15) + 1e-17 * rng.normal(size=d)
+    return scale * means
+
+
+def _between_rank_rules(d):
+    """d+1 means in d dimensions whose smallest singular value lies between
+    ``eps * d`` and ``eps * (d+1)``: below the rank tolerance only when the
+    tolerance scales with ``max(K, d)``."""
+    means = np.zeros((d + 1, d))
+    means[np.arange(d), np.arange(d)] = 1.0
+    means[d - 1, d - 1] = np.finfo(float).eps * (d + 0.5)
+    return means
+
+
+@settings(max_examples=300, deadline=None)
+@given(client_means())
+@example(_between_rank_rules(4))
+def test_mean_complement_basis_matches_null_space(means):
+    """Full-rank, rank-deficient, repeated, zero and nearly dependent
+    means at three scales: the same basis as scipy's null space, bit for
+    bit and in the same memory layout, or the same error."""
+
+    def outcome(basis_of):
+        try:
+            basis = basis_of(means.copy())
+        except ValueError as exc:
+            return str(exc)
+        return basis.shape, basis.strides, basis.tobytes()
+
+    assert outcome(counterexample._mean_complement_basis) == outcome(oracle_complement_basis)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fedeval import (
     GaussianModel,
     GaussianStats,
     NotPsdError,
+    NumericalError,
     barycenter,
     fid_all,
     fid_avg,
@@ -25,6 +27,7 @@ from fedeval import (
     psd_sqrt,
 )
 
+from fedeval.frechet import _distances, _references
 from fedeval.statkit import load_stats, save_stats
 
 from conftest import random_cov, random_stats_clients
@@ -143,6 +146,22 @@ def test_distance_dimension_mismatch():
     b = GaussianModel(mean=[0.0, 0.0], cov=np.eye(2))
     with pytest.raises(ValueError, match="dimension"):
         frechet_distance(a, b)
+
+
+def test_distance_overflow_raises():
+    """A covariance product or a value that overflows is a NumericalError
+    naming it, with no warning; in a stack the first failing row raises."""
+    unit = SimpleNamespace(mean=np.zeros(2), cov=np.eye(2))
+    far = SimpleNamespace(mean=np.array([1e308, 0.0]), cov=np.eye(2))
+    huge = SimpleNamespace(mean=np.zeros(2), cov=1e200 * np.eye(2))
+    with pytest.raises(NumericalError, match="^distance is not finite$"):
+        frechet_distance(far, unit)
+    with pytest.raises(NumericalError, match="^covariance product is not finite$"):
+        frechet_distance(huge, huge)
+    with pytest.raises(NumericalError, match="^distance is not finite$"):
+        _distances(_references([far, huge]), huge.mean, huge.cov)
+    with pytest.raises(NumericalError, match="^covariance product is not finite$"):
+        _distances(_references([huge, far]), huge.mean, huge.cov)
 
 
 # ---------------------------------------------------------------------------

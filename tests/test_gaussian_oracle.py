@@ -525,11 +525,11 @@ def _search_clients():
 
 
 def test_counterexample_objective_makes_no_eigh(eig_counts, eig_calls, monkeypatch):
-    """Each stage first scores the vertices scipy evaluates first,
+    """Each stage first scores the vertices the simplex evaluates first,
     ``min(N+1, per_stage)`` of them with K+1 products each, in one eigvalsh
-    call.  scipy's call for such a vertex then solves nothing, and any other
-    evaluation solves its K+1 products against cached roots in one eigvalsh
-    call.  No eigh runs after the roots."""
+    call.  The simplex's call for such a vertex then solves nothing, and
+    any other evaluation solves its K+1 products against cached roots in
+    one eigvalsh call.  No eigh runs after the roots."""
     clients = _search_clients()
     k = len(clients)
     # N: 5 - 3 free mean directions plus the 15 entries of the Cholesky factor.
@@ -545,17 +545,17 @@ def test_counterexample_objective_makes_no_eigh(eig_counts, eig_calls, monkeypat
             last[:] = now
             return delta
 
-        def one_stage(objective, theta, options, **kwargs):
-            assert options["initial_simplex"][0].tobytes() == theta.tobytes()
+        def one_stage(objective, simplex, maxfev, **tolerances):
+            theta = simplex[0]
+            assert simplex.tobytes() == counterexample._starting_simplex(theta).tobytes()
             before = spent()
             objective(theta)  # the first vertex: answered from the table
             hit = spent()
             objective(theta + 1.0)  # not a vertex: scored live
             stages.append((before, hit, spent()))
-            return SimpleNamespace(x=theta)
+            return theta
 
-        # search_matched_pair imports minimize when called, so this patch holds.
-        monkeypatch.setattr("scipy.optimize.minimize", one_stage)
+        monkeypatch.setattr("fedeval.counterexample._nelder_mead", one_stage)
         counterexample.search_matched_pair(clients, budget=budget)
         nothing = ({"eigh": 0, "eigvalsh": 0}, {"eigh": 0, "eigvalsh": 0})
         live = ({"eigh": 0, "eigvalsh": k + 1}, {"eigh": 0, "eigvalsh": 1})

@@ -1,9 +1,9 @@
-"""Import budget: scipy is loaded by ``counterexample`` and nothing else.
+"""Import budget: no subcommand loads scipy.
 
-Every other subcommand runs on numpy alone, so a CLI start that does not
-construct a matched pair must not pay for importing scipy.  The checks
+The package runs on numpy alone; scipy is a test-only oracle.  The checks
 run in fresh interpreters, because this test process has already
-imported scipy.
+imported scipy: one watches ``sys.modules``, and one blocks every scipy
+import and compares each subcommand's output bytes with a free run.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ SRC = Path(fedeval.__file__).resolve().parents[1]
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[3] == "block":
+    sys.meta_path.insert(0, BlockScipy())
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -70,19 +78,23 @@ def fixtures(tmp_path):
     return tmp_path
 
 
-def run_child(tmp, calls):
-    argvs = [[str(a) for a in call] + ["--out", str(tmp / f"out{i}")] for i, call in enumerate(calls)]
+def run_child(tmp, calls, block=False):
+    """Run ``calls`` in one fresh interpreter, each writing to its own
+    ``--out`` file; the child's report and the output files' bytes."""
+    out = tmp / ("blocked" if block else "free")
+    out.mkdir()
+    argvs = [[str(a) for a in call] + ["--out", str(out / f"out{i}")] for i, call in enumerate(calls)]
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(SRC), json.dumps(argvs)],
+        [sys.executable, "-c", CHILD, str(SRC), json.dumps(argvs), "block" if block else "free"],
         capture_output=True, text=True, timeout=300, check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    outputs = [(out / f"out{i}").read_bytes() for i in range(len(calls))]
+    return json.loads(proc.stdout.splitlines()[-1]), outputs
 
 
-def test_numpy_only_subcommands_do_not_load_scipy(fixtures):
-    tmp = fixtures
+def numpy_calls(tmp):
     clients = ["--clients", tmp / "clients.json"]
-    calls = [
+    return [
         ["stats", "--input", tmp / "gen.fevb"],
         ["stats", *clients],
         ["fid", *clients, "--gen", tmp / "gen.json", "--agg", "both"],
@@ -93,17 +105,34 @@ def test_numpy_only_subcommands_do_not_load_scipy(fixtures):
         ["sweep", "toy-mixture", "--grid", "0:1:0.5", "--n", "20"],
         ["rank", "--table-a", tmp / "a.json", "--table-b", tmp / "b.json"],
     ]
-    result = run_child(tmp, calls)
+
+
+def counterexample_calls(tmp):
+    clients = ["--clients", tmp / "clients.json"]
+    return [["counterexample", *clients], ["counterexample", *clients, "--search", "--budget", "20"]]
+
+
+def test_numpy_only_subcommands_do_not_load_scipy(fixtures):
+    calls = numpy_calls(fixtures)
+    result, _ = run_child(fixtures, calls)
     assert result["codes"] == [0] * len(calls)
     assert result["before"] == []
     assert result["after"] == []
 
 
-def test_counterexample_loads_scipy_when_run(fixtures):
-    tmp = fixtures
-    clients = ["--clients", tmp / "clients.json"]
-    calls = [["counterexample", *clients], ["counterexample", *clients, "--search", "--budget", "20"]]
-    result = run_child(tmp, calls)
+def test_counterexample_does_not_load_scipy(fixtures):
+    result, _ = run_child(fixtures, counterexample_calls(fixtures))
     assert result["codes"] == [0, 0]
     assert result["before"] == []
-    assert {"scipy.linalg", "scipy.optimize"} <= set(result["after"])
+    assert result["after"] == []
+
+
+def test_every_subcommand_runs_with_scipy_blocked(fixtures):
+    """With every scipy import failing, each subcommand exits 0 and writes
+    the bytes of a run where scipy could be imported."""
+    calls = numpy_calls(fixtures) + counterexample_calls(fixtures)
+    free, free_outputs = run_child(fixtures, calls)
+    blocked, blocked_outputs = run_child(fixtures, calls, block=True)
+    assert free["codes"] == blocked["codes"] == [0] * len(calls)
+    assert blocked["after"] == []
+    assert blocked_outputs == free_outputs
