@@ -64,7 +64,12 @@ def parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = values = [float(p) for p in parts]
+    except ValueError:
+        values = [np.nan]
+    if not np.isfinite(values).all():
+        raise ValueError(f"grid start, stop and step must be finite numbers, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:

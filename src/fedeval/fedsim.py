@@ -296,21 +296,20 @@ def _raw_replies(clients, trace) -> ClientSet:
 
 
 def _kernel_block_replies(clients, generator, cross, kernel, trace) -> KernelStats:
-    """The library's kernel statistic of the clients and the generator,
-    sent entry by entry as block-sum replies.
+    """The library's kernel statistic of the clients and the generator
+    (block K), sent entry by entry as block-sum replies.
 
-    The cross-client sums are NaN unless ``cross``; the self-block traces
-    are NaN because they are never sent (only ``ustat`` reads them).
+    The cross-client sums are NaN unless ``cross``; the traces, block K's
+    too, are NaN because they are never sent (only ``ustat`` reads them).
     """
     stats = kernel_stats(clients, generator, kernel, cross=cross)
-    stats.traces = np.full(len(clients), np.nan)
-    stats.gen_trace = np.nan
+    stats.traces.fill(np.nan)
     ids = clients.ids
-    for i, n in enumerate(stats.counts):
+    for i, n in enumerate(stats.counts[:-1]):
         body = {
             "n": int(n),
             "within_sum": float(stats.sums[i, i]),
-            "cross_generator_sum": float(stats.gen_sums[i]),
+            "cross_generator_sum": float(stats.sums[i, -1]),
         }
         trace.append(Message(ids[i], SERVER, "KernelBlockReply", 3, body))
     if cross:

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NotPsdError, NumericalError
-from .statkit import ClientSet, _JsonFields, _mixture_moments, pool_moments
+from .statkit import SYMMETRY_RTOL, ClientSet, _far, _JsonFields, _mixture_moments, pool_moments
 
 EIGENVALUE_CLAMP_REL = 1e-8
-SYMMETRY_RTOL = 1e-10
 VALUE_CLAMP = 1e-8
 
 
@@ -76,8 +75,7 @@ def _symmetric(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
+    if _far(a, a.T, SYMMETRY_RTOL):
         raise NotPsdError("matrix is not symmetric")
     return (a + a.T) / 2.0
 

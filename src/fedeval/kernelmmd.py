@@ -14,24 +14,25 @@ therefore the default; the unbiased ``ustat`` estimator is provided for
 parity with standard tooling but satisfies the identity only
 approximately.
 
-Every score is a function of one sufficient statistic (``KernelStats``):
-the K x K matrix of client block sums, the K client-generator sums and
-the generator-generator sum, plus the diagonal sums ``ustat`` removes.
-It is computed exactly (no block subsampling) in one pass over the
-block pairs, each in square Gram tiles of side ``TILE``, so memory does
-not grow with the sample count and there is no cap on it; the
-aggregations are then O(K^2) algebra on the sums.
+Every score is a function of one sufficient statistic (``KernelStats``,
+five fields): the kernel sums between the blocks of K weighted clients
+and the generator set, which is block K, and each block's diagonal sum,
+which ``ustat`` removes.  It is computed exactly (no block subsampling)
+in one pass over the block pairs, each in square Gram tiles of side
+``TILE``, so memory does not grow with the sample count and there is no
+cap on it; the aggregations are then O(K^2) algebra on the sums.
 
-The pass runs on one scheduler (``_schedule``), which the k-NN radii and
-ball tests of ``prdc`` share.  A work unit is one tile of one block pair;
-each pair is tiled on its own grid from its blocks' first rows, so a
-block sum depends only on its two sample sets: a client's score is bit
-for bit ``mmd2(client, gen)`` whether or not the cross-client blocks are
-built, and the protocol simulator's kernel_blocks round sends this
-statistic's entries.  Units of equal shape go in stacks of at most
-TILE^2 elements, one stacked ``matmul`` each; numpy runs one BLAS product
-per stacked tile, so a unit has the same bits in a stack as alone.  Many
-tiny clients thus pay a few calls, not one per pair (K=50 clients of 20
+The pass runs on one scheduler (``_schedule``) over one list of blocks
+and a list of block pairs, which the k-NN radii and ball tests of
+``prdc`` share.  A work unit is one tile of one block pair; each pair is
+tiled on its own grid from its blocks' first rows, so a block sum
+depends only on its two sample sets: a client's score is bit for bit
+``mmd2(client, gen)`` whether or not the cross-client pairs are listed,
+and the protocol simulator's kernel_blocks round sends this statistic's
+entries.  Units of equal shape go in stacks of at most TILE^2 elements,
+one stacked ``matmul`` each; numpy runs one BLAS product per stacked
+tile, so a unit has the same bits in a stack as alone.  Many tiny
+clients thus pay a few calls, not one per pair (K=50 clients of 20
 samples, d=8: 1 275 pairs in 9 calls).  A kernel sum that is not finite
 raises ``NumericalError``.
 
@@ -185,30 +186,29 @@ def _stack_depth(n_rows: int, n_cols: int, dim: int) -> int:
     return max(1, min(result, inputs))
 
 
-def _schedule(xs, ys, pairs):
+def _schedule(blocks, pairs):
     """The work units of block pairs, and their stacks.
 
-    ``pairs`` lists ``(p, q)``: row block ``xs[p]`` against column block
-    ``ys[q]``; it is a self pair when ``ys is xs`` and ``q == p``.  Each pair
-    is tiled on its own TILE grid from its blocks' first rows (a self pair on
-    and above its diagonal), and each tile is one unit ``(p, q, r0, c0)``,
-    listed pair by pair in row-major tile order.  Units of equal shape whose
-    tiles are all diagonal tiles of self pairs, or all not, form stacks of
-    ``_stack_depth`` units.  Returns the units and the stacks, each
+    ``pairs`` lists ``(p, q)``: row block ``blocks[p]`` against column block
+    ``blocks[q]``, a self pair when ``q == p``.  Each pair is tiled on its
+    own TILE grid from its blocks' first rows (a self pair on and above its
+    diagonal), and each tile is one unit ``(p, q, r0, c0)``, listed pair by
+    pair in row-major tile order.  Units of equal shape whose tiles are all
+    diagonal tiles of self pairs, or all not, form stacks of ``_stack_depth``
+    units.  Returns the units and the stacks, each
     ``(members, n_rows, n_cols, diagonal)`` with ``members`` its unit indices.
     """
     units = []
     groups: dict[tuple, list[int]] = {}
     for p, q in pairs:
-        self_pair = ys is xs and q == p
-        n_rows, n_cols = xs[p].shape[0], ys[q].shape[0]
+        n_rows, n_cols = blocks[p].shape[0], blocks[q].shape[0]
         for r0 in range(0, n_rows, TILE):
             rows = min(TILE, n_rows - r0)
-            for c0 in range(r0 if self_pair else 0, n_cols, TILE):
-                key = (rows, min(TILE, n_cols - c0), self_pair and c0 == r0)
+            for c0 in range(r0 if q == p else 0, n_cols, TILE):
+                key = (rows, min(TILE, n_cols - c0), q == p and c0 == r0)
                 groups.setdefault(key, []).append(len(units))
                 units.append((p, q, r0, c0))
-    dim = xs[0].shape[-1]
+    dim = blocks[0].shape[-1]
     stacks = []
     for (n_rows, n_cols, diagonal), members in groups.items():
         depth = _stack_depth(n_rows, n_cols, dim)
@@ -226,62 +226,53 @@ def _gather(blocks, units, side: int, length: int) -> np.ndarray:
     return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
 
 
-def _operands(xs, ys, units, stack):
+def _operands(blocks, units, stack):
     """A stack's units and its stacked row and column operands.  A stack of
     diagonal tiles has one array on both sides, as in a self block's own
     product, so BLAS takes the same symmetric (syrk) product."""
     members, n_rows, n_cols, diagonal = stack
     chosen = [units[i] for i in members]
-    x = _gather(xs, chosen, 0, n_rows)
-    return chosen, x, x if diagonal else _gather(ys, chosen, 1, n_cols)
+    x = _gather(blocks, chosen, 0, n_rows)
+    return chosen, x, x if diagonal else _gather(blocks, chosen, 1, n_cols)
 
 
-def _tiled_sums(spec, xs, ys=None, cross=True):
-    """Kernel sums over (row block, column block) pairs of validated samples,
-    plus the diagonal sums of each row block when the blocks are paired with
-    themselves (``ys`` None).
+def _tiled_sums(spec, blocks, pairs):
+    """Kernel sums over pairs ``(p, q)`` of blocks of validated samples (a
+    self pair when ``q == p``), set at ``[p, q]`` and ``[q, p]`` of a matrix
+    that is NaN elsewhere, and the diagonal sum of each listed self pair.
 
     The pairs' tiles are ``_schedule``'s units: a stack is one ``_gram``
     call, a unit's sum the flat sum of its slice and a diagonal unit's trace
     the diagonal of its slice.  A pair's sum adds its units' sums in
-    row-major tile order, an off-diagonal tile of a self block twice, so it
-    does not depend on the other blocks or on the stacking.  ``cross=False``
-    visits only the self pairs and leaves the other sums NaN.  A sum that is
+    row-major tile order, an off-diagonal tile of a self pair twice, so it
+    does not depend on the other blocks or on the stacking.  A sum that is
     not finite raises ``NumericalError``.
     """
-    symmetric = ys is None
-    cols = xs if symmetric else ys
-    if symmetric:
-        pairs = [(p, q) for p in range(len(xs)) for q in (range(p, len(xs)) if cross else (p,))]
-    else:
-        pairs = [(p, q) for p in range(len(xs)) for q in range(len(cols))]
-    units, stacks = _schedule(xs, cols, pairs)
+    units, stacks = _schedule(blocks, pairs)
     parts = np.empty(len(units))
     diagonals = np.zeros(len(units))
     with np.errstate(over="ignore", invalid="ignore"):
         for stack in stacks:
             members = stack[0]
-            tiles = _gram(spec, *_operands(xs, cols, units, stack)[1:])
+            tiles = _gram(spec, *_operands(blocks, units, stack)[1:])
             parts[members] = tiles.reshape(len(members), -1).sum(axis=1)
             if stack[3]:
                 diagonals[members] = np.diagonal(tiles, axis1=1, axis2=2).sum(axis=1)
     if not (np.isfinite(parts).all() and np.isfinite(diagonals).all()):
         raise NumericalError("kernel sum is not finite")
-    sums = np.full((len(xs), len(cols)), np.nan)
-    traces = np.zeros(len(xs)) if symmetric else None
+    sums = np.full((len(blocks), len(blocks)), np.nan)
+    traces = np.zeros(len(blocks))
     totals: dict[tuple, float] = {}
     for (p, q, r0, c0), part, trace in zip(units, parts.tolist(), diagonals.tolist()):
         total = totals.get((p, q), 0.0) + part
-        if symmetric and q == p:
+        if q == p:
             if c0 != r0:
                 total += part
             else:
                 traces[p] += trace
         totals[p, q] = total
     for (p, q), total in totals.items():
-        sums[p, q] = total
-        if symmetric:
-            sums[q, p] = total
+        sums[p, q] = sums[q, p] = total
     return sums, traces
 
 
@@ -347,14 +338,14 @@ class KidAvgResult:
 
 @dataclass
 class KernelStats:
-    """Kernel block sums of K weighted clients and one generator set.
+    """Kernel block sums of K weighted clients and one generator set, block K.
 
     Every kernel score is O(K^2) algebra on these numbers.  ``sums[i, j]``
-    is the kernel sum between clients ``i`` and ``j``; when the statistic
-    is built without cross-client blocks only the diagonal is set (the
-    rest is NaN).  ``traces[i]`` is the diagonal of client ``i``'s self
-    block, which the ``ustat`` estimator leaves out.  The ``gen_*`` fields
-    are unset when no generator set was given.
+    is the kernel sum between blocks ``i`` and ``j`` of ``counts[i]`` and
+    ``counts[j]`` samples; built without cross-client blocks, only the
+    diagonal and block K's row and column are set (the rest is NaN).
+    ``traces[i]`` is the diagonal of block ``i``'s self block, which the
+    ``ustat`` estimator leaves out.  Without a generator there is no block K.
     """
 
     weights: np.ndarray
@@ -362,54 +353,57 @@ class KernelStats:
     counts: np.ndarray
     sums: np.ndarray
     traces: np.ndarray
-    gen_count: int = 0
-    gen_sums: np.ndarray | None = None
-    gen_sum: float = 0.0
-    gen_trace: float = 0.0
 
     def client_mmd2(self, i: int, estimator: str = "vstat") -> MmdResult:
         """Squared MMD between client ``i`` and the generator set."""
         _check_estimator(estimator)
-        n, m = self.counts[i], self.gen_count
+        k = len(self.weights)
+        n, m = self.counts[i], self.counts[k]
         return _mmd_result(
             _within_mean(self.sums[i, i], self.traces[i], n, estimator, "ref"),
-            _within_mean(self.gen_sum, self.gen_trace, m, estimator, "gen"),
-            float(self.gen_sums[i] / (n * m)),
+            _within_mean(self.sums[k, k], self.traces[k], m, estimator, "gen"),
+            float(self.sums[i, k] / (n * m)),
             estimator,
         )
 
     def kid_avg(self, estimator: str = "vstat") -> KidAvgResult:
-        per_client = [self.client_mmd2(i, estimator) for i in range(len(self.counts))]
+        per_client = [self.client_mmd2(i, estimator) for i in range(len(self.weights))]
         values = np.array([r.value for r in per_client])
         return KidAvgResult(value=float(self.weights @ values), per_client=per_client)
 
     def _cross_sums(self) -> np.ndarray:
-        if np.isnan(self.sums).any():
+        sums = np.ascontiguousarray(self.sums[: len(self.weights), : len(self.weights)])
+        if np.isnan(sums).any():
             raise ValueError("kernel statistic was built without cross-client blocks")
-        return self.sums
+        return sums
 
     def kid_all(self, estimator: str = "vstat") -> float:
+        k = len(self.weights)
+        counts, m = self.counts[:k], self.counts[k]
+        # contiguous, so that a reduction over it adds in the same order
+        gen_sums = np.ascontiguousarray(self.sums[:k, k])
         if estimator == "ustat":
             if not self.natural_weights:
                 raise ValueError("ustat pooled score requires weights n_i / n")
-            n, m = int(self.counts.sum()), self.gen_count
+            n = int(counts.sum())
             return _mmd_result(
-                _within_mean(self._cross_sums().sum(), self.traces.sum(), n, estimator, "ref"),
-                _within_mean(self.gen_sum, self.gen_trace, m, estimator, "gen"),
-                float(self.gen_sums.sum() / (n * m)),
+                _within_mean(self._cross_sums().sum(), self.traces[:k].sum(), n, estimator, "ref"),
+                _within_mean(self.sums[k, k], self.traces[k], m, estimator, "gen"),
+                float(gen_sums.sum() / (n * m)),
                 estimator,
             ).value
         _check_estimator(estimator)
         w = self.weights
-        b = self._cross_sums() / np.outer(self.counts, self.counts)
-        b_gen = self.gen_sums / (self.counts * self.gen_count)
-        gen_gen = self.gen_sum / self.gen_count**2
+        b = self._cross_sums() / np.outer(counts, counts)
+        b_gen = gen_sums / (counts * m)
+        gen_gen = self.sums[k, k] / m**2
         return float(_clamp_vstat(float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen)))
 
     def gap(self) -> float:
         """Weighted mean squared MMD between the client mixture and each client."""
         w = self.weights
-        b = self._cross_sums() / np.outer(self.counts, self.counts)
+        counts = self.counts[: len(w)]
+        b = self._cross_sums() / np.outer(counts, counts)
         mix_mix = float(w @ b @ w)
         gap = 0.0
         for i, w_i in enumerate(w):
@@ -418,21 +412,21 @@ class KernelStats:
 
 
 def _kernel_stats(spec, mats, gen, cross, weights, natural_weights) -> KernelStats:
-    """The statistic of validated client matrices and generator samples."""
-    sums, traces = _tiled_sums(spec, mats, cross=cross)
-    stats = KernelStats(
+    """The statistic of validated client matrices and generator samples, in
+    one pass; ``cross=False`` leaves the cross-client pairs out."""
+    if gen is not None and gen.shape[1] != mats[0].shape[1]:
+        raise ValueError(f"dimension mismatch: {mats[0].shape[1]} vs {gen.shape[1]}")
+    blocks = mats if gen is None else [*mats, gen]
+    n, k = len(blocks), len(mats)
+    pairs = [(p, q) for p in range(n) for q in range(p, n) if cross or q in (p, k)]
+    sums, traces = _tiled_sums(spec, blocks, pairs)
+    return KernelStats(
         weights=weights,
         natural_weights=natural_weights,
-        counts=np.array([m.shape[0] for m in mats]),
+        counts=np.array([b.shape[0] for b in blocks]),
         sums=sums,
         traces=traces,
     )
-    if gen is not None:
-        stats.gen_count = gen.shape[0]
-        gen_sum, gen_trace = _tiled_sums(spec, [gen])
-        stats.gen_sum, stats.gen_trace = gen_sum[0, 0], gen_trace[0]
-        stats.gen_sums = _tiled_sums(spec, mats, [gen])[0][:, 0]
-    return stats
 
 
 def kernel_stats(

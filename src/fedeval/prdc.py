@@ -96,8 +96,8 @@ def _smallest(sq: np.ndarray, k: int) -> np.ndarray:
 def _tile_distances(blocks, norms, units, stack) -> tuple[np.ndarray, list]:
     """Unclipped squared distances of a stack of units, and its units.  A
     distance that is not finite raises ``NumericalError``."""
-    chosen, x, y = _operands(blocks, blocks, units, stack)
-    sq = _squared_distances(x, y, *_operands(norms, norms, units, stack)[1:])
+    chosen, x, y = _operands(blocks, units, stack)
+    sq = _squared_distances(x, y, *_operands(norms, units, stack)[1:])
     if not np.isfinite(sq.max()):
         raise NumericalError("squared distance is not finite")
     return sq, chosen
@@ -114,7 +114,7 @@ def _nearest(blocks, norms, best, pairs, k: int) -> None:
     with one merge.  Only values are kept, so the k smallest do not depend
     on the stacking or on the order of the merges.
     """
-    units, stacks = _schedule(blocks, blocks, pairs)
+    units, stacks = _schedule(blocks, pairs)
     held: dict[tuple, list] = {}
     size = 0
     for stack in stacks:
@@ -194,7 +194,7 @@ def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
         cover = [np.zeros((g, m), dtype=np.int64), np.zeros((1, m), dtype=np.int64)][: len(radii)]
         covered = [[np.zeros(x.shape[0], dtype=bool) for x in mats] for _ in radii]
         recalled = [np.zeros(x.shape[0], dtype=bool) for x in mats]
-        units, stacks = _schedule(blocks, blocks, [(p, g) for p in range(g)])
+        units, stacks = _schedule(blocks, [(p, g) for p in range(g)])
         for stack in stacks:
             sq, chosen = _tile_distances(blocks, norms, units, stack)
             dists = _distances(sq)

@@ -238,6 +238,16 @@ def _check_finite(mean, cov) -> None:
         raise ValueError("non-finite entry in Gaussian parameters")
 
 
+def _far(a, b, rtol: float) -> bool:
+    """Whether ``||a - b||_F > rtol * max(||a||_F, 1)``, taken on both divided
+    by the power of two at or above their largest magnitude (or by 1), so no
+    norm overflows; a power of two changes no bit of the comparison."""
+    big = max(float(np.abs(m).max(initial=0.0)) for m in (a, b))
+    scale = math.ldexp(1.0, max(math.frexp(big)[1], 0)) if math.isfinite(big) else 1.0
+    a, b = a / scale, b / scale
+    return bool(np.linalg.norm(a - b) > rtol * max(float(np.linalg.norm(a)), 1.0 / scale))
+
+
 def _check_mean_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     mean = _floats(mean, "mean").reshape(-1)
     cov = _floats(cov, "covariance")
@@ -248,8 +258,7 @@ def _check_mean_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
             f"mean dimension {mean.shape[0]} does not match covariance {cov.shape}"
         )
     _check_finite(mean, cov)
-    scale = float(np.linalg.norm(cov))
-    if np.linalg.norm(cov - cov.T) > SYMMETRY_RTOL * max(scale, 1.0):
+    if _far(cov, cov.T, SYMMETRY_RTOL):
         raise NotPsdError("covariance is not symmetric")
     return mean, cov
 
@@ -279,8 +288,7 @@ class GaussianStats(_JsonFields):
         if obj.get("second_moment") is not None:
             s = _floats(obj["second_moment"], "second_moment")
             expected = stats.cov + np.outer(stats.mean, stats.mean)
-            scale = max(float(np.linalg.norm(expected)), 1.0)
-            if np.linalg.norm(s - expected) > SECOND_MOMENT_RTOL * scale:
+            if _far(expected, s, SECOND_MOMENT_RTOL):
                 raise ValueError("second_moment inconsistent with cov + mean mean^T")
         return stats
 

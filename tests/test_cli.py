@@ -125,6 +125,26 @@ def test_unknown_kernel_kind_exit_1(workspace, capsys, kind):
     assert "unknown kernel kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--clients", "clients.json"],
+        ["--clients", "clients.json", "--kernel", "rbf.json"],
+        ["--clients", "clients.json", "--agg", "avg"],
+        ["--ref", "c1.fevb"],
+    ],
+)
+def test_kid_dimension_mismatch_exit_1(workspace, capsys, args):
+    """2-d clients against a 3-d generator: the dimension check's one line,
+    as fid and prdc print it."""
+    tmp, _ = workspace
+    write_embeddings(np.zeros((25, 3)), tmp / "gen3.fevb")
+    (tmp / "rbf.json").write_text(json.dumps({"kind": "rbf"}))
+    paths = [tmp / a if a.endswith((".json", ".fevb")) else a for a in args]
+    assert run_cli(["kid", *paths, "--gen", tmp / "gen3.fevb"]) == 1
+    assert capsys.readouterr().err == "fedeval: error: dimension mismatch: 2 vs 3\n"
+
+
 MALFORMED_KERNELS = {
     "list": ([1], "kernel spec must be a JSON object, got [1]"),
     "string": ("rbf", "kernel spec must be a JSON object, got 'rbf'"),
@@ -569,6 +589,11 @@ MALFORMED_SPECS = {
     "asymmetric-cov": (
         _client_field(cov=[[1.0, 0.5], [0.0, 1.0]]), 2, "covariance is not symmetric"
     ),
+    "kernel-blocks-generator-dimension": (
+        {"mode": "kernel_blocks", "metrics": ["kid_avg"], **_generator_field(mean=[1.5, 0.0, 0])},
+        1,
+        "dimension mismatch: 2 vs 3",
+    ),
 }
 
 
@@ -838,6 +863,11 @@ def test_parse_grid_inclusive_endpoints():
         parse_grid("0:4")
     with pytest.raises(ValueError):
         parse_grid("0:4:-1")
+    # a non-finite endpoint or step would never reach stop
+    for text in ("0:inf:1", "nan:1:1", "0:1:nan", "-inf:1:1", "0:1:inf", "a:1:1"):
+        message = f"^grid start, stop and step must be finite numbers, got '{text}'$"
+        with pytest.raises(ValueError, match=message):
+            parse_grid(text)
 
 
 def test_every_operation_mapped_to_exactly_one_subcommand():

@@ -289,10 +289,9 @@ def test_constant_gap_hypothesis_property(case):
     clients, gen, spec = case
     diff = kid_avg(clients, gen, spec).value - kid_all(clients, gen, spec)
     stats = kernel_stats(clients, gen, spec)
-    scale = max(
-        np.abs(stats.sums / np.outer(stats.counts, stats.counts)).max(),
-        abs(stats.gen_sum) / stats.gen_count**2,
-    )
+    k = len(clients)
+    means = stats.sums / np.outer(stats.counts, stats.counts)
+    scale = max(np.abs(means[:k, :k]).max(), abs(means[k, k]))
     assert abs(diff - kid_constant_gap(clients, spec)) <= 1e-14 * scale
 
 

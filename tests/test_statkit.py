@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,30 @@ def test_pooling_determinism(rng):
 def test_stats_rejects_asymmetric_cov():
     with pytest.raises(NotPsdError):
         GaussianStats(n=3, mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_symmetry_checks_scale_huge_matrices(tmp_path):
+    # a Frobenius norm of the raw matrix overflows above ~1.3e154; the checks
+    # scale first, so a huge asymmetric matrix still fails them and a huge
+    # symmetric one passes without an overflow warning
+    from fedeval.frechet import psd_sqrt
+
+    asymmetric = [[1e200, 1e190], [0.0, 1.0]]
+    with pytest.raises(NotPsdError, match="covariance is not symmetric"):
+        GaussianStats(n=3, mean=[0.0, 0.0], cov=asymmetric)
+    with pytest.raises(NotPsdError, match="matrix is not symmetric"):
+        psd_sqrt(asymmetric)
+    path = tmp_path / "stats.json"
+    obj = {"n": 3, "mean": [0.0, 0.0], "cov": [[1e200, 0.0], [0.0, 1.0]]}
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_stats(path).cov[0, 0] == 1e200
+        path.write_text(json.dumps({**obj, "second_moment": [[1e200, 0.0], [0.0, 1.0]]}))
+        assert load_stats(path).n == 3
+        path.write_text(json.dumps({**obj, "second_moment": [[1e200, 1e195], [0.0, 1.0]]}))
+        with pytest.raises(ValueError, match="second_moment"):
+            load_stats(path)
 
 
 def test_stats_json_round_trip(tmp_path, rng):

@@ -261,11 +261,19 @@ def test_mmd2_matches_full_matrix_oracle(case, estimator):
     assert_same(got, outcome(lambda: oracle_mmd2(spec, ref, gen, estimator)), scale)
 
 
-def test_kid_avg_computes_no_cross_client_blocks(gram_elements, rng):
+def test_kid_avg_computes_no_cross_client_blocks(gram_elements, rng, monkeypatch):
     clients = ClientSet(
         [Client(id=f"c{i}", embeddings=rng.normal(size=(20 + i, 3))) for i in range(5)]
     )
     gen = rng.normal(size=(30, 3))
+    schedules = []
+    real_schedule = kernelmmd._schedule
+
+    def counting_schedule(blocks, pairs):
+        schedules.append(pairs)
+        return real_schedule(blocks, pairs)
+
+    monkeypatch.setattr(kernelmmd, "_schedule", counting_schedule)
     kernelmmd.kid_avg(clients, gen)
     sizes = np.array([c.n for c in clients])
     assert sum(gram_elements) == int((sizes**2).sum() + sizes.sum() * 30 + 30**2)
@@ -275,6 +283,12 @@ def test_kid_avg_computes_no_cross_client_blocks(gram_elements, rng):
     # triangle of the cross-client blocks
     pairs = (sizes.sum() ** 2 + (sizes**2).sum()) // 2
     assert sum(gram_elements) == int(pairs + sizes.sum() * 30 + 30**2)
+    # one pass each, the generator as block 5: its self pair and the five
+    # client-generator pairs, then also the ten cross-client pairs
+    assert [len(p) for p in schedules] == [6 + 5, 6 + 5 + 10]
+    schedules.clear()
+    kernelmmd.kernel_stats(clients, gen)
+    assert len(schedules) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +343,12 @@ def test_block_sums_independent_of_tile(tile, rng):
     spec = KernelSpec()
     with small_tiles(tile):
         stats = kernelmmd.kernel_stats(clients, gen, spec)
-    want = np.array([[oracle_gram(spec, x, y).sum() for y in mats] for x in mats])
-    want_traces = [np.trace(oracle_gram(spec, x, x)) for x in mats]
-    want_gen_sums = [oracle_gram(spec, x, gen).sum() for x in mats]
+    blocks = [*mats, gen]
+    want = np.array([[oracle_gram(spec, x, y).sum() for y in blocks] for x in blocks])
+    want_traces = [np.trace(oracle_gram(spec, x, x)) for x in blocks]
     np.testing.assert_allclose(stats.sums, want, rtol=1e-12)
     np.testing.assert_allclose(stats.traces, want_traces, rtol=1e-12)
-    np.testing.assert_allclose(stats.gen_sums, want_gen_sums, rtol=1e-12)
-    np.testing.assert_allclose(stats.gen_sum, oracle_gram(spec, gen, gen).sum(), rtol=1e-12)
-    np.testing.assert_allclose(stats.gen_trace, np.trace(oracle_gram(spec, gen, gen)), rtol=1e-12)
+    assert stats.counts.tolist() == [5, 1, 9, 11]
 
 
 @SETTINGS
@@ -371,34 +383,25 @@ def tiles(n_rows, n_cols, symmetric, side):
             yield r0, min(r0 + side, n_rows), c0, min(c0 + side, n_cols)
 
 
-def per_pair_tiled_sums(spec, xs, ys=None, cross=True):
+def per_pair_tiled_sums(spec, blocks, pairs):
     """The per-pair tile loop the stacked pass replaced: every block pair on
     its own tile grid, one ``gram`` call per tile."""
-    symmetric = ys is None
-    cols = xs if symmetric else ys
-    sums = np.full((len(xs), len(cols)), np.nan)
-    traces = np.zeros(len(xs)) if symmetric else None
-    for p, x in enumerate(xs):
-        if not symmetric:
-            qs = range(len(cols))
-        else:
-            qs = range(p, len(cols)) if cross else (p,)
-        for q in qs:
-            self_block = symmetric and q == p
-            total = 0.0
-            for r0, r1, c0, c1 in tiles(x.shape[0], cols[q].shape[0], self_block, kernelmmd.TILE):
-                tile = kernelmmd.gram(spec, x[r0:r1], cols[q][c0:c1])
-                part = tile.sum()
+    sums = np.full((len(blocks), len(blocks)), np.nan)
+    traces = np.zeros(len(blocks))
+    for p, q in pairs:
+        total = 0.0
+        x, y = blocks[p], blocks[q]
+        for r0, r1, c0, c1 in tiles(x.shape[0], y.shape[0], q == p, kernelmmd.TILE):
+            tile = kernelmmd.gram(spec, x[r0:r1], y[c0:c1])
+            part = tile.sum()
+            total += part
+            if q != p:
+                continue
+            if c0 != r0:
                 total += part
-                if not self_block:
-                    continue
-                if c0 != r0:
-                    total += part
-                else:
-                    traces[p] += np.diagonal(tile).sum()
-            sums[p, q] = total
-            if symmetric:
-                sums[q, p] = total
+            else:
+                traces[p] += np.diagonal(tile).sum()
+        sums[p, q] = sums[q, p] = total
     return sums, traces
 
 
@@ -414,13 +417,10 @@ def per_pair_sums():
 
 def assert_same_stats(got, want):
     """Every ``KernelStats`` field has the same bits."""
-    for name in ("weights", "natural_weights", "counts", "sums", "traces", "gen_count",
-                 "gen_sums", "gen_sum", "gen_trace"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert np.asarray(a).dtype == np.asarray(b).dtype, name
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    for name in ("weights", "natural_weights", "counts", "sums", "traces"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 @st.composite
@@ -453,17 +453,28 @@ def size_pool_clients(draw, min_n, max_n, max_clients):
     st.integers(1, 4),
     st.booleans(),
     st.booleans(),
+    st.data(),
 )
-def test_stacked_block_sums_bit_identical_to_per_pair_tiles(case, kind, degree, cross, with_gen):
-    # block sizes on both sides of the two-per-tile threshold and of the tile side
+def test_stacked_block_sums_bit_identical_to_per_pair_tiles(
+    case, kind, degree, cross, with_gen, data
+):
+    # block sizes on both sides of the two-per-tile threshold and of the tile
+    # side; then any subset of the block pairs, in any order
     tile, (clients, gen) = case
-    gen = gen if with_gen else None
     spec = KernelSpec(kind=kind, degree=degree) if kind == "polynomial" else KernelSpec(kind=kind)
+    blocks = [*clients.client_embeddings(), gen]
+    all_pairs = [(p, q) for p in range(len(blocks)) for q in range(p, len(blocks))]
+    pairs = data.draw(st.permutations(all_pairs))[: data.draw(st.integers(1, len(all_pairs)))]
+    gen = gen if with_gen else None
     with small_tiles(tile):
         got = kernelmmd.kernel_stats(clients, gen, spec, cross=cross)
+        got_sums = kernelmmd._tiled_sums(spec, blocks, pairs)
         with per_pair_sums():
             want = kernelmmd.kernel_stats(clients, gen, spec, cross=cross)
+        want_sums = per_pair_tiled_sums(spec, blocks, pairs)
     assert_same_stats(got, want)
+    for a, b in zip(got_sums, want_sums):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "rbf"])
@@ -774,7 +785,7 @@ def test_stacks_copy_at_most_a_tile_of_inputs(rng):
     d = 4
     blocks = [rng.normal(size=(8 * 40, d)), rng.normal(size=(9, d))]
     with small_tiles(8):
-        _, stacks = kernelmmd._schedule(blocks, blocks, [(0, 1), (1, 1)])
+        _, stacks = kernelmmd._schedule(blocks, [(0, 1), (1, 1)])
     assert {(n_rows, n_cols) for _, n_rows, n_cols, _ in stacks} >= {(8, 8), (8, 1)}
     for members, n_rows, n_cols, _ in stacks:
         assert len(members) == 1 or len(members) * (n_rows + n_cols) * d <= 8 * 8
