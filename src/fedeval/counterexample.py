@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .frechet import _clamp, _distances, _references
 from .statkit import (
     ClientSet,
@@ -119,15 +118,16 @@ def _nelder_mead(objective, simplex, maxfev, xatol, fatol) -> np.ndarray:
     """The best vertex found by the adaptive Nelder–Mead method (Gao & Han
     2012) from ``simplex``, its N+1 vertices in the rows.
 
-    Stops after ``maxfev`` evaluations of ``objective``, or once every
-    vertex is within ``xatol`` of the best one and every value within
-    ``fatol`` of the best value.  This is scipy's ``minimize(...,
-    method="Nelder-Mead")`` with ``initial_simplex``, ``maxfev``,
-    ``xatol``, ``fatol`` and ``adaptive=True``, operation for operation, so
-    it evaluates the same points and returns the same bits (the tests hold
-    it to scipy).  The budget ends an iteration where it runs out: a shrink
-    stops at the vertex it moved but may not evaluate, which keeps its old
-    value.
+    ``objective`` maps a stack of points (rows) to their values: first the
+    ``min(N+1, maxfev)`` starting vertices, then one point per call.
+    Stops after ``maxfev`` evaluations, or once every vertex is within
+    ``xatol`` of the best one and every value within ``fatol`` of the best
+    value.  This is scipy's ``minimize(..., method="Nelder-Mead")`` with
+    ``initial_simplex``, ``maxfev``, ``xatol``, ``fatol`` and
+    ``adaptive=True``, operation for operation, so it evaluates the same
+    points and returns the same bits (the tests hold it to scipy).  The
+    budget ends an iteration where it runs out: a shrink stops at the
+    vertex it moved but may not evaluate, which keeps its old value.
     """
     sim = np.array(simplex, dtype=np.float64)
     n = sim.shape[1]
@@ -135,24 +135,20 @@ def _nelder_mead(objective, simplex, maxfev, xatol, fatol) -> np.ndarray:
     # and left out of the products below.
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     fsim = np.full(n + 1, np.inf)
-    calls = 0
+    calls = min(n + 1, maxfev)
+    fsim[:calls] = objective(sim[:calls])
 
     def f(x):
         nonlocal calls
         if calls >= maxfev:
             raise _BudgetSpent
         calls += 1
-        return objective(x)
+        return objective(x[None])[0]
 
     def by_value(sim, fsim):
         order = np.argsort(fsim)
         return np.take(sim, order, 0), np.take(fsim, order, 0)
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
     # Sorted twice, as scipy does: argsort is not stable, so the second
     # sort may reorder tied values.
     sim, fsim = by_value(*by_value(sim, fsim))
@@ -262,12 +258,13 @@ def search_matched_pair(
     1e-6, the best iterate is returned flagged as not converged.
 
     Each stage runs :func:`_nelder_mead` from the usual starting simplex
-    around the last stage's result.  The vertices it evaluates first are
-    scored in one stacked call before the stage runs, and its calls for
-    exactly those vertices (matched by their bytes) are answered from that
-    table; numpy solves a stack one matrix at a time, so every value is
-    the one the per-candidate path gives.
+    around the last stage's result, and scores each stack of candidates
+    it asks for (the starting vertices, then one point at a time) in one
+    stacked call; numpy solves a stack one matrix at a time, so every
+    value is the one a candidate scored alone gets.  ``budget`` must be at least 1.
     """
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1, got {budget}")
     means, u, _ = _client_spread(clients)
     k, d = means.shape
     if k >= 2 and u <= DEGENERATE_U_TOL:
@@ -299,33 +296,27 @@ def search_matched_pair(
         # Scores of one candidate against the K clients, then the pool.
         return scores[:-1] - targets, float(scores[-1]) - fid_all_hat
 
-    def prescore(simplex):
-        # The vertices' scores from one _distances call (one eigvalsh over
-        # every vertex and reference), in the order the simplex evaluates them.
-        # If a vertex fails, nothing is prescored: the live path then
-        # raises the first failure in the order it always did.
-        try:
-            means, covs = zip(*(candidate(t) for t in simplex))
-            rows = _distances(refs, np.stack(means)[:, None], np.stack(covs)[:, None])[0]
-        except (ValueError, NumericalError):
-            return []
-        return [(t.tobytes(), scores) for t, scores in zip(simplex, rows)]
-
     stages = [1e2, 1e4, 1e6, 1e8]
     per_stage = max(budget // len(stages), 1)
     for penalty in stages:
         simplex = _starting_simplex(theta)
-        scored = prescore(simplex[:per_stage])
 
-        def objective(t):
+        def objective(thetas):
+            # One _distances call (one eigvalsh) scores every candidate.  One
+            # the finite check rejects raises after those before it are
+            # scored: the order one candidate at a time gives.
             nonlocal evaluations
-            evaluations += 1
-            if scored and scored[0][0] == t.tobytes():
-                scores = scored.pop(0)[1]
-            else:
-                scores = _distances(refs, *candidate(t))[0]
-            r, gap = residuals_and_gap(scores)
-            return penalty * float(r @ r) - abs(gap)
+            evaluations += len(thetas)
+            means, covs = np.empty((len(thetas), 1, d)), np.empty((len(thetas), 1, d, d))
+            for i, t in enumerate(thetas):
+                try:
+                    means[i, 0], covs[i, 0] = candidate(t)
+                except ValueError:
+                    if i:
+                        _distances(refs, means[:i], covs[:i])
+                    raise
+            rows = [residuals_and_gap(scores) for scores in _distances(refs, means, covs)[0]]
+            return [penalty * float(r @ r) - abs(gap) for r, gap in rows]
 
         theta = _nelder_mead(objective, simplex, per_stage, xatol=1e-12, fatol=1e-14)
 

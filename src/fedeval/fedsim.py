@@ -940,15 +940,18 @@ def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
 
     Scores within 1e-12 of each other count as tied; the tau-b
     adjustment handles ties, and an all-tied table yields tau 0.
-    Argmins break ties by generator id.
+    Argmins break ties by generator id; a NaN score is a ValueError.
     """
     for table in (table_a, table_b):
         _json_object(table, "score table")
     if set(table_a) != set(table_b):
         raise ValueError("score tables cover different generator ids")
-    scores = [*table_a.values(), *table_b.values()]
-    if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in scores):
-        raise ValueError("score table values must be numbers")
+    for name, table in (("a", table_a), ("b", table_b)):
+        for gen_id, score in table.items():
+            if not isinstance(score, (int, float, np.integer, np.floating)):
+                raise ValueError("score table values must be numbers")
+            if score != score:  # NaN; math.isnan would overflow on a huge int
+                raise ValueError(f"score table {name} has a NaN score for generator {gen_id!r}")
     if not table_a:
         raise ValueError("score tables are empty")
     ids = sorted(table_a)

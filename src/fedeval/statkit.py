@@ -287,6 +287,8 @@ class GaussianStats(_JsonFields):
         stats = cls(n=n, mean=mean, cov=cov)
         if obj.get("second_moment") is not None:
             s = _floats(obj["second_moment"], "second_moment")
+            if s.shape != stats.cov.shape:
+                raise ValueError(f"second_moment shape {s.shape}, expected {stats.cov.shape}")
             expected = stats.cov + np.outer(stats.mean, stats.mean)
             if _far(expected, s, SECOND_MOMENT_RTOL):
                 raise ValueError("second_moment inconsistent with cov + mean mean^T")

@@ -323,7 +323,7 @@ def test_counterexample_search_non_finite_candidate_exits_1(tmp_path, monkeypatc
     before any eigensolver sees it."""
 
     def nelder_mead(objective, simplex, maxfev, **tolerances):
-        objective(np.full_like(simplex[0], np.inf))
+        objective(np.full_like(simplex[:1], np.inf))
 
     monkeypatch.setattr("fedeval.counterexample._nelder_mead", nelder_mead)
     rng = np.random.default_rng(5)
@@ -683,6 +683,21 @@ MALFORMED_JSON_INPUTS = {
         {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "second_moment": {}},
         f"second_moment {_NUMBERS}",
     ),
+    "moments-second-moment-vector": (
+        "moments",
+        {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "second_moment": [1.0, 2.0, 3.0]},
+        "second_moment shape (3,), expected (2, 2)",
+    ),
+    "moments-second-moment-scalar": (
+        "moments",
+        {"n": 5, "mean": [0.0], "cov": [[1.0]], "second_moment": 1.0},
+        "second_moment shape (), expected (1, 1)",
+    ),
+    "moments-second-moment-row": (
+        "moments",
+        {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "second_moment": [1.0, 0.0]},
+        "second_moment shape (2,), expected (2, 2)",
+    ),
     "moments-n-object": (
         "moments",
         {"n": {}, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
@@ -714,6 +729,11 @@ MALFORMED_JSON_INPUTS = {
     ),
     "rank-null-score": (
         "rank", ({"a": 1, "b": 2}, {"a": None, "b": 1}), "score table values must be numbers"
+    ),
+    "rank-nan-score": (
+        "rank",
+        ({"g1": float("nan"), "g2": 1.0, "g3": 2.0}, {"g1": 0.5, "g2": 1.0, "g3": 2.0}),
+        "score table a has a NaN score for generator 'g1'",
     ),
     "rank-lists": ("rank", ([1], [1]), "score table must be a JSON object"),
     "rank-empty": ("rank", ({}, {}), "score tables are empty"),

@@ -1,9 +1,9 @@
 """Matched-score generator pair: analytic construction and numerical search.
 
-The search scores each stage's starting simplex in one stacked call and
-answers the simplex loop's first calls from that table.  ``oracle_search``
-below is the per-candidate search it replaced, run on scipy's
-Nelder–Mead, kept as the oracle: reports (their JSON bytes,
+The simplex loop scores each stage's starting vertices in one stacked
+objective call and every later point as a one-row stack.
+``oracle_search`` below is the per-candidate search this replaced, run on
+scipy's Nelder–Mead, kept as the oracle: reports (their JSON bytes,
 ``evaluations`` included) and errors must be identical.  The in-repo
 simplex loop and complement basis are also held to scipy directly.
 """
@@ -212,6 +212,12 @@ def test_search_identical_means_rejected():
         search_matched_pair(clients, seed=0)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_search_budget_below_one_rejected(budget):
+    with pytest.raises(ValueError, match=f"^search budget must be at least 1, got {budget}$"):
+        search_matched_pair(toy_3d_clients(), budget=budget)
+
+
 def test_search_deterministic_given_seed():
     first = search_matched_pair(toy_3d_clients(), seed=3, budget=2000)
     second = search_matched_pair(toy_3d_clients(), seed=3, budget=2000)
@@ -224,7 +230,7 @@ def test_search_deterministic_given_seed():
 
 
 def oracle_search(clients, seed=0, budget=10000):
-    """The search as it was before the starting simplices were prescored.
+    """The search as it was before the starting simplices were stacked.
     The finite check is looked up at call time, so a test can make it fail
     on a chosen candidate for both searches alike."""
     from scipy.optimize import minimize
@@ -352,29 +358,34 @@ def test_search_matches_per_candidate_oracle(case):
     assert _outcome(search_matched_pair, *args) == _outcome(oracle_search, *args)
 
 
-def test_search_prescoring_failure_raises_like_the_oracle():
-    """A stage whose stacked prescoring fails drops its table, and the live
-    path raises the oracle's error in the oracle's order.  Here the first
-    stage's x0 vertex is scored below the value clamp against the pool."""
-    stacked_errors = []
+def test_search_stacked_first_call_failure_raises_like_the_oracle():
+    """A stage's first objective call scores its starting vertices as one
+    stack, and a failure in it is the oracle's error in the oracle's order.
+    Here the first stage's x0 vertex is scored below the value clamp
+    against the pool."""
+    failed_calls = []
 
     def recording(refs, mean, cov):
         try:
             return _distances(refs, mean, cov)
         except NumericalError as exc:
-            if np.ndim(mean) > 1:
-                stacked_errors.append(str(exc))
+            failed_calls.append((len(mean), str(exc)))
             raise
 
     clients = _search_instance(2, 4, 16, 1e12)
     with mock.patch.object(counterexample, "_distances", recording):
         got = _outcome(search_matched_pair, clients, 3, 40, None)
-    assert stacked_errors == [got[1]]
-    assert got == _outcome(oracle_search, clients, 3, 40, None)
-    assert got[0] is NumericalError
-    # With a vertex the finite check rejects as well, prescoring fails on
-    # that candidate first, but the live path scores x0 first, as before.
-    assert _outcome(search_matched_pair, clients, 3, 40, 0.05) == got
+        # N = 2 free mean directions + 10 Cholesky entries; the budget
+        # allows 10 evaluations per stage, all of them starting vertices.
+        assert failed_calls == [(10, got[1])]
+        assert got == _outcome(oracle_search, clients, 3, 40, None)
+        assert got[0] is NumericalError
+        # The finite check rejects vertex 3 (its Cholesky factor's [0, 0]
+        # entry scaled by 1.05), so the call scores vertices 0 to 2 and
+        # raises x0's error, as the oracle does.
+        failed_calls.clear()
+        assert _outcome(search_matched_pair, clients, 3, 40, 0.05) == got
+        assert failed_calls == [(3, got[1])]
     assert _outcome(oracle_search, clients, 3, 40, 0.05) == got
 
 
@@ -383,28 +394,42 @@ def test_search_prescoring_failure_raises_like_the_oracle():
 
 
 def scipy_nelder_mead(objective, simplex, maxfev, xatol, fatol):
+    """scipy's method on a stacked objective, one point per call."""
     from scipy.optimize import minimize
 
     options = {
         "initial_simplex": simplex, "maxfev": maxfev, "xatol": xatol, "fatol": fatol,
         "adaptive": True,
     }
-    return minimize(objective, simplex[0], method="Nelder-Mead", options=options).x
+    return minimize(
+        lambda x: objective(x[None])[0], simplex[0], method="Nelder-Mead", options=options
+    ).x
 
 
 def _run_simplex(minimizer, values, simplex, maxfev, xatol=1e-12, fatol=1e-14):
     """The returned vertex's bytes and the bytes of every evaluated point.
     ``values`` maps a point and the evaluation's index to its value, so a
-    drawn sequence of values can steer the method through every branch."""
-    points = []
+    drawn sequence of values can steer the method through every branch.
 
-    def objective(x):
-        points.append(x.tobytes())
-        return values(x, len(points) - 1)
+    The points each objective call receives are counted too: the module's
+    loop must score the starting vertices the budget allows,
+    ``min(N+1, maxfev)`` of them, in its first call and one point in each
+    later call."""
+    points, sizes = [], []
+
+    def objective(xs):
+        sizes.append(len(xs))
+        out = []
+        for x in xs:
+            points.append(x.tobytes())
+            out.append(values(x, len(points) - 1))
+        return out
 
     # Values of inf make the convergence test subtract inf from inf.
     with np.errstate(invalid="ignore"):
         x = minimizer(objective, simplex.copy(), maxfev, xatol=xatol, fatol=fatol)
+    if minimizer is counterexample._nelder_mead:
+        assert sizes == [min(len(simplex), maxfev)] + [1] * (len(sizes) - 1)
     return x.tobytes(), points
 
 

@@ -941,6 +941,17 @@ def test_rankings_id_mismatch():
         compare_rankings({"a": 1.0}, {"b": 1.0})
 
 
+def test_rankings_nan_rejected_infinity_ordered():
+    with pytest.raises(ValueError, match="^score table b has a NaN score for generator 'g2'$"):
+        compare_rankings({"g1": 1.0, "g2": 2.0}, {"g1": 1.0, "g2": np.float64("nan")})
+    table_a = {"g1": -math.inf, "g2": 1.0, "g3": math.inf}
+    comparison = compare_rankings(table_a, {"g1": 0.5, "g2": 1.0, "g3": 2.0})
+    assert (comparison.kendall_tau, comparison.concordant, comparison.discordant) == (1.0, 3, 0)
+    assert comparison.argmin_a == "g1"
+    comparison = compare_rankings(table_a, {"g1": 3.0, "g2": 2.0, "g3": 1.0})
+    assert (comparison.kendall_tau, comparison.discordant) == (-1.0, 3)
+
+
 def test_round_trace_deterministic(rng):
     clients = make_clients(rng, k=2)
     gen = np.random.default_rng(5).normal(size=(10, 3))

@@ -525,17 +525,17 @@ def _search_clients():
 
 
 def test_counterexample_objective_makes_no_eigh(eig_counts, eig_calls, monkeypatch):
-    """Each stage first scores the vertices the simplex evaluates first,
-    ``min(N+1, per_stage)`` of them with K+1 products each, in one eigvalsh
-    call.  The simplex's call for such a vertex then solves nothing, and
-    any other evaluation solves its K+1 products against cached roots in
-    one eigvalsh call.  No eigh runs after the roots."""
+    """Each stage's first objective call scores the starting vertices the
+    budget allows, ``min(N+1, per_stage)`` of them with K+1 products each,
+    in one eigvalsh call; each later evaluation solves its K+1 products
+    against cached roots in one eigvalsh call.  No eigh runs after the
+    roots."""
     clients = _search_clients()
     k = len(clients)
     # N: 5 - 3 free mean directions plus the 15 entries of the Cholesky factor.
     n_params = 2 + 15
+    nelder_mead = counterexample._nelder_mead
     for budget in (8, 400):
-        prescored = min(n_params + 1, budget // 4) * (k + 1)
         stages = []
         last = [dict(counter) for counter in (eig_counts, eig_calls)]
 
@@ -545,24 +545,30 @@ def test_counterexample_objective_makes_no_eigh(eig_counts, eig_calls, monkeypat
             last[:] = now
             return delta
 
-        def one_stage(objective, simplex, maxfev, **tolerances):
-            theta = simplex[0]
-            assert simplex.tobytes() == counterexample._starting_simplex(theta).tobytes()
-            before = spent()
-            objective(theta)  # the first vertex: answered from the table
-            hit = spent()
-            objective(theta + 1.0)  # not a vertex: scored live
-            stages.append((before, hit, spent()))
-            return theta
+        def recording(objective, simplex, maxfev, **tolerances):
+            calls = []
 
-        monkeypatch.setattr("fedeval.counterexample._nelder_mead", one_stage)
-        counterexample.search_matched_pair(clients, budget=budget)
+            def counted(thetas):
+                values = objective(thetas)
+                calls.append((len(thetas), *spent()))
+                return values
+
+            stages.append((spent(), calls))
+            return nelder_mead(counted, simplex, maxfev, **tolerances)
+
+        monkeypatch.setattr("fedeval.counterexample._nelder_mead", recording)
+        report = counterexample.search_matched_pair(clients, budget=budget)
+        start = min(n_params + 1, budget // 4)
+        first = (start, {"eigh": 0, "eigvalsh": start * (k + 1)}, {"eigh": 0, "eigvalsh": 1})
+        later = (1, {"eigh": 0, "eigvalsh": k + 1}, {"eigh": 0, "eigvalsh": 1})
         nothing = ({"eigh": 0, "eigvalsh": 0}, {"eigh": 0, "eigvalsh": 0})
-        live = ({"eigh": 0, "eigvalsh": k + 1}, {"eigh": 0, "eigvalsh": 1})
-        # The first stage's count also holds the roots and the targets.
-        first = ({"eigh": k + 1, "eigvalsh": k + 1 + prescored}, {"eigh": 1, "eigvalsh": 2})
-        later = ({"eigh": 0, "eigvalsh": prescored}, {"eigh": 0, "eigvalsh": 1})
-        assert stages == [(first, nothing, live)] + [(later, nothing, live)] * 3
+        # Before the first stage: the roots and the targets.
+        setup = ({"eigh": k + 1, "eigvalsh": k + 1}, {"eigh": 1, "eigvalsh": 1})
+        assert [before for before, _ in stages] == [setup] + [nothing] * 3
+        for _, calls in stages:
+            assert calls == [first] + [later] * (len(calls) - 1)
+        assert sum(len(calls) for _, calls in stages) == 4 + 4 * (budget // 4 - start)
+        assert report.evaluations == 4 * (budget // 4)
 
 
 def test_counterexample_search_roots_computed_once(eig_counts):
