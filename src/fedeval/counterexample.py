@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frechet import _clamp, _distances, _references
+from .frechet import _distances, _references
 from .statkit import (
     ClientSet,
     GaussianModel,
@@ -155,8 +155,8 @@ def _nelder_mead(objective, simplex, maxfev, xatol, fatol) -> np.ndarray:
 
     while calls < maxfev:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
@@ -190,13 +190,24 @@ def _nelder_mead(objective, simplex, maxfev, xatol, fatol) -> np.ndarray:
     return sim[0]
 
 
+def _candidate_stack(thetas, center, basis, tril):
+    """The search candidates of parameter rows ``thetas``: means ``center +
+    basis @ theta[:m]`` over the ``m`` basis columns, covariances ``L @ L^T``
+    with ``L`` lower-triangular, its ``tril`` entries ``theta[m:]``.  The
+    stacked matrix-vector and ``L @ L^T`` products round as one row's do."""
+    m, d = basis.shape[1], basis.shape[0]
+    means = center + (basis @ thetas[:, :m, None])[..., 0]
+    chol = np.zeros((len(thetas), d, d))
+    chol[:, tril[0], tril[1]] = thetas[:, m:]
+    return means, chol @ np.swapaxes(chol, 1, 2)
+
+
 def _client_and_pool_references(clients: ClientSet):
     """The pooled statistic and the reference stack (the clients, then the
     pool), each root PSD-checked in that order before any scoring."""
     pooled = pool_moments(clients)
     refs = _references(clients.stats_list() + [pooled])
-    for spectrum in refs.spectra:
-        _clamp(spectrum, "matrix")
+    refs.check_roots()
     return pooled, refs
 
 
@@ -283,18 +294,19 @@ def search_matched_pair(
 
     evaluations = 0
 
-    def candidate(theta):
-        # Symmetric PSD by construction: only the finite check is needed.
-        mean = pooled.mean + basis @ theta[:m_free]
-        chol = np.zeros((d, d))
-        chol[tril] = theta[m_free:]
-        cov = chol @ chol.T
-        _check_finite(mean, cov)
-        return mean, cov
-
-    def residuals_and_gap(scores):
-        # Scores of one candidate against the K clients, then the pool.
-        return scores[:-1] - targets, float(scores[-1]) - fid_all_hat
+    def candidates(thetas):
+        # Each finite-checked in order (symmetric PSD by construction); one
+        # the check rejects raises after those before it are scored, the
+        # order one candidate at a time gives.
+        means, covs = _candidate_stack(thetas, pooled.mean, basis, tril)
+        for i in range(len(thetas)):
+            try:
+                _check_finite(means[i], covs[i])
+            except ValueError:
+                if i:
+                    _distances(refs, means[:i, None], covs[:i, None])
+                raise
+        return means[:, None], covs[:, None]
 
     stages = [1e2, 1e4, 1e6, 1e8]
     per_stage = max(budget // len(stages), 1)
@@ -302,26 +314,23 @@ def search_matched_pair(
         simplex = _starting_simplex(theta)
 
         def objective(thetas):
-            # One _distances call (one eigvalsh) scores every candidate.  One
-            # the finite check rejects raises after those before it are
-            # scored: the order one candidate at a time gives.
+            # One _distances call (one eigvalsh) scores every candidate
+            # against the K clients, then the pool.
             nonlocal evaluations
             evaluations += len(thetas)
-            means, covs = np.empty((len(thetas), 1, d)), np.empty((len(thetas), 1, d, d))
-            for i, t in enumerate(thetas):
-                try:
-                    means[i, 0], covs[i, 0] = candidate(t)
-                except ValueError:
-                    if i:
-                        _distances(refs, means[:i], covs[:i])
-                    raise
-            rows = [residuals_and_gap(scores) for scores in _distances(refs, means, covs)[0]]
-            return [penalty * float(r @ r) - abs(gap) for r, gap in rows]
+            scores = _distances(refs, *candidates(thetas))[0]
+            r = scores[:, :-1] - targets
+            squares = (r[:, None, :] @ r[:, :, None]).ravel().tolist()
+            # In Python floats, as one candidate's were: an overflow is inf, not a warning.
+            return [
+                penalty * q - abs(gap - fid_all_hat)
+                for q, gap in zip(squares, scores[:, -1].tolist())
+            ]
 
         theta = _nelder_mead(objective, simplex, per_stage, xatol=1e-12, fatol=1e-14)
 
-    best = GaussianModel(*candidate(theta))
-    residuals, _ = residuals_and_gap(_distances(refs, best.mean, best.cov)[0])
+    best = GaussianModel(*(x[0, 0] for x in candidates(theta[None])))
+    residuals = _distances(refs, best.mean, best.cov)[0][:-1] - targets
     converged = bool(np.sum(np.abs(residuals)) <= RESIDUAL_TARGET)
     return _measure(
         refs,

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError
-from .frechet import _clamp, _references, fid_all, fid_avg
+from .frechet import _clamp, _fid_avg, _references, frechet_distance
 from .kernelmmd import KernelSpec, KernelStats, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
@@ -59,6 +59,8 @@ from .statkit import (
     _json_field,
     _json_object,
     _json_objects,
+    _pool,
+    _real,
     json_text,
     log_likelihood_scores,
     moments,
@@ -339,11 +341,12 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
             continue
         want_all = f"{family}_all" in metrics
         if family == "fid":
-            gen_stats = _generator_stats(generator)
-            result = fid_avg(source, gen_stats)
+            # fid_avg and fid_all on one list of client statistics.
+            gen_stats, stats = _generator_stats(generator), source.stats_list()
+            result = _fid_avg(stats, source.weights, gen_stats)
             values, avg = [r.value for r in result.per_client], result.value
             if want_all:
-                pooled = fid_all(source, gen_stats).value
+                pooled = frechet_distance(_pool(stats, source.weights), gen_stats).value
         elif family == "kid":
             stats = source
             if not isinstance(source, KernelStats):
@@ -373,16 +376,16 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
 # Synthetic scenarios
 
 
-def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
+def _mean_and_cov(mean, cov, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """A flat mean and a covariance matrix, checked as :class:`GaussianStats`
     checks them; a scalar ``cov`` stands for ``cov * I``."""
-    mean = _floats(mean, "mean").reshape(-1)
+    mean = _floats(mean, "mean", f"{kind} field 'mean'").reshape(-1)
     if mean.shape[0] < 1:
         raise ValueError("Gaussian spec mean must have at least one entry")
-    cov = _floats(cov, "covariance")
+    cov = _floats(cov, "covariance", f"{kind} field 'cov'")
     if cov.ndim == 0:
         cov = float(cov) * np.eye(mean.shape[0])
-    return _check_mean_cov(mean, cov)
+    return _check_mean_cov(mean, cov, kind)
 
 
 def _check_n_and_seed(spec) -> None:
@@ -404,7 +407,7 @@ class ClientSpec:
     kind = "gaussian"  # not a field: every client is Gaussian
 
     def __post_init__(self):
-        self.mean, self.cov = _mean_and_cov(self.mean, self.cov)
+        self.mean, self.cov = _mean_and_cov(self.mean, self.cov, "scenario client")
         _check_n_and_seed(self)
 
 
@@ -432,14 +435,19 @@ class GeneratorSpec:
         if self.kind == "gaussian":
             if self.mean is None or self.cov is None:
                 raise ValueError("gaussian generator spec needs mean and cov")
-            self.mean, self.cov = _mean_and_cov(self.mean, self.cov)
+            self.mean, self.cov = _mean_and_cov(self.mean, self.cov, "scenario generator")
         else:
             if self.point is None:
                 raise ValueError("point generator spec needs a point")
-            self.point = _floats(self.point, "generator point").reshape(-1)
+            point = _floats(self.point, "generator point", "scenario generator field 'point'")
+            self.point = point.reshape(-1)
             if not np.isfinite(self.point).all():
                 raise ValueError("non-finite entry in generator point")
-            if not (_is_real(self.jitter) and math.isfinite(self.jitter)):
+            jitter = self.jitter
+            if not (
+                _is_real(jitter)
+                and math.isfinite(_real(jitter, "scenario generator field 'jitter'"))
+            ):
                 raise ValueError(f"point jitter must be a finite number, got {self.jitter!r}")
         _check_n_and_seed(self)
 
@@ -469,20 +477,24 @@ def _draws(specs, seeds) -> list[np.ndarray]:
     for i, spec in enumerate(specs):
         if spec.kind == "gaussian":
             by_dim.setdefault(spec.mean.shape[0], []).append(i)
-    roots, spectra = {}, {}
+    roots, rejected = {}, []
     for rows in by_dim.values():
         refs = _references([specs[i] for i in rows])
         roots.update(zip(rows, refs.roots))
-        spectra.update(zip(rows, refs.spectra))
-    for i in sorted(spectra):
-        _clamp(spectra[i], "matrix")
+        rejected += [(rows[j], refs.spectra[j]) for j in np.flatnonzero(refs.rejected)]
+    if rejected:
+        _clamp(min(rejected, key=lambda row: row[0])[1], "matrix")
     return [_draw(spec, seed, roots.get(i)) for i, (spec, seed) in enumerate(zip(specs, seeds))]
 
 
 def _materialize(clients: list[ClientSpec], generators: list[GeneratorSpec], seed: int):
-    """The client set and generator samples of the specs, seeded from ``seed``."""
-    seeds = _spawn_seeds(seed, len(clients) + len(generators))
-    samples = _draws(clients + generators, seeds)
+    """The client set and generator samples of the specs, seeded from ``seed``
+    (one spawned seed per spec, spawned only if some spec has no seed of its own)."""
+    specs = clients + generators
+    seeds = [None] * len(specs)
+    if any(spec.seed is None for spec in specs):
+        seeds = _spawn_seeds(seed, len(specs))
+    samples = _draws(specs, seeds)
     client_set = ClientSet([Client(id=s.id, embeddings=x) for s, x in zip(clients, samples)])
     return client_set, samples[len(clients):]
 
@@ -526,7 +538,9 @@ class Scenario:
             raise ValueError(
                 f"detection_threshold must be a number, got {self.detection_threshold!r}"
             )
-        self.detection_threshold = float(self.detection_threshold)
+        self.detection_threshold = _real(
+            self.detection_threshold, "scenario field 'detection_threshold'"
+        )
 
     def materialize(self) -> tuple[ClientSet, list[np.ndarray]]:
         return _materialize(self.clients, self.generators, self.seed)
@@ -935,6 +949,21 @@ class RankingComparison(_JsonFields):
     argmin_b: str
 
 
+def _order(x, y) -> int:
+    """The sign of ``x - y``, or 0 when the two scores tie: equal (equal
+    infinities too) or within TIE_TOL.  Equality and order are compared, not
+    taken from the difference, so an integer beyond float range needs no
+    conversion; its difference from a float overflows, and is no tie."""
+    if x == y:
+        return 0
+    try:
+        if abs(x - y) <= TIE_TOL:
+            return 0
+    except OverflowError:
+        pass
+    return 1 if x > y else -1
+
+
 def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
     """Tie-adjusted Kendall tau between two generator score tables.
 
@@ -958,15 +987,13 @@ def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
     concordant = discordant = ties_a = ties_b = 0
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            da = table_a[ids[i]] - table_a[ids[j]]
-            db = table_b[ids[i]] - table_b[ids[j]]
-            tied_a = abs(da) <= TIE_TOL
-            tied_b = abs(db) <= TIE_TOL
-            ties_a += tied_a
-            ties_b += tied_b
-            if tied_a or tied_b:
+            sa = _order(table_a[ids[i]], table_a[ids[j]])
+            sb = _order(table_b[ids[i]], table_b[ids[j]])
+            ties_a += sa == 0
+            ties_b += sb == 0
+            if sa == 0 or sb == 0:
                 continue
-            if (da > 0) == (db > 0):
+            if sa == sb:
                 concordant += 1
             else:
                 discordant += 1

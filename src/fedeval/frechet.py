@@ -102,17 +102,28 @@ class FrechetResult(_JsonFields):
 class _References:
     """Gaussian references stacked along the leading axis: means, roots
     ``A_i^1/2``, traces ``Tr A_i`` and the eigenvalues each root was taken
-    from, PSD-checked when the row is scored."""
+    from.  Which rows' eigenvalues :func:`_clamp` rejects is found once,
+    when the stack is built; the error is raised when the row is scored
+    (or by :meth:`check_roots`)."""
 
     means: np.ndarray
     roots: np.ndarray
     traces: np.ndarray
     spectra: np.ndarray
+    rejected: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rejected = _below_clamp(self.spectra)
 
     def __getitem__(self, rows: slice) -> "_References":
         return _References(
             self.means[rows], self.roots[rows], self.traces[rows], self.spectra[rows]
         )
+
+    def check_roots(self) -> None:
+        """Raise the first rejected root's :class:`NotPsdError`, if any."""
+        if self.rejected.any():
+            _clamp(self.spectra[np.argmax(self.rejected)], "matrix")
 
 
 def _references(refs: list) -> _References:
@@ -137,15 +148,16 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     if refs.means.shape[-1] != mean.shape[-1]:
         raise ValueError(f"dimension mismatch: {refs.means.shape[-1]} vs {mean.shape[-1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_term = np.sum((refs.means - mean) ** 2, axis=-1)
+        mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
         inner = refs.roots @ cov @ refs.roots
-        finite = np.isfinite(inner).all(axis=(-2, -1))
         w = np.linalg.eigvalsh((inner + np.swapaxes(inner, -1, -2)) / 2.0)
-        cross = np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
+        cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
         trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
         value = mean_term + trace_term
-    checks = _below_clamp(refs.spectra) | _below_clamp(w) | ~finite | ~np.isfinite(value)
-    if (checks | (value < -VALUE_CLAMP)).any():
+    finite = np.isfinite(inner).all(axis=(-2, -1))
+    # Every check of every row in one boolean; a value that is NaN fails both bounds.
+    passed = (value >= -VALUE_CLAMP) & (value < np.inf) & finite & ~_below_clamp(w)
+    if refs.rejected.any() or not passed.all():
         # The first failing row (in C order over a stack of targets) raises
         # its first failing check: its root, its product, then its value.
         d = w.shape[-1]
@@ -194,8 +206,13 @@ class FidAvgResult:
 
 def fid_avg(clients: ClientSet, g) -> FidAvgResult:
     """Weighted mean of per-client distances to ``g`` (clients in id order)."""
-    rows = _distances(_references(clients.stats_list()), g.mean, g.cov)
-    return FidAvgResult(value=float(clients.weights @ rows[0]), per_client=_results(rows))
+    return _fid_avg(clients.stats_list(), clients.weights, g)
+
+
+def _fid_avg(stats: list, weights: np.ndarray, g) -> FidAvgResult:
+    """:func:`fid_avg` of the clients' statistics ``stats`` under ``weights``."""
+    rows = _distances(_references(stats), g.mean, g.cov)
+    return FidAvgResult(value=float(weights @ rows[0]), per_client=_results(rows))
 
 
 @dataclass

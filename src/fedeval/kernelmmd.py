@@ -53,12 +53,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SampleCountError
-from .statkit import ClientSet, _is_real, _JsonFields, as_embeddings
+from .statkit import ClientSet, _is_real, _JsonFields, _real, as_embeddings
 
 VSTAT_CLAMP = 1e-10
 # Side of the square tiles of every kernel and distance pass: no larger
 # kernel or distance matrix is ever held, so memory does not grow with N.
 TILE = 256
+# Largest polynomial kernel degree; each degree above 2 is one more pass
+# over every Gram tile.
+MAX_DEGREE = 100
 
 
 @dataclass
@@ -83,13 +86,21 @@ class KernelSpec:
         if self.kind == "polynomial":
             if not (_is_real(self.degree) and self.degree >= 1 and self.degree % 1 == 0):
                 raise ValueError(f"polynomial degree must be an integer >= 1, got {self.degree!r}")
+            if self.degree > MAX_DEGREE:
+                raise ValueError(f"polynomial degree must be at most {MAX_DEGREE}")
             self.degree = int(self.degree)
-            if self.scale is not None and not (_is_real(self.scale) and self.scale > 0):
+            if self.scale is not None and not (
+                _is_real(self.scale) and _real(self.scale, "kernel spec field 'scale'") > 0
+            ):
                 raise ValueError(f"kernel scale must be positive, got {self.scale!r}")
             if not _is_real(self.offset):
                 raise ValueError(f"kernel offset must be a number, got {self.offset!r}")
+            _real(self.offset, "kernel spec field 'offset'")
         if self.kind == "rbf" and self.bandwidth is not None:
-            if not (_is_real(self.bandwidth) and self.bandwidth > 0):
+            if not (
+                _is_real(self.bandwidth)
+                and _real(self.bandwidth, "kernel spec field 'bandwidth'") > 0
+            ):
                 raise ValueError(f"rbf bandwidth must be positive, got {self.bandwidth!r}")
 
     def resolved_scale(self, dim: int) -> float:

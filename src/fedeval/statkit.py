@@ -213,13 +213,25 @@ def _json_field(obj: dict, key: str, what: str):
         raise ValueError(f"{what} has no field {key!r}") from None
 
 
-def _floats(value, what: str) -> np.ndarray:
+def _floats(value, what: str, where: str | None = None) -> np.ndarray:
     """``value`` as a float64 array; a JSON object, a string or a ragged
-    list is a ValueError naming ``what``."""
+    list is a ValueError naming ``what``, and an integer beyond float range
+    one naming ``where`` (the input kind and its field; ``what`` if not given)."""
     try:
         return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{where or what} has a number beyond float range") from None
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number or nested lists of numbers") from None
+
+
+def _real(value, where: str) -> float:
+    """``value`` as a float; an integer beyond float range is a ValueError
+    naming ``where`` (the input kind and its field)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is beyond float range") from None
 
 
 def _is_int(value) -> bool:
@@ -241,16 +253,24 @@ def _check_finite(mean, cov) -> None:
 def _far(a, b, rtol: float) -> bool:
     """Whether ``||a - b||_F > rtol * max(||a||_F, 1)``, taken on both divided
     by the power of two at or above their largest magnitude (or by 1), so no
-    norm overflows; a power of two changes no bit of the comparison."""
+    norm overflows; a power of two changes no bit of the comparison.
+
+    Equal arrays are not far, and are answered by one comparison: a library-
+    built covariance equals its transpose exactly.  NaN never compares
+    equal, and equal infinities gave a NaN norm, which is not far either."""
+    if (a == b).all():
+        return False
     big = max(float(np.abs(m).max(initial=0.0)) for m in (a, b))
     scale = math.ldexp(1.0, max(math.frexp(big)[1], 0)) if math.isfinite(big) else 1.0
     a, b = a / scale, b / scale
     return bool(np.linalg.norm(a - b) > rtol * max(float(np.linalg.norm(a)), 1.0 / scale))
 
 
-def _check_mean_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    mean = _floats(mean, "mean").reshape(-1)
-    cov = _floats(cov, "covariance")
+def _check_mean_cov(mean, cov, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A flat float mean and a square symmetric covariance of its dimension,
+    both finite; ``kind`` names the input in an out-of-range error."""
+    mean = _floats(mean, "mean", f"{kind} field 'mean'").reshape(-1)
+    cov = _floats(cov, "covariance", f"{kind} field 'cov'")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
     if cov.shape[0] != mean.shape[0]:
@@ -274,7 +294,7 @@ class GaussianStats(_JsonFields):
     def __post_init__(self):
         if not (_is_int(self.n) and self.n >= 1):
             raise ValueError(f"sample count n must be an integer >= 1, got {self.n!r}")
-        self.mean, self.cov = _check_mean_cov(self.mean, self.cov)
+        self.mean, self.cov = _check_mean_cov(self.mean, self.cov, "moments")
 
     @property
     def dim(self) -> int:
@@ -286,7 +306,7 @@ class GaussianStats(_JsonFields):
         n, mean, cov = (_json_field(obj, key, "moments") for key in ("n", "mean", "cov"))
         stats = cls(n=n, mean=mean, cov=cov)
         if obj.get("second_moment") is not None:
-            s = _floats(obj["second_moment"], "second_moment")
+            s = _floats(obj["second_moment"], "second_moment", "moments field 'second_moment'")
             if s.shape != stats.cov.shape:
                 raise ValueError(f"second_moment shape {s.shape}, expected {stats.cov.shape}")
             expected = stats.cov + np.outer(stats.mean, stats.mean)
@@ -303,7 +323,7 @@ class GaussianModel(_JsonFields):
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean, self.cov = _check_mean_cov(self.mean, self.cov)
+        self.mean, self.cov = _check_mean_cov(self.mean, self.cov, "Gaussian model")
 
     @property
     def dim(self) -> int:
@@ -405,7 +425,7 @@ class ClientSet:
             raise ValueError(f"dimension mismatch across clients: {sorted(dims)}")
         explicit = [c.weight for c in self.clients]
         if all(w is None for w in explicit):
-            counts = np.array([c.n for c in self.clients], dtype=np.float64)
+            counts = _floats([c.n for c in self.clients], "sample counts", "moments field 'n'")
             self.weights = counts / counts.sum()
         elif all(w is not None for w in explicit):
             w = np.array(explicit, dtype=np.float64)
@@ -471,8 +491,10 @@ def load_client_set(path) -> ClientSet:
 
     for entry in _json_objects(_json_field(obj, "clients", "client set"), "clients"):
         weight = entry.get("weight")
-        if weight is not None and not _is_real(weight):
-            raise ValueError(f"client set field 'weight' must be a number, got {weight!r}")
+        if weight is not None:
+            if not _is_real(weight):
+                raise ValueError(f"client set field 'weight' must be a number, got {weight!r}")
+            _real(weight, "client set field 'weight'")
         embeddings, stats = data_file(entry, "embeddings"), data_file(entry, "moments")
         clients.append(
             Client(
@@ -506,8 +528,11 @@ def pool_moments(clients: ClientSet, estimator: str = "population") -> GaussianS
     the weighted within-client covariances.  With weights ``n_i / n`` and
     population covariances this equals the moments of the concatenated samples.
     """
-    stats = clients.stats_list(estimator=estimator)
-    w = clients.weights
+    return _pool(clients.stats_list(estimator=estimator), clients.weights)
+
+
+def _pool(stats: list[GaussianStats], w: np.ndarray) -> GaussianStats:
+    """:func:`pool_moments` of the clients' statistics ``stats`` under weights ``w``."""
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"client weights sum to {w.sum()!r}, expected 1")
     mean, within, between = _mixture_moments(stats, w)

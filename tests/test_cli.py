@@ -162,6 +162,13 @@ MALFORMED_KERNELS = {
         {"kind": "rbf", "bandwidth": False},
         "rbf bandwidth must be positive, got False",
     ),
+    # A 401-digit JSON integer is beyond float range.
+    "huge-bandwidth": (
+        {"kind": "rbf", "bandwidth": 10**400},
+        "kernel spec field 'bandwidth' is beyond float range",
+    ),
+    "huge-scale": ({"scale": 10**400}, "kernel spec field 'scale' is beyond float range"),
+    "huge-offset": ({"offset": 10**400}, "kernel spec field 'offset' is beyond float range"),
 }
 
 
@@ -611,6 +618,8 @@ def test_malformed_spec_fails_when_built(tmp_path, capsys, case):
 
 _LIST_OF_OBJECTS = "must be a list of JSON objects"
 _NUMBERS = "must be a number or nested lists of numbers"
+_HUGE = 10**400
+_BEYOND = "has a number beyond float range"
 
 MALFORMED_JSON_INPUTS = {
     "scenario-clients-object": (
@@ -737,6 +746,48 @@ MALFORMED_JSON_INPUTS = {
     ),
     "rank-lists": ("rank", ([1], [1]), "score table must be a JSON object"),
     "rank-empty": ("rank", ({}, {}), "score tables are empty"),
+    # A 401-digit JSON integer is beyond float range: one error line naming
+    # the input kind and its field, not an OverflowError traceback.
+    "moments-mean-huge": (
+        "moments",
+        {"n": 5, "mean": [_HUGE, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        f"moments field 'mean' {_BEYOND}",
+    ),
+    "moments-cov-huge": (
+        "moments",
+        {"n": 5, "mean": [0.0, 0.0], "cov": [[_HUGE, 0.0], [0.0, 1.0]]},
+        f"moments field 'cov' {_BEYOND}",
+    ),
+    "moments-second-moment-huge": (
+        "moments",
+        {"n": 5, "mean": [0.0], "cov": [[1.0]], "second_moment": [[_HUGE]]},
+        f"moments field 'second_moment' {_BEYOND}",
+    ),
+    "clients-weight-huge": (
+        "clients",
+        {"clients": [{"id": "c1", "embeddings": "c1.fevb", "weight": _HUGE}]},
+        "client set field 'weight' is beyond float range",
+    ),
+    "scenario-mean-huge": (
+        "scenario", small_scenario(**_client_field(mean=[_HUGE, 0.0])),
+        f"scenario client field 'mean' {_BEYOND}",
+    ),
+    "scenario-scalar-cov-huge": (
+        "scenario", small_scenario(**_generator_field(cov=_HUGE)),
+        f"scenario generator field 'cov' {_BEYOND}",
+    ),
+    "scenario-point-huge": (
+        "scenario", small_scenario(**_generator_field(kind="point", point=[0.0, _HUGE])),
+        f"scenario generator field 'point' {_BEYOND}",
+    ),
+    "scenario-jitter-huge": (
+        "scenario", small_scenario(**_generator_field(kind="point", point=[0.0, 0.0], jitter=_HUGE)),
+        "scenario generator field 'jitter' is beyond float range",
+    ),
+    "scenario-threshold-huge": (
+        "scenario", small_scenario(detection_threshold=_HUGE),
+        "scenario field 'detection_threshold' is beyond float range",
+    ),
 }
 
 
@@ -760,6 +811,18 @@ def test_malformed_json_input_exit_1(workspace, capsys, case):
     }[kind]
     assert run_cli(args) == 1
     assert capsys.readouterr().err == f"fedeval: error: {message}\n"
+
+
+def test_huge_moments_count_in_client_set_exit_1(workspace, capsys):
+    """A moments file's 401-digit ``n`` fails where the client set turns the
+    sample counts into weights: one error line, not a traceback."""
+    tmp, _ = workspace
+    moments_file = {"n": _HUGE, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    (tmp / "huge.json").write_text(json.dumps(moments_file))
+    clients = {"clients": [{"id": "a", "moments": "huge.json"}, {"id": "b", "embeddings": "c1.fevb"}]}
+    (tmp / "huge_clients.json").write_text(json.dumps(clients))
+    assert run_cli(["fid", "--clients", tmp / "huge_clients.json", "--gen", tmp / "gen.fevb"]) == 1
+    assert capsys.readouterr().err == f"fedeval: error: moments field 'n' {_BEYOND}\n"
 
 
 def test_non_psd_spec_fails_when_drawn(tmp_path, capsys):

@@ -552,3 +552,37 @@ def test_mean_complement_basis_matches_null_space(means):
         return basis.shape, basis.strides, basis.tobytes()
 
     assert outcome(counterexample._mean_complement_basis) == outcome(oracle_complement_basis)
+
+
+# ---------------------------------------------------------------------------
+# the stacked candidates against one candidate at a time
+
+
+@st.composite
+def candidate_stacks(draw):
+    """A complement basis of K random means in d dimensions, a centre and a
+    stack of search parameter rows of mixed magnitudes."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(k + 1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = counterexample._mean_complement_basis(rng.normal(size=(k, d)))
+    n_params = basis.shape[1] + d * (d + 1) // 2
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    thetas = scale * rng.normal(size=(draw(st.integers(1, n_params + 1)), n_params))
+    return thetas, rng.normal(size=d), basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(candidate_stacks())
+def test_candidate_stack_bit_identical_to_per_candidate(case):
+    """Stacked means ``basis @ theta`` and covariances ``L @ L^T`` equal the
+    per-candidate products the search used to take, bit for bit."""
+    thetas, center, basis = case
+    d, m = basis.shape
+    tril = np.tril_indices(d)
+    means, covs = counterexample._candidate_stack(thetas, center, basis, tril)
+    for theta, mean, cov in zip(thetas, means, covs):
+        chol = np.zeros((d, d))
+        chol[tril] = theta[m:]
+        assert (center + basis @ theta[:m]).tobytes() == mean.tobytes()
+        assert (chol @ chol.T).tobytes() == cov.tobytes()

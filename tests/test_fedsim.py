@@ -646,6 +646,55 @@ def test_materialize_solves_one_eigh_per_dimension(monkeypatch):
     assert calls == [(5, 3, 3), (1, 2, 2)]
 
 
+def test_seeded_specs_spawn_no_seeds(monkeypatch):
+    """Specs that all carry their own seed draw from them, so no seed is
+    spawned from the scenario's; one spec without a seed spawns the usual
+    count, one per spec."""
+    spawned = []
+
+    def spawn(seed, count):
+        spawned.append(count)
+        return original(seed, count)
+
+    original = fedsim._spawn_seeds
+    monkeypatch.setattr(fedsim, "_spawn_seeds", spawn)
+
+    def scenario(gen_seed):
+        return Scenario(
+            name="s",
+            kind="round",
+            clients=[ClientSpec(id=f"c{i}", mean=np.zeros(2), cov=1.0, n=4, seed=i) for i in range(3)],
+            generators=[GeneratorSpec(id="g", kind="gaussian", mean=np.zeros(2), cov=1.0, n=5, seed=gen_seed)],
+        )
+
+    run_scenario(scenario(7))
+    assert spawned == []
+    run_scenario(scenario(None))
+    assert spawned == [4]
+
+
+def test_raw_round_computes_each_moments_once(monkeypatch, rng):
+    """fid_avg and fid_all of a raw round share one list of client
+    statistics: K client moments plus the generator's."""
+    calls = []
+    original = statkit.moments
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(statkit, "moments", counted)
+    monkeypatch.setattr(fedsim, "moments", counted)
+    clients = make_clients(rng, k=4)
+    gen = rng.normal(size=(15, 3))
+    report, _ = run_round(clients, gen, "raw", ["fid_avg", "fid_all"])
+    assert calls == [(15, 3)] + [(20, 3)] * 4
+    assert report.scores == {
+        "fid_avg": fid_avg(clients, moments(gen)).value,
+        "fid_all": fid_all(clients, moments(gen)).value,
+    }
+
+
 def test_single_spec_materializers_keep_signature_and_bytes():
     for fn in (materialize_client, materialize_generator):
         assert list(inspect.signature(fn).parameters) == ["spec", "seed"]
@@ -950,6 +999,35 @@ def test_rankings_nan_rejected_infinity_ordered():
     assert comparison.argmin_a == "g1"
     comparison = compare_rankings(table_a, {"g1": 3.0, "g2": 2.0, "g3": 1.0})
     assert (comparison.kendall_tau, comparison.discordant) == (-1.0, 3)
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_rankings_equal_infinities_tie(inf):
+    """Two equal infinite scores are tied (``inf - inf`` is NaN, so a
+    difference alone would leave the pair to the other table's order), and
+    swapping the other table's order of the tied pair changes nothing."""
+    table_a = {"g1": inf, "g2": inf, "g3": 1.0}
+    results = [
+        compare_rankings(table_a, {"g1": 2.0, "g2": 1.0, "g3": 0.0}),
+        compare_rankings(table_a, {"g1": 1.0, "g2": 2.0, "g3": 0.0}),
+    ]
+    for comparison in results:
+        assert comparison.concordant + comparison.discordant == 2
+        assert abs(comparison.kendall_tau) == pytest.approx(2.0 / math.sqrt(2.0 * 3.0))
+    assert results[0].kendall_tau == results[1].kendall_tau
+
+
+def test_rankings_integer_beyond_float_range():
+    """A 401-digit integer score is ordered against float scores exactly,
+    with no OverflowError from a difference."""
+    huge = 10**400
+    comparison = compare_rankings(
+        {"g1": huge, "g2": 1.0, "g3": 2.0}, {"g1": 3.0, "g2": 1.0, "g3": 2.0}
+    )
+    assert (comparison.kendall_tau, comparison.concordant, comparison.discordant) == (1.0, 3, 0)
+    assert comparison.argmin_a == "g2"
+    tied = compare_rankings({"g1": huge, "g2": huge, "g3": 2.0}, {"g1": 1.0, "g2": 2.0, "g3": 0.0})
+    assert (tied.concordant, tied.discordant) == (2, 0)
 
 
 def test_round_trace_deterministic(rng):

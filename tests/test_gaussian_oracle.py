@@ -458,6 +458,26 @@ def test_decomposition_raises_generator_failures():
     )
 
 
+def test_distances_check_no_reference_spectrum(monkeypatch, rng):
+    """The references' roots are PSD-checked once, when the stack is built:
+    scoring tests only the products' eigenvalues, once per call."""
+    clients = random_stats_clients(rng, k_max=5, d=4)
+    refs = frechet._references(clients.stats_list())
+    g = _gen(rng, 4)
+    seen = []
+    original = frechet._below_clamp
+
+    def recording(w):
+        seen.append(w)
+        return original(w)
+
+    monkeypatch.setattr(frechet, "_below_clamp", recording)
+    for _ in range(3):
+        frechet._distances(refs, g.mean, g.cov)
+    assert len(seen) == 3
+    assert not any(w is refs.spectra or np.shares_memory(w, refs.spectra) for w in seen)
+
+
 @pytest.mark.parametrize("run", [counterexample.construct, counterexample.search_matched_pair])
 def test_counterexample_checks_every_root_before_scoring(run):
     """Client 1's root fails; so would client 0's product with the (non-PSD)

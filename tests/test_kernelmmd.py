@@ -80,6 +80,15 @@ def test_kernel_spec_validation():
         KernelSpec(kind="rbf", bandwidth=0.0)
 
 
+@pytest.mark.parametrize("degree", [101, pytest.param(10**400, id="401-digits"), 1e300])
+def test_polynomial_degree_bounded(degree):
+    """A degree above the bound is refused when the spec is built; a
+    401-digit one used to pass and then loop degree - 2 times per Gram stack."""
+    with pytest.raises(ValueError, match=r"^polynomial degree must be at most 100$"):
+        KernelSpec(degree=degree)
+    assert KernelSpec(degree=100).degree == 100
+
+
 def test_kernel_spec_json_round_trip():
     spec = KernelSpec.from_json_dict(
         {"kind": "polynomial", "degree": 3, "scale": None, "offset": 1}

@@ -24,6 +24,7 @@ from fedeval import (
     pool_moments,
     write_embeddings,
 )
+from fedeval import statkit
 from fedeval.statkit import load_client_set, load_stats, save_stats
 
 from conftest import random_raw_clients
@@ -410,3 +411,49 @@ def test_log_likelihood_singular_model():
     model = GaussianModel(mean=[0.0, 0.0], cov=[[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NotPsdError):
         log_likelihood_scores(clients, model)
+
+
+# ---------------------------------------------------------------------------
+# _far's equal-input shortcut against the full scaled-norm formula
+
+
+def far_oracle(a, b, rtol):
+    """``_far`` as it was before equal inputs were answered by a comparison:
+    the scaled Frobenius-norm test on every input."""
+    big = max(float(np.abs(m).max(initial=0.0)) for m in (a, b))
+    scale = math.ldexp(1.0, max(math.frexp(big)[1], 0)) if math.isfinite(big) else 1.0
+    a, b = a / scale, b / scale
+    return bool(np.linalg.norm(a - b) > rtol * max(float(np.linalg.norm(a)), 1.0 / scale))
+
+
+_FAR_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def far_pairs(draw):
+    """A square matrix and its transpose (symmetric or not), or a matrix and
+    a copy with a few entries redrawn, with ordinary, huge, infinite and
+    NaN entries."""
+    d = draw(st.integers(1, 4))
+    a = np.array(draw(st.lists(_FAR_ENTRIES, min_size=d * d, max_size=d * d))).reshape(d, d)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            with np.errstate(invalid="ignore", over="ignore"):
+                a = (a + a.T) / 2.0
+        return a, a.T
+    b = a.copy()
+    for _ in range(draw(st.integers(0, 2))):
+        b[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = draw(_FAR_ENTRIES)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_pairs(), st.sampled_from([statkit.SYMMETRY_RTOL, statkit.SECOND_MOMENT_RTOL, 0.5]))
+def test_far_matches_scaled_norm_oracle(pair, rtol):
+    a, b = pair
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert statkit._far(a, b, rtol) == far_oracle(a, b, rtol)
