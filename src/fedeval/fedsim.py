@@ -12,16 +12,17 @@ and therefore which aggregate scores exist at all:
   kernel sums; the pooled kernel score additionally needs pairwise raw
   exchange between clients, whose bytes are charged to the trace.
 
-The server assembles the library's own statistic from the replies -- a
-``ClientSet`` of the clients' own ``GaussianStats``, a
-``ClientSet`` of the uploaded embeddings, or a ``KernelStats`` of the
-block sums -- and calls the library's aggregation on it (``fid_avg`` /
-``fid_all``, ``KernelStats.kid_avg`` / ``kid_all``,
-``log_likelihood_scores``, ``prdc_aggregate``), so protocol == library
-holds by construction.  In ``scores`` mode each client scores its own
-samples and replies with its entries; the round asks for no pooled
-score, so no pooled statistic is built (``kernel_stats(cross=False)``,
-``prdc_aggregate(pooled=False)``, ``log_likelihood_scores(pooled=False)``).
+A round scores the client set it was given with the library's own
+aggregations (``fid_avg`` / ``fid_all``, ``KernelStats.kid_avg`` /
+``kid_all``, ``log_likelihood_scores``, ``prdc_aggregate``), so protocol
+== library holds by construction.  The capability table
+``MODE_CAPABILITIES`` gates which scores a mode may compute; the replies
+the mode sends are charged to the trace.  The kernel_blocks round scores
+the ``KernelStats`` its block-sum replies carry.  In ``scores`` mode each
+client scores its own samples and replies with its entries; the round
+asks for no pooled score, so no pooled statistic is built
+(``kernel_stats(cross=False)``, ``prdc_aggregate(pooled=False)``,
+``log_likelihood_scores(pooled=False)``).
 Each row of the mode-collapse timeline and of both sweeps is scored by
 the same aggregation (the toy sweep's analytic columns on the exact
 Gaussian parameters).
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError
-from .frechet import _clamp, _fid_avg, _references, frechet_distance
+from .frechet import _clamp, _references, fid_all, fid_avg
 from .kernelmmd import KernelSpec, KernelStats, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
@@ -59,7 +60,6 @@ from .statkit import (
     _json_field,
     _json_object,
     _json_objects,
-    _pool,
     _real,
     json_text,
     log_likelihood_scores,
@@ -231,16 +231,17 @@ def run_round(
 ) -> tuple[ScoreReport, ProtocolTrace]:
     """Execute one evaluation round and account for every byte moved.
 
-    The server assembles the library's own statistic from the replies (a
-    client set of Gaussian moments or of embeddings, or a ``KernelStats``
-    of block sums) and calls the library's aggregation on it, so the
-    scores equal the direct library calls by construction.  In ``scores``
-    mode each client's entries come from its own samples alone, as a
-    client would compute them: its kernel score from its own blocks, its
-    PRDC from its own block pairs (bit for bit ``prdc_scores``) and its
-    mean log-density; no pooled
-    statistic is built.  The trace lists one generator broadcast followed
-    by the clients' replies in client-id order.
+    The round scores the set it was given with the library's own
+    aggregations, once the capability table ``MODE_CAPABILITIES`` has
+    allowed every requested metric, so the scores equal the direct library
+    calls by construction; the kernel_blocks round scores the
+    ``KernelStats`` of its block-sum replies.  In ``scores`` mode each
+    client's entries come from its own samples alone, as a client would
+    compute them: its kernel score from its own blocks, its PRDC from its
+    own block pairs (bit for bit ``prdc_scores``) and its mean
+    log-density; no pooled statistic is built.  The trace lists one
+    generator broadcast followed by the clients' replies in client-id
+    order.
     """
     mode = _normalize_mode(mode)
     metrics = _normalize_metrics(metrics)
@@ -258,14 +259,18 @@ def run_round(
         )
     )
 
+    source = clients
     if mode == MOMENTS:
-        source = _moments_replies(clients, trace)
+        for client, stats in zip(clients, clients.stats_list()):
+            d = stats.dim
+            body = {"n": int(stats.n)}
+            trace.append(Message(client.id, SERVER, "MomentsReply", 1 + d + d * d, body))
     elif mode == RAW:
-        source = _raw_replies(clients, trace)
+        for client, x in zip(clients, clients.client_embeddings()):
+            n, d = x.shape
+            trace.append(Message(client.id, SERVER, "RawDataReply", n * d, {"rows": n, "cols": d}))
     elif mode == KERNEL_BLOCKS:
         source = _kernel_block_replies(clients, generator, "kid_all" in metrics, kernel, trace)
-    else:
-        source = clients
     scores, per_client = _aggregate(source, generator, metrics, kernel, k_neighbors)
     if mode == SCORES:
         for i, client in enumerate(clients):
@@ -276,25 +281,6 @@ def run_round(
                     Message(client.id, SERVER, "ScoreReply", reals, {"metric": metric, "value": value})
                 )
     return ScoreReport(scores=scores, per_client=per_client, client_ids=clients.ids), trace
-
-
-def _moments_replies(clients, trace) -> ClientSet:
-    rebuilt = []
-    for client, weight, stats in zip(clients, clients.weights, clients.stats_list()):
-        d = stats.dim
-        body = {"n": int(stats.n)}
-        trace.append(Message(client.id, SERVER, "MomentsReply", 1 + d + d * d, body))
-        rebuilt.append(Client(id=client.id, weight=float(weight), stats=stats))
-    return ClientSet(rebuilt)
-
-
-def _raw_replies(clients, trace) -> ClientSet:
-    rebuilt = []
-    for client, weight, x in zip(clients, clients.weights, clients.client_embeddings()):
-        n, d = x.shape
-        trace.append(Message(client.id, SERVER, "RawDataReply", n * d, {"rows": n, "cols": d}))
-        rebuilt.append(Client(id=client.id, weight=float(weight), embeddings=x))
-    return ClientSet(rebuilt)
 
 
 def _kernel_block_replies(clients, generator, cross, kernel, trace) -> KernelStats:
@@ -341,12 +327,11 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
             continue
         want_all = f"{family}_all" in metrics
         if family == "fid":
-            # fid_avg and fid_all on one list of client statistics.
-            gen_stats, stats = _generator_stats(generator), source.stats_list()
-            result = _fid_avg(stats, source.weights, gen_stats)
+            gen_stats = _generator_stats(generator)
+            result = fid_avg(source, gen_stats)
             values, avg = [r.value for r in result.per_client], result.value
             if want_all:
-                pooled = frechet_distance(_pool(stats, source.weights), gen_stats).value
+                pooled = fid_all(source, gen_stats).value
         elif family == "kid":
             stats = source
             if not isinstance(source, KernelStats):
@@ -396,7 +381,7 @@ def _check_n_and_seed(spec) -> None:
 
 
 @dataclass
-class ClientSpec:
+class ClientSpec(_JsonFields):
     """Recipe for one synthetic Gaussian client, checked when it is built."""
 
     id: str
@@ -412,7 +397,7 @@ class ClientSpec:
 
 
 @dataclass
-class GeneratorSpec:
+class GeneratorSpec(_JsonFields):
     """Recipe for one synthetic generator output set, checked when it is built.
 
     ``kind="gaussian"`` draws from a Gaussian; ``kind="point"`` emits a
@@ -508,7 +493,7 @@ def materialize_generator(spec: GeneratorSpec, seed: int | None = None) -> np.nd
 
 
 @dataclass
-class Scenario:
+class Scenario(_JsonFields):
     """A fully seeded synthetic evaluation setup; regeneration is bit-reproducible."""
 
     name: str
@@ -544,32 +529,6 @@ class Scenario:
 
     def materialize(self) -> tuple[ClientSet, list[np.ndarray]]:
         return _materialize(self.clients, self.generators, self.seed)
-
-    def to_json_dict(self) -> dict:
-        def spec_dict(s):
-            out = {"id": s.id, "n": s.n, "seed": s.seed}
-            if isinstance(s, ClientSpec):
-                out.update({"mean": s.mean.tolist(), "cov": s.cov.tolist()})
-            else:
-                out["kind"] = s.kind
-                if s.kind == "gaussian":
-                    out.update({"mean": s.mean.tolist(), "cov": s.cov.tolist()})
-                else:
-                    out.update({"point": s.point.tolist(), "jitter": s.jitter})
-            return out
-
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "mode": self.mode,
-            "metrics": list(self.metrics),
-            "kernel": self.kernel.to_json_dict() if self.kernel else None,
-            "seed": self.seed,
-            "collapse_step": self.collapse_step,
-            "detection_threshold": self.detection_threshold,
-            "clients": [spec_dict(c) for c in self.clients],
-            "generators": [spec_dict(g) for g in self.generators],
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Scenario":
@@ -977,7 +936,7 @@ def compare_rankings(table_a: dict, table_b: dict) -> RankingComparison:
         raise ValueError("score tables cover different generator ids")
     for name, table in (("a", table_a), ("b", table_b)):
         for gen_id, score in table.items():
-            if not isinstance(score, (int, float, np.integer, np.floating)):
+            if not _is_real(score):
                 raise ValueError("score table values must be numbers")
             if score != score:  # NaN; math.isnan would overflow on a huge int
                 raise ValueError(f"score table {name} has a NaN score for generator {gen_id!r}")

@@ -206,13 +206,8 @@ class FidAvgResult:
 
 def fid_avg(clients: ClientSet, g) -> FidAvgResult:
     """Weighted mean of per-client distances to ``g`` (clients in id order)."""
-    return _fid_avg(clients.stats_list(), clients.weights, g)
-
-
-def _fid_avg(stats: list, weights: np.ndarray, g) -> FidAvgResult:
-    """:func:`fid_avg` of the clients' statistics ``stats`` under ``weights``."""
-    rows = _distances(_references(stats), g.mean, g.cov)
-    return FidAvgResult(value=float(weights @ rows[0]), per_client=_results(rows))
+    rows = _distances(_references(clients.stats_list()), g.mean, g.cov)
+    return FidAvgResult(value=float(clients.weights @ rows[0]), per_client=_results(rows))
 
 
 @dataclass

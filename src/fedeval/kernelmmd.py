@@ -48,6 +48,8 @@ generated samples ran fastest at 256 among 128, 256, 384, 512 and 1024.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +67,14 @@ MAX_DEGREE = 100
 
 
 @dataclass
-class KernelSpec:
+class KernelSpec(_JsonFields):
     """Kernel configuration.
 
     ``polynomial``: ``(scale * <x, y> + offset) ** degree`` with
     ``scale`` defaulting to ``1/d`` at evaluation time.
     ``rbf``: ``exp(-||x - y||^2 / (2 sigma^2))`` with ``sigma``
-    defaulting to ``sqrt(d)``.
+    defaulting to ``sqrt(d)``; a given ``sigma`` must have a square in
+    float range (a positive normal float), as the Gram matrix divides by it.
     """
 
     kind: str = "polynomial"
@@ -102,22 +105,21 @@ class KernelSpec:
                 and _real(self.bandwidth, "kernel spec field 'bandwidth'") > 0
             ):
                 raise ValueError(f"rbf bandwidth must be positive, got {self.bandwidth!r}")
+            try:
+                square = float(self.bandwidth) ** 2
+            except OverflowError:
+                square = math.inf
+            if not sys.float_info.min <= square < math.inf:
+                raise ValueError(
+                    f"kernel spec field 'bandwidth' has a square outside float range, "
+                    f"got {self.bandwidth!r}"
+                )
 
     def resolved_scale(self, dim: int) -> float:
         return self.scale if self.scale is not None else 1.0 / dim
 
     def resolved_bandwidth(self, dim: int) -> float:
         return self.bandwidth if self.bandwidth is not None else float(np.sqrt(dim))
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "polynomial":
-            return {
-                "kind": "polynomial",
-                "degree": self.degree,
-                "scale": self.scale,
-                "offset": self.offset,
-            }
-        return {"kind": "rbf", "bandwidth": self.bandwidth}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "KernelSpec":

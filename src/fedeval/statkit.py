@@ -33,6 +33,7 @@ scalars as Python numbers and nested records as their own dicts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -394,11 +395,6 @@ class Client:
             return self.embeddings.shape[1]
         return self.stats.dim
 
-    def get_stats(self, estimator: str = "population") -> GaussianStats:
-        if self.stats is not None:
-            return self.stats
-        return moments(self.embeddings, estimator=estimator)
-
 
 @dataclass
 class ClientSet:
@@ -408,6 +404,8 @@ class ClientSet:
     the set has a fixed, reproducible order.  When no explicit weights
     are given they default to the sample-count fractions ``n_i / n``;
     explicit weights must be nonnegative and sum to 1 within 1e-12.
+    The clients are fixed once the set is built, and their statistics
+    (:meth:`stats_list`) are computed once per set.
     """
 
     clients: list[Client]
@@ -453,12 +451,18 @@ class ClientSet:
     def dim(self) -> int:
         return self.clients[0].dim
 
-    def stats_list(self, estimator: str = "population") -> list[GaussianStats]:
-        return [c.get_stats(estimator=estimator) for c in self.clients]
+    @functools.cached_property
+    def _stats(self) -> tuple[GaussianStats, ...]:
+        return tuple(moments(c.embeddings) if c.stats is None else c.stats for c in self.clients)
 
-    def has_natural_weights(self, tol: float = 1e-12) -> bool:
+    def stats_list(self) -> list[GaussianStats]:
+        """Each client's own statistic, or else the population moments of
+        its samples, in client order (a fresh list of the set's statistics)."""
+        return list(self._stats)
+
+    def has_natural_weights(self) -> bool:
         counts = np.array([c.n for c in self.clients], dtype=np.float64)
-        return bool(np.allclose(self.weights, counts / counts.sum(), rtol=0, atol=tol))
+        return bool(np.allclose(self.weights, counts / counts.sum(), rtol=0, atol=1e-12))
 
     def client_embeddings(self) -> list[np.ndarray]:
         """Every client's raw sample matrix, in client order."""
@@ -527,12 +531,14 @@ def pool_moments(clients: ClientSet, estimator: str = "population") -> GaussianS
     pooled covariance adds the spread of the centred means ``m_i - m`` to
     the weighted within-client covariances.  With weights ``n_i / n`` and
     population covariances this equals the moments of the concatenated samples.
+    An ``"unbiased"`` estimator applies to the clients' samples, not to
+    their own statistics.
     """
-    return _pool(clients.stats_list(estimator=estimator), clients.weights)
-
-
-def _pool(stats: list[GaussianStats], w: np.ndarray) -> GaussianStats:
-    """:func:`pool_moments` of the clients' statistics ``stats`` under weights ``w``."""
+    if estimator == "population":
+        stats = clients.stats_list()
+    else:
+        stats = [moments(c.embeddings, estimator) if c.stats is None else c.stats for c in clients]
+    w = clients.weights
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"client weights sum to {w.sum()!r}, expected 1")
     mean, within, between = _mixture_moments(stats, w)

@@ -167,6 +167,16 @@ MALFORMED_KERNELS = {
         {"kind": "rbf", "bandwidth": 10**400},
         "kernel spec field 'bandwidth' is beyond float range",
     ),
+    # A bandwidth whose square overflows, or underflows to 0 (or below the
+    # normal floats), leaves the Gram matrix's divisor outside float range.
+    "square-overflow-bandwidth": (
+        {"kind": "rbf", "bandwidth": 1e200},
+        "kernel spec field 'bandwidth' has a square outside float range, got 1e+200",
+    ),
+    "square-underflow-bandwidth": (
+        {"kind": "rbf", "bandwidth": 1e-200},
+        "kernel spec field 'bandwidth' has a square outside float range, got 1e-200",
+    ),
     "huge-scale": ({"scale": 10**400}, "kernel spec field 'scale' is beyond float range"),
     "huge-offset": ({"offset": 10**400}, "kernel spec field 'offset' is beyond float range"),
 }
@@ -738,6 +748,10 @@ MALFORMED_JSON_INPUTS = {
     ),
     "rank-null-score": (
         "rank", ({"a": 1, "b": 2}, {"a": None, "b": 1}), "score table values must be numbers"
+    ),
+    # JSON true is no score, although Python counts it as the integer 1.
+    "rank-bool-score": (
+        "rank", ({"g1": True, "g2": 1.0}, {"g1": 1.0, "g2": 2.0}), "score table values must be numbers"
     ),
     "rank-nan-score": (
         "rank",
