@@ -36,6 +36,32 @@ clients thus pay a few calls, not one per pair (K=50 clients of 20
 samples, d=8: 1 275 pairs in 9 calls).  A kernel sum that is not finite
 raises ``NumericalError``.
 
+Each worker of a pass writes every tile temporary into one set of
+buffers (``_Work``) that the calling thread allocates once per pass, so
+no stack allocates a tile-sized array.  A pass runs on two threads
+(``_workers``) when all of these hold: it holds at least ``_TWO_WAY_MIN``
+= 4 TILE^2 tile elements, so every pass of many tiny calls stays serial;
+BLAS is pinned to one thread, that is the first of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
+that is set (OpenBLAS's order) says 1; and at least two CPUs are usable
+(``os.sched_getaffinity``).  A multi-threaded BLAS already spreads each
+product over the cores, where a second caller only contends.  The
+calling thread and one pool thread, created on first use, then take the
+pass's stacks one at a time from one ``_Feed``, the calling thread from
+the front and the pool thread from the back.  Neither waits for the
+other to start: when the second CPU is busy elsewhere or the pool thread
+wakes late, the calling thread runs more of the stacks, and the pass
+ends once the two have met and the pool thread has finished the stack
+it holds.  A late pool thread so delays a pass by at most about one
+stack; a fixed split into halves waits for the slower half, and on a
+shared host ran up to a quarter slower than serial.  The bits do not
+change: a stack is the same ``_gram`` call on either thread, each stack
+writes its units' sums at their own indices, and the pairs' sums are
+added in unit order after the pass.  ``prdc`` runs its k-NN and
+ball-test walks the same way.  If a stack fails, the call raises once no
+worker is left on the pass, with the error of the earliest stack that
+failed, so the error is the serial path's.
+
 The polynomial kernel scales and offsets the ``x @ y.T`` product in
 place and takes the power by repeated products, not by a ``pow`` per
 element; the products round ``degree - 1`` times, so a score can differ
@@ -47,9 +73,12 @@ generated samples ran fastest at 256 among 128, 256, 384, 512 and 1024.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +93,13 @@ TILE = 256
 # Largest polynomial kernel degree; each degree above 2 is one more pass
 # over every Gram tile.
 MAX_DEGREE = 100
+# Fewest tile elements a pass holds before it runs on two threads: every
+# pass of a round of 12 clients of 40 samples, d=8, against 100 generated
+# samples (at most ~183 k) stays serial; every pass of 6 clients of 200
+# against 320 (from ~326 k) does not.
+_TWO_WAY_MIN = 4 * TILE * TILE
+# The variables OpenBLAS reads its thread count from, in its order.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -141,20 +177,30 @@ def load_kernel_spec(path) -> KernelSpec:
         return KernelSpec.from_json_dict(json.load(fh))
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every row (of every block of a stack)."""
-    return np.sum(x**2, axis=-1)
+def _take(buffer, shape):
+    """The leading elements of a flat work buffer as an array of ``shape``;
+    None (a fresh array from the ``out=`` it is passed to) without one."""
+    return None if buffer is None else buffer[: math.prod(shape)].reshape(shape)
+
+
+def _row_norms(x: np.ndarray, buffer=None) -> np.ndarray:
+    """Squared Euclidean norm of every row (of every block of a stack), the
+    squares taken in ``buffer`` when one is given."""
+    return np.sum(np.square(x, out=_take(buffer, x.shape)), axis=-1)
 
 
 def _squared_distances(
-    x: np.ndarray, y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray
+    x: np.ndarray, y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray, work=None
 ) -> np.ndarray:
     """Squared Euclidean distances |x|^2 + |y|^2 - 2 x.y from the row norms
     ``x_sq`` and ``y_sq``, not clipped: roundoff can leave them below 0.
-    Stacks of blocks are paired block by block."""
-    sq = x_sq[..., :, None] + y_sq[..., None, :]
-    cross = x @ np.swapaxes(y, -1, -2)
+    Stacks of blocks are paired block by block.  With a ``_Work`` they are
+    its ``result``, the product taken first, in its ``product``."""
+    product, result = (None, None) if work is None else (work.product, work.result)
+    shape = (*x.shape[:-1], y.shape[-2])
+    cross = np.matmul(x, np.swapaxes(y, -1, -2), out=_take(product, shape))
     cross *= 2.0
+    sq = np.add(x_sq[..., :, None], y_sq[..., None, :], out=_take(result, shape))
     sq -= cross
     return sq
 
@@ -168,25 +214,31 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     return _gram(spec, x, y)
 
 
-def _gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray, work=None) -> np.ndarray:
     """Gram matrix of validated samples, or of each block pair of two equal-
     length stacks of blocks: numpy's stacked ``matmul`` evaluates each block
-    pair as the matrix product of that pair alone."""
+    pair as the matrix product of that pair alone.  With a ``_Work`` every
+    temporary, the result included, is one of its buffers."""
     d = x.shape[-1]
     if spec.kind == "polynomial":
-        base = x @ np.swapaxes(y, -1, -2)
+        product, result = (None, None) if work is None else (work.product, work.result)
+        shape = (*x.shape[:-1], y.shape[-2])
+        base = np.matmul(x, np.swapaxes(y, -1, -2), out=_take(product, shape))
         base *= spec.resolved_scale(d)
         base += spec.offset
         if spec.degree == 1:
             return base
-        power = base * base
+        power = np.multiply(base, base, out=_take(result, shape))
         for _ in range(spec.degree - 2):
             power *= base
         return power
     sigma = spec.resolved_bandwidth(d)
-    sq = _squared_distances(x, y, _row_norms(x), _row_norms(y))
+    squares = None if work is None else work.product
+    sq = _squared_distances(x, y, _row_norms(x, squares), _row_norms(y, squares), work)
     np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-sq / (2.0 * sigma**2))
+    # -sq / (2 sigma^2) in place: IEEE division rounds symmetrically in sign
+    sq /= -(2.0 * sigma**2)
+    return np.exp(sq, out=sq)
 
 
 def _stack_depth(n_rows: int, n_cols: int, dim: int) -> int:
@@ -230,23 +282,217 @@ def _schedule(blocks, pairs):
     return units, stacks
 
 
-def _gather(blocks, units, side: int, length: int) -> np.ndarray:
+def _gather(blocks, units, side: int, length: int, buffer=None) -> np.ndarray:
     """The ``length`` rows each unit of a stack reads from its row (``side``
-    0) or column (``side`` 1) block, stacked; one unit's rows are a view."""
+    0) or column (``side`` 1) block, stacked (into ``buffer`` when one is
+    given); one unit's rows are a view."""
     rows = [blocks[u[side]][u[side + 2] : u[side + 2] + length] for u in units]
     if len(rows) == 1:
         return rows[0][None]
-    return np.concatenate(rows).reshape(len(rows), *rows[0].shape)
+    flat = _take(buffer, (len(rows) * length, *rows[0].shape[1:]))
+    return np.concatenate(rows, out=flat).reshape(len(rows), *rows[0].shape)
 
 
-def _operands(blocks, units, stack):
-    """A stack's units and its stacked row and column operands.  A stack of
+def _operands(blocks, units, stack, work=None):
+    """A stack's units and its stacked row and column operands, gathered
+    into the ``result`` buffer of a ``_Work`` when one is given.  A stack of
     diagonal tiles has one array on both sides, as in a self block's own
     product, so BLAS takes the same symmetric (syrk) product."""
     members, n_rows, n_cols, diagonal = stack
     chosen = [units[i] for i in members]
-    x = _gather(blocks, chosen, 0, n_rows)
-    return chosen, x, x if diagonal else _gather(blocks, chosen, 1, n_cols)
+    buffer = None if work is None else work.result
+    x = _gather(blocks, chosen, 0, n_rows, buffer)
+    if diagonal:
+        return chosen, x, x
+    rest = None if buffer is None else buffer[x.size :]
+    return chosen, x, _gather(blocks, chosen, 1, n_cols, rest)
+
+
+def _elements(stack) -> int:
+    """Tile elements of a stack: its units times their rows and columns."""
+    members, n_rows, n_cols, _ = stack
+    return len(members) * n_rows * n_cols
+
+
+class _Work:
+    """One worker's tile temporaries for one pass, allocated by the calling
+    thread before the pass and reused by every stack through ``out=``.
+    ``product`` takes a stack's matrix product (and before it, with
+    ``squares``, its operands' squares); ``result`` takes its stacked
+    operands (a one-unit stack reads views) and, once the product is
+    taken, its result; with ``mask``, a bool buffer of its largest stack."""
+
+    def __init__(self, stacks, dim: int, mask: bool = False, squares: bool = False):
+        size = max(_elements(s) for s in stacks)
+        operands = max(
+            (len(m) * (n_rows + n_cols) * dim for m, n_rows, n_cols, _ in stacks if len(m) > 1),
+            default=0,
+        )
+        squared = max(len(m) * max(n_rows, n_cols) * dim for m, n_rows, n_cols, _ in stacks)
+        self.product = np.empty(max(size, squared if squares else 0))
+        self.result = np.empty(max(size, operands))
+        self.mask = np.empty(size, dtype=bool) if mask else None
+
+
+def _blas_pinned() -> bool:
+    """Whether BLAS runs on one thread: the first of OpenBLAS's thread
+    variables that is set says 1."""
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name)
+        if value is not None:
+            return value.strip() == "1"
+    return False
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(stacks) -> int:
+    """How many threads run a pass: 2 when it holds at least
+    ``_TWO_WAY_MIN`` tile elements in two or more stacks, BLAS is pinned to
+    one thread and at least two CPUs are usable, else 1.  A multi-threaded
+    BLAS already spreads each product over the cores, and a second caller
+    would only contend."""
+    if len(stacks) < 2 or sum(map(_elements, stacks)) < _TWO_WAY_MIN:
+        return 1
+    return 2 if _blas_pinned() and _usable_cpus() >= 2 else 1
+
+
+class _Feed:
+    """A pass's stacks, handed out one at a time: the calling thread takes
+    them from the front, the pool thread from the back, until the two
+    meet.  A worker that runs late (its CPU busy, or its thread not yet
+    woken) so takes fewer stacks instead of holding up the pass, and each
+    worker's stacks stay one contiguous run.  ``stop_at(i)`` hands out no
+    stack from ``i`` on (``close`` none at all); a pool thread that had not
+    ``join``-ed before ``close`` never touches the pass."""
+
+    def __init__(self, stacks):
+        self._stacks = stacks
+        self._front, self._back, self._limit = 0, len(stacks), len(stacks)
+        self._lock = threading.Lock()
+        self._joined = False
+
+    def join(self) -> bool:
+        """Whether the pool thread may work on the pass (it is not closed)."""
+        with self._lock:
+            self._joined = self._limit > 0
+            return self._joined
+
+    def stop_at(self, index: int) -> None:
+        """Hand out no stack from ``index`` on."""
+        with self._lock:
+            self._limit = min(self._limit, max(index, 0))
+
+    def close(self) -> bool:
+        """Hand out no more stacks; whether the pool thread had joined."""
+        with self._lock:
+            self._limit = 0
+            return self._joined
+
+    def take(self, taken: list, back: bool = False):
+        """The stacks a worker takes from the front (or the ``back``), the
+        index of each in ``taken[0]``."""
+        while True:
+            with self._lock:
+                end = min(self._back, self._limit)
+                if self._front >= end:
+                    return
+                if back:
+                    index = self._back = end - 1
+                else:
+                    index = self._front
+                    self._front += 1
+            taken[0] = index
+            yield self._stacks[index]
+
+
+# The pool thread's process id and the queue it takes calls from, made on
+# first use (again after a fork, which leaves the parent's thread behind).
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _serve(calls) -> None:
+    """The pool thread: run each ``(call, done)`` it takes and put what the
+    call returns on ``done``; stop at a None."""
+    while (item := calls.get()) is not None:
+        call, done = item
+        done.put(call())
+        # let go of the call's buffers before waiting for the next one
+        del item, call, done
+
+
+def _pool():
+    """The queue of the one pool thread of this process."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            import queue
+
+            calls = queue.SimpleQueue()
+            worker = threading.Thread(target=_serve, args=(calls,), name="fedeval-tiles", daemon=True)
+            worker.start()
+            _POOL = (os.getpid(), calls)
+        return _POOL[1]
+
+
+def _work_on(step, feed: _Feed, back: bool, *args):
+    """Run ``step(stacks, *args)`` on the stacks this worker takes from
+    ``feed`` (from its back with ``back``).  Returns None, or on an error
+    stops the feed at the stack that failed and returns ``(index, error)``,
+    ``index`` that of the last stack taken (-1 for none)."""
+    taken = [-1]
+    try:
+        # numpy keeps its error state per context (numpy 2) or per thread
+        # (numpy 1.24), so the pool thread does not see the caller's
+        with np.errstate(over="ignore", invalid="ignore"):
+            step(feed.take(taken, back), *args)
+    except BaseException as exc:  # raised by the caller once the pass is over
+        feed.stop_at(taken[0])
+        return taken[0], exc
+    return None
+
+
+def _pool_side(step, feed: _Feed, *args):
+    """The pool thread's share of a pass, none if the pass is over first."""
+    return _work_on(step, feed, True, *args) if feed.join() else None
+
+
+def _run_pass(step, stacks, workers: int, dim: int, *per_worker, mask=False, squares=False):
+    """Run ``step(stacks, work, *args)`` over a pass's stacks on ``workers``
+    (``_workers``) threads.  Each worker passes an iterator of the stacks it
+    takes from one ``_Feed``, a ``_Work`` for the pass (``dim``, ``mask`` and
+    ``squares`` as there) allocated here on the calling thread, and its
+    entries of ``per_worker`` (one list per argument, one entry per worker).
+    The calling thread is the first worker, the pool thread the second.
+    Returns once no worker is left on the pass.  If a step raised, raises
+    the error of the earliest stack that failed, the serial walk's error: a
+    failure at stack i stops the feed there, and every stack before i is
+    still run.
+    """
+    args = [
+        (_Work(stacks, dim, mask, squares), *(arg[i] for arg in per_worker))
+        for i in range(workers)
+    ]
+    if workers == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return step(iter(stacks), *args[0])
+    import queue  # with the pool thread, not with the package
+
+    feed, done, failed = _Feed(stacks), queue.SimpleQueue(), []
+    _pool().put((functools.partial(_pool_side, step, feed, *args[1]), done))
+    try:
+        failed.append(_work_on(step, feed, False, *args[0]))
+    finally:
+        if feed.close():
+            failed.append(done.get())
+    first = min(filter(None, failed), default=None, key=lambda f: f[0])
+    if first is not None:
+        raise first[1]
 
 
 def _tiled_sums(spec, blocks, pairs):
@@ -258,19 +504,23 @@ def _tiled_sums(spec, blocks, pairs):
     call, a unit's sum the flat sum of its slice and a diagonal unit's trace
     the diagonal of its slice.  A pair's sum adds its units' sums in
     row-major tile order, an off-diagonal tile of a self pair twice, so it
-    does not depend on the other blocks or on the stacking.  A sum that is
-    not finite raises ``NumericalError``.
+    does not depend on the other blocks, on the stacking or on which
+    worker (``_run_pass``) took its units.  A sum that is not finite raises
+    ``NumericalError``.
     """
     units, stacks = _schedule(blocks, pairs)
     parts = np.empty(len(units))
     diagonals = np.zeros(len(units))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stack in stacks:
+
+    def run(taken, work):
+        for stack in taken:
             members = stack[0]
-            tiles = _gram(spec, *_operands(blocks, units, stack)[1:])
+            tiles = _gram(spec, *_operands(blocks, units, stack, work)[1:], work)
             parts[members] = tiles.reshape(len(members), -1).sum(axis=1)
             if stack[3]:
                 diagonals[members] = np.diagonal(tiles, axis1=1, axis2=2).sum(axis=1)
+
+    _run_pass(run, stacks, _workers(stacks), blocks[0].shape[-1], squares=spec.kind == "rbf")
     if not (np.isfinite(parts).all() and np.isfinite(diagonals).all()):
         raise NumericalError("kernel sum is not finite")
     sums = np.full((len(blocks), len(blocks)), np.nan)

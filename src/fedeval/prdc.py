@@ -29,17 +29,38 @@ tests every distance against the generator, client and pooled radii,
 so each client's scores are its own ``prdc_scores``.  Without the pooled
 score (``pooled=False``, a scores round) no cross-client distance is
 taken.  No pooled copy of the samples is made.
+
+The self-pair, cross-pair and ball-test walks run on two threads under
+the kernel pass's gate (``kernelmmd._workers``: at least 4 TILE^2 tile
+elements, BLAS pinned to one thread, two usable CPUs), each thread taking
+the walk's stacks one at a time (``kernelmmd._run_pass``).  The calling
+thread keeps its results in the pass's own arrays.  The pool thread
+keeps its own k smallest per row, merged as it goes, and its own integer
+ball counts and boolean flags.  The caller adds them in once the walk is
+over, by a k-smallest merge, an integer add and an OR.  All three are
+order-free, so every radius and score has the serial walk's bits,
+whichever thread took which stacks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernelmmd
 from .errors import NumericalError, SampleCountError
-from .kernelmmd import _gather, _operands, _row_norms, _schedule, _squared_distances
+from .kernelmmd import (
+    _gather,
+    _operands,
+    _row_norms,
+    _run_pass,
+    _schedule,
+    _squared_distances,
+    _take,
+    _workers,
+)
 from .statkit import ClientSet, _JsonFields, as_embeddings
 
 DEFAULT_K = 5
@@ -93,14 +114,51 @@ def _smallest(sq: np.ndarray, k: int) -> np.ndarray:
     return sq[..., :k].copy()
 
 
-def _tile_distances(blocks, norms, units, stack) -> tuple[np.ndarray, list]:
-    """Unclipped squared distances of a stack of units, and its units.  A
-    distance that is not finite raises ``NumericalError``."""
-    chosen, x, y = _operands(blocks, units, stack)
-    sq = _squared_distances(x, y, *_operands(norms, units, stack)[1:])
+def _tile_distances(blocks, norms, units, stack, work) -> tuple[np.ndarray, list]:
+    """Unclipped squared distances of a stack of units, in the ``result``
+    buffer of ``work``, and its units.  A distance that is not finite raises
+    ``NumericalError``."""
+    chosen, x, y = _operands(blocks, units, stack, work)
+    sq = _squared_distances(x, y, *_operands(norms, units, stack)[1:], work)
     if not np.isfinite(sq.max()):
         raise NumericalError("squared distance is not finite")
     return sq, chosen
+
+
+def _nearest_walk(blocks, norms, units, k, taken, work, best) -> None:
+    """Merge the squared distances of the stacks ``taken`` by one worker of
+    a pass into the k smallest kept per row in ``best``, one entry per
+    block, None for a block whose rows are all inf yet."""
+    held: dict[tuple, list] = {}
+    size = 0
+
+    def merge_held():
+        for (owner, lo), found in held.items():
+            if best[owner] is None:
+                best[owner] = np.full((blocks[owner].shape[0], k), np.inf)
+            _merge_nearest(best[owner], lo, *found)
+        held.clear()
+
+    for stack in taken:
+        sq, chosen = _tile_distances(blocks, norms, units, stack, work)
+        if stack[3]:
+            diagonal = np.arange(stack[1])
+            sq[:, diagonal, diagonal] = np.inf
+        else:
+            columns = _take(work.product, (len(chosen), stack[2], stack[1]))
+            np.copyto(columns, np.swapaxes(sq, 1, 2))
+            near = _smallest(columns, k)
+            for (_, q, _, c0), cols in zip(chosen, near):
+                held.setdefault((q, c0), []).append(cols)
+            size += near.size
+        near = _smallest(sq, k)
+        for (p, _, r0, _), rows in zip(chosen, near):
+            held.setdefault((p, r0), []).append(rows)
+        size += near.size
+        if size >= kernelmmd.TILE**2 // 4:
+            merge_held()
+            size = 0
+    merge_held()
 
 
 def _nearest(blocks, norms, best, pairs, k: int) -> None:
@@ -110,32 +168,21 @@ def _nearest(blocks, norms, best, pairs, k: int) -> None:
 
     Each stack of units is cut to the k smallest per tile row and per tile
     column by one stacked partition each.  These are held per owner row
-    range, about TILE^2 of them at most, and each range then takes them in
-    with one merge.  Only values are kept, so the k smallest do not depend
-    on the stacking or on the order of the merges.
+    range, about TILE^2 / 4 of them at most, and each range then takes them
+    in with one merge.  Only values are kept, so the k smallest do not
+    depend on the stacking or on the order of the merges.  So the pool
+    thread's stacks (``kernelmmd._run_pass``) merge into rows of its own,
+    which join ``best`` once the pass is over.
     """
     units, stacks = _schedule(blocks, pairs)
-    held: dict[tuple, list] = {}
-    size = 0
-    for stack in stacks:
-        sq, chosen = _tile_distances(blocks, norms, units, stack)
-        if stack[3]:
-            diagonal = np.arange(stack[1])
-            sq[:, diagonal, diagonal] = np.inf
-        else:
-            near = _smallest(np.swapaxes(sq, 1, 2).copy(), k)
-            for (_, q, _, c0), cols in zip(chosen, near):
-                held.setdefault((q, c0), []).append(cols)
-            size += near.size
-        near = _smallest(sq, k)
-        for (p, _, r0, _), rows in zip(chosen, near):
-            held.setdefault((p, r0), []).append(rows)
-        size += near.size
-        if size >= kernelmmd.TILE**2 or stack is stacks[-1]:
-            for (owner, lo), found in held.items():
-                _merge_nearest(best[owner], lo, *found)
-            held.clear()
-            size = 0
+    workers = _workers(stacks)
+    kept = [best] + [[None] * len(best) for _ in range(workers - 1)]
+    walk = functools.partial(_nearest_walk, blocks, norms, units, k)
+    _run_pass(walk, stacks, workers, blocks[0].shape[-1], kept)
+    for own in kept[1:]:
+        for rows, found in zip(best, own):
+            if found is not None:
+                _merge_nearest(rows, 0, found)
 
 
 def _radius(best: np.ndarray) -> np.ndarray:
@@ -166,6 +213,38 @@ def _result(cover, recalled, covered, k: int) -> PrdcResult:
     )
 
 
+def _tallies(mats: list[np.ndarray], m: int, sets: int):
+    """Zeroed ball tests of ``sets`` sets of radii: per set, the balls of
+    each block (of the union) around each generated sample and each
+    block's balls that hold one; then each block's samples in a generated
+    ball."""
+    cover = [np.zeros((len(mats), m), dtype=np.int64), np.zeros((1, m), dtype=np.int64)][:sets]
+    covered = [[np.zeros(x.shape[0], dtype=bool) for x in mats] for _ in range(sets)]
+    recalled = [np.zeros(x.shape[0], dtype=bool) for x in mats]
+    return cover, covered, recalled
+
+
+def _balls_walk(blocks, norms, units, radii, taken, work, tallies) -> None:
+    """Add the ball tests of the block x generator stacks ``taken`` by one
+    worker of a pass to ``tallies`` (``_tallies``), counts and flags, which
+    do not depend on the order the stacks are visited in."""
+    cover, covered, recalled = tallies
+    for stack in taken:
+        sq, chosen = _tile_distances(blocks, norms, units, stack, work)
+        dists = _distances(sq)
+        n_rows, n_cols = stack[1], stack[2]
+        inside = _take(work.mask, dists.shape)
+        np.less(dists, _gather(radii[0], chosen, 1, n_cols)[:, None, :], out=inside)
+        for (p, _, r0, _), hit in zip(chosen, inside.any(axis=2)):
+            recalled[p][r0 : r0 + n_rows] |= hit
+        for s, set_radii in enumerate(radii):
+            np.less(dists, _gather(set_radii, chosen, 0, n_rows)[..., None], out=inside)
+            counts = inside.sum(axis=1, dtype=np.int64)
+            for (p, _, r0, c0), count, hit in zip(chosen, counts, inside.any(axis=2)):
+                cover[s][0 if s else p, c0 : c0 + n_cols] += count
+                covered[s][p][r0 : r0 + n_rows] |= hit
+
+
 def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
     """Scores of ``gen`` against each block of ``mats`` and, when ``pooled``,
     against their union, from one pass over the block pairs.
@@ -173,7 +252,8 @@ def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
     Every set's k smallest squared distances come from its self pair; the
     union's start from the blocks' and take in the cross-block pairs.  One
     walk over the block x generator pairs then tests every distance
-    against the generator radii and each set of block radii.
+    against the generator radii and each set of block radii; the pool
+    thread tallies the stacks it takes apart, added in at the end.
     Returns ``(union, per_block)``, ``union`` None unless ``pooled``; one
     block is its own union.
     """
@@ -188,26 +268,18 @@ def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
             # the union's k smallest: the blocks' own, then the cross pairs
             _nearest(blocks, norms, best, [(p, q) for p in range(g) for q in range(p + 1, g)], k)
             radii.append([_radius(b) for b in best[:g]])
-        # per radii set: the balls of each block (of the union) around each
-        # generated sample, and each block's balls that hold one; then each
-        # block's samples in a generated ball
-        cover = [np.zeros((g, m), dtype=np.int64), np.zeros((1, m), dtype=np.int64)][: len(radii)]
-        covered = [[np.zeros(x.shape[0], dtype=bool) for x in mats] for _ in radii]
-        recalled = [np.zeros(x.shape[0], dtype=bool) for x in mats]
         units, stacks = _schedule(blocks, [(p, g) for p in range(g)])
-        for stack in stacks:
-            sq, chosen = _tile_distances(blocks, norms, units, stack)
-            dists = _distances(sq)
-            n_rows, n_cols = stack[1], stack[2]
-            near_gen = (dists < _gather(radii[0], chosen, 1, n_cols)[:, None, :]).any(axis=2)
-            for (p, _, r0, _), hit in zip(chosen, near_gen):
-                recalled[p][r0 : r0 + n_rows] |= hit
-            for s, set_radii in enumerate(radii):
-                inside = dists < _gather(set_radii, chosen, 0, n_rows)[..., None]
-                counts = inside.sum(axis=1, dtype=np.int64)
-                for (p, _, r0, c0), count, hit in zip(chosen, counts, inside.any(axis=2)):
-                    cover[s][0 if s else p, c0 : c0 + n_cols] += count
-                    covered[s][p][r0 : r0 + n_rows] |= hit
+        workers = _workers(stacks)
+        tallies = [_tallies(mats, m, len(radii)) for _ in range(workers)]
+        walk = functools.partial(_balls_walk, blocks, norms, units, radii)
+        _run_pass(walk, stacks, workers, blocks[0].shape[-1], tallies, mask=True)
+    cover, covered, recalled = tallies[0]
+    for more_cover, more_covered, more_recalled in tallies[1:]:
+        for total, more in zip(cover, more_cover):
+            total += more
+        for totals, more_sets in zip([*covered, recalled], [*more_covered, more_recalled]):
+            for total, more in zip(totals, more_sets):
+                total |= more
     per_block = [_result(cover[0][p], recalled[p], covered[0][p], k) for p in range(g)]
     if not pooled:
         return None, per_block

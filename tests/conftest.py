@@ -74,8 +74,8 @@ def gram_elements(monkeypatch):
     elements = []
     real_gram = kernelmmd._gram
 
-    def counting_gram(spec, x, y):
-        out = real_gram(spec, x, y)
+    def counting_gram(spec, x, y, *work):
+        out = real_gram(spec, x, y, *work)
         elements.append(out.size)
         return out
 
@@ -90,8 +90,8 @@ def distance_elements(monkeypatch):
     elements = []
     real_distances = prdc._squared_distances
 
-    def counting_distances(x, y, x_sq, y_sq):
-        out = real_distances(x, y, x_sq, y_sq)
+    def counting_distances(x, y, x_sq, y_sq, *work):
+        out = real_distances(x, y, x_sq, y_sq, *work)
         elements.append(out.size)
         return out
 

@@ -136,3 +136,19 @@ def test_every_subcommand_runs_with_scipy_blocked(fixtures):
     assert free["codes"] == blocked["codes"] == [0] * len(calls)
     assert blocked["after"] == []
     assert blocked_outputs == free_outputs
+
+
+def test_cli_import_starts_no_pool_machinery():
+    """The tile passes' pool thread and its ``queue`` import come with the
+    first pass that runs on two threads, not with the CLI."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import fedeval.cli, threading\n"
+        "fedeval.cli.build_parser()\n"
+        "print(int('queue' in sys.modules), threading.active_count())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["0", "1"]

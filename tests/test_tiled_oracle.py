@@ -17,6 +17,10 @@ carry no duplicates.
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 
 from fedeval import Client, ClientSet, KernelSpec, kernelmmd, prdc
 from fedeval.errors import NumericalError, SampleCountError
-from fedeval.fedsim import run_round
+from fedeval.fedsim import METRIC_KEYS, run_round
 
 SMALL_TILE = 7
 REL = 1e-9
@@ -843,3 +847,352 @@ def test_memory_bounded_by_tiles_and_radii(rng):
         finally:
             tracemalloc.stop()
         assert peak < bound < 8 * big * d, (peak, bound)
+
+
+# ---------------------------------------------------------------------------
+# the passes on two threads
+
+
+@contextmanager
+def two_way(open_):
+    """The two-way gate forced open (the calling and the pool thread take
+    the stacks of a pass of two or more) or forced shut."""
+    with pytest.MonkeyPatch.context() as mp:
+        if open_:
+            mp.setattr(kernelmmd, "_TWO_WAY_MIN", 0)
+            mp.setenv("OPENBLAS_NUM_THREADS", "1")
+            mp.setattr(kernelmmd, "_usable_cpus", lambda: 2)
+        else:
+            mp.setattr(kernelmmd, "_TWO_WAY_MIN", math.inf)
+        yield
+
+
+def every_output(clients, gen, spec, k):
+    """Every kernel and PRDC output over ``clients`` and ``gen``, errors
+    included, as exact text: each ``KernelStats`` field with and without
+    the cross-client pairs and the generator, both ``PrdcAggregate``
+    forms, ``knn_radii``, ``prdc_scores`` and ``mmd2`` of the first client."""
+    first = clients.clients[0].embeddings
+    out = []
+    for cross in (True, False):
+        for g in (gen, None):
+            stats = kernelmmd.kernel_stats(clients, g, spec, cross=cross)
+            out.append([np.asarray(getattr(stats, f)).tobytes() for f in STATS_FIELDS])
+    out.append(outcome(lambda: prdc.prdc_aggregate(clients, gen, k=k)))
+    out.append(outcome(lambda: prdc.prdc_aggregate(clients, gen, k=k, pooled=False)))
+    out.append(outcome(lambda: prdc.knn_radii(gen, k).tobytes()))
+    out.append(outcome(lambda: prdc.prdc_scores(first, gen, k=k)))
+    for estimator in ("vstat", "ustat"):
+        out.append(outcome(lambda: kernelmmd.mmd2(spec, first, gen, estimator)))
+    return [repr(o) for o in out]
+
+
+STATS_FIELDS = ("weights", "natural_weights", "counts", "sums", "traces")
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(st.integers(1, 600), min_size=1, max_size=6),
+    st.integers(1, 600),
+    st.integers(1, 40),
+    st.sampled_from(["polynomial", "rbf"]),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_two_way_passes_bit_identical_to_serial(sizes, m, d, kind, k, natural, seed):
+    # blocks on both sides of the 256-row tile edge; every output, error
+    # text included, the same with the gate forced open and forced shut
+    rng = np.random.default_rng(seed)
+    mats = [rng.normal(size=(n, d)) + rng.normal(size=d) for n in sizes]
+    gen = 1.3 * rng.normal(size=(m, d))
+    weights = [None] * len(sizes)
+    if not natural:
+        w = rng.random(len(sizes)) + 0.1
+        weights = [float(v) for v in w / w.sum()]
+    clients = ClientSet(
+        [Client(id=f"c{i}", weight=w, embeddings=x) for i, (w, x) in enumerate(zip(weights, mats))]
+    )
+    spec = KernelSpec(kind=kind)
+    with two_way(False):
+        want = every_output(clients, gen, spec, k)
+    with two_way(True):
+        got = every_output(clients, gen, spec, k)
+    assert got == want
+
+
+def non_finite_calls(rng, huge):
+    """Six 300-sample clients, client ``huge`` of magnitude 1e160, whose
+    squared distances and kernel sums overflow, and the calls that see it."""
+    mats = [rng.normal(size=(300, 4)) for _ in range(6)]
+    mats[huge] = mats[huge] * 1e160
+    clients = ClientSet([Client(id=f"c{i}", embeddings=x) for i, x in enumerate(mats)])
+    gen = rng.normal(size=(300, 4))
+    return [
+        lambda: kernelmmd.kernel_stats(clients, gen),
+        lambda: kernelmmd.kernel_stats(clients, gen, cross=False),
+        lambda: kernelmmd.kernel_stats(clients, gen, KernelSpec(kind="rbf")),
+        lambda: prdc.prdc_aggregate(clients, gen),
+        lambda: prdc.prdc_aggregate(clients, gen, pooled=False),
+        lambda: prdc.knn_radii(np.concatenate(mats), 5),
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("huge", [0, 5])
+def test_two_way_non_finite_errors_match_serial(huge, rng):
+    # the overflow lands in stacks either thread may take; each call raises
+    # the serial path's NumericalError, and no RuntimeWarning escapes
+    # either thread
+    for i, call in enumerate(non_finite_calls(rng, huge)):
+        with two_way(False):
+            want = outcome(call)
+        with two_way(True):
+            got = outcome(call)
+        assert isinstance(want, NumericalError), (i, want)
+        assert repr(got) == repr(want), i
+
+
+def test_two_way_pass_done_when_the_call_returns_or_raises(monkeypatch, rng):
+    # the pool thread is slowed down; each call still returns or raises
+    # only after both workers have left the pass
+    running = []
+    real = kernelmmd._work_on
+
+    def tracked(step, feed, *args):
+        token = object()
+        running.append(token)
+        try:
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)
+            return real(step, feed, *args)
+        finally:
+            running.remove(token)
+
+    monkeypatch.setattr(kernelmmd, "_work_on", tracked)
+    clients = ClientSet([Client(id=f"c{i}", embeddings=rng.normal(size=(60, 3))) for i in range(3)])
+    gen = rng.normal(size=(50, 3))
+    with two_way(True):
+        kernelmmd.kernel_stats(clients, gen)
+        assert running == []
+        prdc.prdc_aggregate(clients, gen)
+        assert running == []
+        for call in non_finite_calls(rng, 0):
+            with pytest.raises(NumericalError):
+                call()
+            assert running == []
+
+
+def one_unit_stacks(count):
+    """``count`` one-unit stacks of one element each, stack i of unit i."""
+    return [([i], 1, 1, False) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "slow, fails, want",
+    [
+        (2, {2, 5}, "stack 2"),  # 5 fails on the other thread while 2 runs
+        (5, {2, 5}, "stack 2"),
+        (None, {5}, "stack 5"),
+        (0, {7}, "stack 7"),
+    ],
+)
+def test_two_way_raises_the_earliest_failing_stacks_error(slow, fails, want):
+    # every stack before the earliest failing one has run, each at most
+    # once, and no worker is left on the pass when the call raises
+    stacks = one_unit_stacks(8)
+    ran, running = [], []
+
+    def step(taken, work):
+        running.append(threading.current_thread())
+        try:
+            for stack in taken:
+                unit = stack[0][0]
+                time.sleep(0.05 if unit == slow else 0.001)
+                ran.append(unit)
+                if unit in fails:
+                    raise ValueError(f"stack {unit}")
+        finally:
+            running.remove(threading.current_thread())
+
+    with pytest.raises(ValueError, match=want):
+        kernelmmd._run_pass(step, stacks, 2, 1)
+    assert running == []
+    first = int(want.split()[1])
+    assert set(range(first + 1)) <= set(ran)
+    assert len(ran) == len(set(ran))
+
+
+def test_two_way_pass_runs_every_stack_once_on_two_threads():
+    stacks = one_unit_stacks(40)
+
+    def step(taken, work, mine):
+        for stack in taken:
+            time.sleep(0.001)
+            mine.append(stack[0][0])
+
+    mine = ([], [])
+    kernelmmd._run_pass(step, stacks, 2, 1, mine)
+    assert sorted(mine[0] + mine[1]) == list(range(40))
+    # the calling thread takes a run from the front, the pool thread the
+    # rest from the back
+    assert mine[0] == list(range(len(mine[0])))
+    assert mine[1] == list(range(39, len(mine[0]) - 1, -1))
+
+
+def test_two_way_gate_needs_two_stacks_and_the_tile_elements(rng):
+    blocks = [rng.normal(size=(n, 3)) for n in (600, 300, 90, 40)]
+    _, stacks = kernelmmd._schedule(blocks, [(p, q) for p in range(4) for q in range(p, 4)])
+    with two_way(True):
+        assert kernelmmd._workers(stacks) == 2
+        assert kernelmmd._workers(stacks[:1]) == 1
+    with two_way(True), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernelmmd, "_TWO_WAY_MIN", sum(map(kernelmmd._elements, stacks)))
+        assert kernelmmd._workers(stacks) == 2
+        assert kernelmmd._workers(stacks[1:]) == 1
+    with two_way(False):
+        assert kernelmmd._workers(stacks) == 1
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool thread yet; one the test creates is shut down after it."""
+    monkeypatch.setattr(kernelmmd, "_POOL", None)
+    yield
+    if kernelmmd._POOL is not None:
+        kernelmmd._POOL[1].put(None)
+
+
+@pytest.fixture
+def pinned(monkeypatch):
+    """BLAS pinned to one thread, on two usable CPUs."""
+    for name in kernelmmd._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(kernelmmd.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return monkeypatch
+
+
+def kernel_knn_sized(rng):
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(200, 64))) for i in range(6)]
+    )
+    return clients, rng.normal(size=(320, 64))
+
+
+def test_fed_protocol_sized_round_stays_serial(fresh_pool, pinned, rng):
+    # 12 clients of 40 samples, d=8, 100 generated samples: no pass reaches
+    # the gate, so no pool thread is made
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(40, 8))) for i in range(12)]
+    )
+    gen = rng.normal(size=(100, 8))
+    run_round(clients, gen, "raw", sorted(k for k in METRIC_KEYS if k.startswith(("kid", "prdc"))))
+    kernelmmd.kernel_stats(clients, gen)
+    prdc.prdc_aggregate(clients, gen)
+    assert kernelmmd._POOL is None
+
+
+def test_kernel_knn_sized_pass_takes_the_pool(fresh_pool, pinned, rng):
+    clients, gen = kernel_knn_sized(rng)
+    kernelmmd.kernel_stats(clients, gen)
+    assert kernelmmd._POOL is not None
+    assert "fedeval-tiles" in [t.name for t in threading.enumerate()]
+
+
+def test_two_way_pass_does_not_wait_for_a_busy_pool_thread(fresh_pool, rng):
+    # the pool thread is held on another call: the calling thread runs every
+    # stack itself and returns with the serial bits, not waiting for it
+    import queue
+
+    clients = ClientSet([Client(id=f"c{i}", embeddings=rng.normal(size=(90, 5))) for i in range(4)])
+    gen = rng.normal(size=(70, 5))
+    spec = KernelSpec(kind="rbf")
+    with two_way(False):
+        want = every_output(clients, gen, spec, 3)
+    release, done = threading.Event(), queue.SimpleQueue()
+    safety = threading.Timer(60, release.set)
+    safety.start()
+    try:
+        with two_way(True):
+            kernelmmd._pool().put((release.wait, done))
+            got = every_output(clients, gen, spec, 3)
+            returned_first = not release.is_set()
+    finally:
+        release.set()
+        safety.cancel()
+    assert done.get(timeout=60) is True
+    assert returned_first
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "env, cpus",
+    [
+        ({}, {0, 1}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1}),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, {0, 1}),
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0}),
+    ],
+)
+def test_gate_shut_unless_blas_pinned_on_two_cpus(fresh_pool, pinned, rng, env, cpus):
+    pinned.delenv("OPENBLAS_NUM_THREADS")
+    for name, value in env.items():
+        pinned.setenv(name, value)
+    pinned.setattr(kernelmmd.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    clients, gen = kernel_knn_sized(rng)
+    kernelmmd.kernel_stats(clients, gen)
+    prdc.prdc_aggregate(clients, gen)
+    assert kernelmmd._POOL is None
+
+
+@pytest.mark.parametrize(
+    "env, pinned_",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "4", "GOTO_NUM_THREADS": "1"}, False),
+        ({}, False),
+    ],
+)
+def test_blas_pinned_reads_openblas_variables_in_order(monkeypatch, env, pinned_):
+    for name in kernelmmd._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert kernelmmd._blas_pinned() is pinned_
+
+
+def test_memory_bounded_on_the_two_way_path(rng):
+    with two_way(True):
+        test_memory_bounded_by_tiles_and_radii(rng)
+
+
+def test_two_way_callers_on_more_threads_than_cores(rng):
+    # three callers share the one pool thread under a short switch
+    # interval, each pass's stacks split as the threads get to them; every
+    # result keeps the serial bits
+    clients = ClientSet([Client(id=f"c{i}", embeddings=rng.normal(size=(90, 5))) for i in range(4)])
+    gen = rng.normal(size=(70, 5))
+    spec = KernelSpec(kind="rbf")
+    with two_way(False):
+        want = every_output(clients, gen, spec, 3)
+    results, saved = [], sys.getswitchinterval()
+
+    def call_three_times():
+        results.extend(every_output(clients, gen, spec, 3) for _ in range(3))
+
+    with two_way(True):
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call_three_times) for _ in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(saved)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [want] * 9
