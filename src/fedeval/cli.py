@@ -4,7 +4,8 @@ Every subcommand is a thin wrapper over the library; all randomness is
 controlled by ``--seed`` (default 0), so identical invocations produce
 byte-identical outputs.  Exit codes: 0 on success, 1 on usage or input
 errors, 2 on numerical failures (non-PSD inputs, non-convergence, too
-few samples, a LAPACK routine that fails).
+few samples, a LAPACK routine that fails).  Each subcommand imports
+only the library modules it runs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import counterexample as cx
-from . import fedsim, frechet, kernelmmd, prdc, statkit
+from . import statkit
 from .errors import NumericalError
 
 # Which subcommand exercises each public library operation (one each).
@@ -101,6 +101,8 @@ def _load_gaussian(path: str) -> statkit.GaussianStats:
 
 
 def _load_kernel(path: str | None) -> kernelmmd.KernelSpec:
+    from . import kernelmmd
+
     if path is None:
         return kernelmmd.KernelSpec()
     return kernelmmd.load_kernel_spec(path)
@@ -124,6 +126,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fid(args) -> int:
+    from . import frechet
+
     gen_stats = _load_gaussian(args.gen)
     if args.ref:
         ref_stats = _load_gaussian(args.ref)
@@ -144,6 +148,8 @@ def _cmd_fid(args) -> int:
 
 
 def _cmd_kid(args) -> int:
+    from . import kernelmmd
+
     spec = _load_kernel(args.kernel)
     gen = statkit.ingest(args.gen)
     if args.ref:
@@ -169,19 +175,24 @@ def _cmd_kid(args) -> int:
 
 
 def _cmd_prdc(args) -> int:
+    from . import prdc
+
+    k = prdc.DEFAULT_K if args.k is None else args.k
     gen = statkit.ingest(args.gen)
     if args.ref:
         ref = statkit.ingest(args.ref)
-        _emit(prdc.prdc_scores(ref, gen, k=args.k).to_json_dict(), args.out)
+        _emit(prdc.prdc_scores(ref, gen, k=k).to_json_dict(), args.out)
         return 0
     if not args.clients:
         raise ValueError("prdc needs --clients or --ref")
     clients = statkit.load_client_set(args.clients)
-    _emit(prdc.prdc_aggregate(clients, gen, k=args.k).to_json_dict(), args.out)
+    _emit(prdc.prdc_aggregate(clients, gen, k=k).to_json_dict(), args.out)
     return 0
 
 
 def _cmd_barycenter(args) -> int:
+    from . import frechet
+
     clients = statkit.load_client_set(args.clients)
     out: dict = {}
     if args.gen:
@@ -204,6 +215,8 @@ def _cmd_barycenter(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import counterexample as cx
+
     clients = statkit.load_client_set(args.clients)
     if args.search:
         report = cx.search_matched_pair(clients, seed=args.seed, budget=args.budget)
@@ -214,6 +227,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import fedsim
+
     scenario = fedsim.load_scenario(args.scenario)
     outcome = fedsim.run_scenario(scenario)
     if outcome["kind"] == "collapse":
@@ -244,6 +259,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import fedsim
+
     grid = parse_grid(args.grid)
     if args.family == "toy-mixture":
         rows = fedsim.toy_mixture_sweep(
@@ -268,6 +285,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from . import fedsim
+
     with open(args.table_a, "r", encoding="utf-8") as fh:
         table_a = json.load(fh)
     with open(args.table_b, "r", encoding="utf-8") as fh:
@@ -311,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--clients")
     p.add_argument("--ref")
     p.add_argument("--gen", required=True)
-    p.add_argument("--k", type=int, default=prdc.DEFAULT_K)
+    p.add_argument("--k", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_prdc)
 

@@ -243,7 +243,8 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     eigendecomposition.  Singular iterates are regularized with
     ``1e-12 * Tr(C)/d`` on the diagonal before ``C^-1/2`` is taken.
     Convergence is declared when the fixed-point defect drops below
-    ``tol * ||C||_F``.
+    ``tol * ||C||_F``; ``tol`` must be finite and > 0 and ``max_iter``
+    at least 1, or a ``ValueError`` is raised before the first iterate.
     """
     return _barycenter(clients, tol, max_iter)[0]
 
@@ -252,6 +253,10 @@ def _barycenter(
     clients: ClientSet, tol: float, max_iter: int
 ) -> tuple[BarycenterSolution, np.ndarray, np.ndarray]:
     """:func:`barycenter`, with the returned iterate's root and clamped eigenvalues."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"barycenter tol must be a finite number > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"barycenter max_iter must be at least 1, got {max_iter!r}")
     stats = clients.stats_list()
     weights = clients.weights
     d = clients.dim

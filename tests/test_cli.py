@@ -243,6 +243,19 @@ def test_prdc_subcommand(workspace, capsys):
     assert out["all"] == prdc_aggregate(clients, data["gen"], k=3).all.to_json_dict()
 
 
+def test_prdc_default_k_is_the_library_default(workspace, capsys):
+    """Without ``--k`` both prdc forms use ``prdc.DEFAULT_K``."""
+    from fedeval.prdc import DEFAULT_K
+
+    tmp, _ = workspace
+    for source in (["--clients", tmp / "clients.json"], ["--ref", tmp / "c1.fevb"]):
+        args = ["prdc", *source, "--gen", tmp / "gen.fevb"]
+        assert run_cli(args) == 0
+        default = capsys.readouterr().out
+        assert run_cli([*args, "--k", DEFAULT_K]) == 0
+        assert capsys.readouterr().out == default
+
+
 def test_stats_moments_and_pool(workspace, capsys):
     tmp, data = workspace
     assert run_cli(["stats", "--input", tmp / "c1.fevb"]) == 0
@@ -290,6 +303,28 @@ def test_barycenter_lapack_failure_exit_2(workspace, capsys, monkeypatch):
     assert run_cli(["barycenter", "--clients", tmp / "clients.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fedeval: numerical failure: Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--tol", "-1", "barycenter tol must be a finite number > 0, got -1.0"),
+        ("--tol", "0", "barycenter tol must be a finite number > 0, got 0.0"),
+        ("--tol", "nan", "barycenter tol must be a finite number > 0, got nan"),
+        ("--tol", "inf", "barycenter tol must be a finite number > 0, got inf"),
+        ("--max-iter", "0", "barycenter max_iter must be at least 1, got 0"),
+        ("--max-iter", "-2", "barycenter max_iter must be at least 1, got -2"),
+    ],
+)
+def test_barycenter_bad_tol_or_max_iter_exit_1(workspace, capsys, option, value, message):
+    """A stopping rule that cannot be met is an input error, reported in
+    one line before the iteration starts, with or without a generator."""
+    tmp, _ = workspace
+    for gen in ([], ["--gen", tmp / "gen.fevb"]):
+        assert run_cli(["barycenter", "--clients", tmp / "clients.json", *gen, option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fedeval: error: {message}\n"
 
 
 def test_non_finite_scores_exit_2(workspace, capsys):

@@ -27,6 +27,7 @@ from fedeval import (
     psd_sqrt,
 )
 
+from fedeval import frechet
 from fedeval.frechet import _distances, _references
 from fedeval.statkit import load_stats, save_stats
 
@@ -321,6 +322,24 @@ def test_barycenter_non_convergence_carries_iterate(rng):
     assert err.last_cov is not None
     assert err.residual is not None
     assert err.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"tol": t}, f"tol must be a finite number > 0, got {t!r}") for t in (-1.0, 0.0, math.nan)]
+    + [({"tol": math.inf}, "tol must be a finite number > 0, got inf")]
+    + [({"max_iter": m}, f"max_iter must be at least 1, got {m}") for m in (0, -3)],
+)
+def test_barycenter_rejects_a_stopping_rule_it_cannot_meet(rng, monkeypatch, kwargs, message):
+    """A tol <= 0 or non-finite is never met and max_iter < 1 runs no
+    iterate: both are refused before the first eigendecomposition."""
+    clients = random_stats_clients(rng, k_max=3, d=3)
+    g = clients.stats_list()[0]
+    monkeypatch.setattr(frechet, "_clamped_eigh", None)
+    for call in (barycenter, lambda c, **kw: fid_avg_decomposition(c, g, **kw)):
+        with pytest.raises(ValueError) as excinfo:
+            call(clients, **kwargs)
+        assert str(excinfo.value) == f"barycenter {message}"
 
 
 def test_barycenter_residual_history_soft_monotonicity(capsys):

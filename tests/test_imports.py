@@ -1,13 +1,17 @@
-"""Import budget: no subcommand loads scipy.
+"""Import budget: no subcommand loads scipy, and each loads only the
+fedeval modules it runs.
 
 The package runs on numpy alone; scipy is a test-only oracle.  The checks
 run in fresh interpreters, because this test process has already
-imported scipy: one watches ``sys.modules``, and one blocks every scipy
-import and compares each subcommand's output bytes with a free run.
+imported scipy and every fedeval module: one watches ``sys.modules``, and
+one blocks every scipy import and compares each subcommand's output bytes
+with a free run.  ``fedeval`` itself imports its submodules on first use;
+the last tests hold its lazy namespace to the names it always exported.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -34,15 +38,23 @@ class BlockScipy:
 if sys.argv[3] == "block":
     sys.meta_path.insert(0, BlockScipy())
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 import fedeval
+package = modules("fedeval")
 from fedeval import cli
 cli.build_parser()
-before = scipy_modules()
+before, fedeval_before = modules("scipy"), modules("fedeval")
 codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+print(json.dumps({
+    "codes": codes,
+    "before": before,
+    "after": modules("scipy"),
+    "package": package,
+    "fedeval_before": fedeval_before,
+    "fedeval_after": modules("fedeval"),
+}))
 """
 
 
@@ -152,3 +164,116 @@ def test_cli_import_starts_no_pool_machinery():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout.split() == ["0", "1"]
+
+
+CLI_MODULES = ["fedeval", "fedeval.cli", "fedeval.errors", "fedeval.statkit"]
+FEDSIM_MODULES = ("fedsim", "frechet", "kernelmmd", "prdc")
+
+# The library modules each subcommand loads beyond the CLI's own.
+SUBCOMMAND_MODULES = {
+    "stats": (),
+    "fid": ("frechet",),
+    "barycenter": ("frechet",),
+    "kid": ("kernelmmd",),
+    "prdc": ("kernelmmd", "prdc"),
+    "counterexample": ("frechet", "counterexample"),
+    "simulate": FEDSIM_MODULES,
+    "sweep": FEDSIM_MODULES,
+    "rank": FEDSIM_MODULES,
+}
+
+
+def test_cli_parser_loads_only_the_shared_modules(fixtures):
+    """``import fedeval`` loads no submodule; the CLI and its parser add
+    only what every subcommand needs."""
+    result, _ = run_child(fixtures, [])
+    assert result["package"] == ["fedeval"]
+    assert result["fedeval_before"] == result["fedeval_after"] == CLI_MODULES
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_MODULES))
+def test_each_subcommand_loads_only_its_modules(fixtures, subcommand):
+    every = numpy_calls(fixtures) + counterexample_calls(fixtures)
+    calls = [call for call in every if call[0] == subcommand]
+    result, _ = run_child(fixtures, calls)
+    assert result["codes"] == [0] * len(calls)
+    assert result["fedeval_before"] == CLI_MODULES
+    expected = CLI_MODULES + [f"fedeval.{m}" for m in SUBCOMMAND_MODULES[subcommand]]
+    assert result["fedeval_after"] == sorted(expected)
+
+
+# Every name ``fedeval`` exported when it imported its submodules eagerly.
+EXPORTED = {
+    "counterexample": ["CounterexampleReport", "construct", "search_matched_pair"],
+    "errors": [
+        "CapabilityError", "ConvergenceError", "NotPsdError", "NumericalError", "SampleCountError",
+    ],
+    "fedsim": [
+        "ClientSpec", "GeneratorSpec", "Message", "ProtocolTrace", "RankingComparison", "Scenario",
+        "ScoreReport", "compare_rankings", "default_collapse_scenario", "mode_collapse_timeline",
+        "run_round", "run_scenario", "toy_mixture_sweep", "variance_limited_sweep",
+    ],
+    "frechet": [
+        "BarycenterSolution", "FrechetResult", "barycenter", "fid_all", "fid_avg",
+        "fid_avg_decomposition", "frechet_distance", "psd_sqrt",
+    ],
+    "kernelmmd": [
+        "KernelSpec", "MmdResult", "kernel_eval", "kid_all", "kid_avg", "kid_constant_gap", "mmd2",
+    ],
+    "prdc": ["PrdcResult", "knn_radii", "prdc_aggregate", "prdc_scores"],
+    "statkit": [
+        "Client", "ClientSet", "GaussianModel", "GaussianStats", "LogLikelihoodScores",
+        "as_embeddings", "ingest", "load_client_set", "log_likelihood_scores", "moments",
+        "pool_moments", "write_embeddings",
+    ],
+}
+PUBLIC = {name for names in EXPORTED.values() for name in names} | set(EXPORTED)
+
+
+def test_exported_names_resolve_to_their_module_objects():
+    for module_name, names in EXPORTED.items():
+        module = importlib.import_module(f"fedeval.{module_name}")
+        assert getattr(fedeval, module_name) is module
+        for name in names:
+            assert getattr(fedeval, name) is getattr(module, name), name
+
+
+def test_first_access_imports_the_submodule():
+    """In a fresh interpreter, where no submodule is loaded yet, ``getattr``
+    imports a submodule as the tracer reads it, and then a name from it;
+    a name read first imports its submodule too."""
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1])\n"
+        "import fedeval\n"
+        "exported = json.loads(sys.argv[2])\n"
+        "assert fedeval.fid_avg is sys.modules['fedeval.frechet'].fid_avg\n"
+        "for module_name, names in exported.items():\n"
+        "    module = getattr(fedeval, module_name)\n"
+        "    assert module is sys.modules['fedeval.' + module_name]\n"
+        "    for name in names:\n"
+        "        assert getattr(fedeval, name) is getattr(module, name)\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SRC), json.dumps(EXPORTED)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["ok"]
+
+
+def test_star_import_and_dir_give_the_exported_names():
+    namespace: dict = {}
+    exec("from fedeval import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+    assert sorted(fedeval.__all__) == sorted(PUBLIC)
+    listed = dir(fedeval)
+    assert listed == sorted(listed)
+    assert PUBLIC | {"__version__"} <= set(listed)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'fedeval' has no attribute 'no_such_name'$"):
+        fedeval.no_such_name
+    assert not hasattr(fedeval, "DEFAULT_K")
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from fedeval import no_such_name", {})
