@@ -50,6 +50,10 @@ OPERATION_SUBCOMMANDS = {
     "fedsim.compare_rankings": "rank",
 }
 
+# Most steps a --grid start:stop:step may span; a finer grid is refused
+# before any point is built, not left to run out of memory.
+MAX_GRID_STEPS = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -60,7 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse ``start:stop:step`` into an inclusive grid (1e-12 endpoint slack)."""
+    """Parse ``start:stop:step`` into an inclusive grid (1e-12 endpoint
+    slack) of at most ``MAX_GRID_STEPS`` steps."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
@@ -74,6 +79,8 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must be >= start")
+    if (stop - start) / step > MAX_GRID_STEPS:
+        raise ValueError(f"grid has more than {MAX_GRID_STEPS} steps, got {text!r}")
     grid = []
     i = 0
     while True:
@@ -396,7 +403,8 @@ def main(argv=None) -> int:
         # LinAlgError (a ValueError) is LAPACK failing, not bad input.
         print(f"fedeval: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+        # a MemoryError from numpy names the allocation it refused
         print(f"fedeval: error: {exc}", file=sys.stderr)
         return 1
 

@@ -743,7 +743,8 @@ def toy_mixture_sweep(
     seeded draws).  Client datasets are drawn once and reused across the
     grid, so the kernel-score gap is constant along the sweep.  Kernel
     columns use at most ``kid_n_per_client`` samples per side (default
-    ``min(n_per_client, 1000)``) to bound Gram sizes.
+    ``min(n_per_client, 1000)``), which bounds their time; their memory
+    is bounded by the tile engine, which holds one Gram tile at a time.
     """
     var_grid = [float(v) for v in var_grid]
     if any(v < 0 for v in var_grid):

@@ -38,29 +38,33 @@ raises ``NumericalError``.
 
 Each worker of a pass writes every tile temporary into one set of
 buffers (``_Work``) that the calling thread allocates once per pass, so
-no stack allocates a tile-sized array.  A pass runs on two threads
-(``_workers``) when all of these hold: it holds at least ``_TWO_WAY_MIN``
-= 4 TILE^2 tile elements, so every pass of many tiny calls stays serial;
-BLAS is pinned to one thread, that is the first of
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
-that is set (OpenBLAS's order) says 1; and at least two CPUs are usable
-(``os.sched_getaffinity``).  A multi-threaded BLAS already spreads each
-product over the cores, where a second caller only contends.  The
-calling thread and one pool thread, created on first use, then take the
-pass's stacks one at a time from one ``_Feed``, the calling thread from
-the front and the pool thread from the back.  Neither waits for the
-other to start: when the second CPU is busy elsewhere or the pool thread
-wakes late, the calling thread runs more of the stacks, and the pass
-ends once the two have met and the pool thread has finished the stack
-it holds.  A late pool thread so delays a pass by at most about one
+no stack allocates a tile-sized array.  Every pass walks its stacks the
+same way: each worker takes them one at a time from one ``_Feed``, the
+calling thread from the front.  A pass has one worker, the calling
+thread, unless all of these hold (``_workers``): it holds at least
+``_TWO_WAY_MIN`` = 4 TILE^2 tile elements, so every pass of many tiny
+calls stays on one thread; BLAS is pinned to one thread, that is the
+first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` that is set (OpenBLAS's order) says 1; and at least
+two CPUs are usable (``os.sched_getaffinity``).  A multi-threaded BLAS
+already spreads each product over the cores, where a second caller only
+contends.  Then one pool thread, created on first use, also takes
+stacks, from the back of the feed.  Neither waits for the other to
+start: when the second CPU is busy elsewhere or the pool thread wakes
+late, the calling thread runs more of the stacks, and the pass ends once
+the two have met and the pool thread, if it took a stack, has finished
+its step.  A late pool thread so delays a pass by at most about one
 stack; a fixed split into halves waits for the slower half, and on a
 shared host ran up to a quarter slower than serial.  The bits do not
 change: a stack is the same ``_gram`` call on either thread, each stack
 writes its units' sums at their own indices, and the pairs' sums are
 added in unit order after the pass.  ``prdc`` runs its k-NN and
-ball-test walks the same way.  If a stack fails, the call raises once no
-worker is left on the pass, with the error of the earliest stack that
-failed, so the error is the serial path's.
+ball-test walks the same way.  A worker whose step raises closes the
+feed, so neither worker takes another stack; the call raises once no
+worker is left on the pass, with the calling thread's error, or else
+the pool thread's.  The one error a walk raises is ``prdc``'s "squared
+distance is not finite" (kernel sums are checked after the pass), so
+which stack failed does not show in it.
 
 The polynomial kernel scales and offsets the ``x @ y.T`` product in
 place and takes the power by repeated products, not by a ``pow`` per
@@ -95,8 +99,8 @@ TILE = 256
 MAX_DEGREE = 100
 # Fewest tile elements a pass holds before it runs on two threads: every
 # pass of a round of 12 clients of 40 samples, d=8, against 100 generated
-# samples (at most ~183 k) stays serial; every pass of 6 clients of 200
-# against 320 (from ~326 k) does not.
+# samples (at most ~183 k) stays on one thread; every pass of 6 clients of
+# 200 against 320 (from ~326 k) does not.
 _TWO_WAY_MIN = 4 * TILE * TILE
 # The variables OpenBLAS reads its thread count from, in its order.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -183,10 +187,9 @@ def _take(buffer, shape):
     return None if buffer is None else buffer[: math.prod(shape)].reshape(shape)
 
 
-def _row_norms(x: np.ndarray, buffer=None) -> np.ndarray:
-    """Squared Euclidean norm of every row (of every block of a stack), the
-    squares taken in ``buffer`` when one is given."""
-    return np.sum(np.square(x, out=_take(buffer, x.shape)), axis=-1)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row (of every block of a stack)."""
+    return np.sum(np.square(x), axis=-1)
 
 
 def _squared_distances(
@@ -233,8 +236,7 @@ def _gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray, work=None) -> np.ndarr
             power *= base
         return power
     sigma = spec.resolved_bandwidth(d)
-    squares = None if work is None else work.product
-    sq = _squared_distances(x, y, _row_norms(x, squares), _row_norms(y, squares), work)
+    sq = _squared_distances(x, y, _row_norms(x), _row_norms(y), work)
     np.clip(sq, 0.0, None, out=sq)
     # -sq / (2 sigma^2) in place: IEEE division rounds symmetrically in sign
     sq /= -(2.0 * sigma**2)
@@ -317,21 +319,19 @@ def _elements(stack) -> int:
 class _Work:
     """One worker's tile temporaries for one pass, allocated by the calling
     thread before the pass and reused by every stack through ``out=``.
-    ``product`` takes a stack's matrix product (and before it, with
-    ``squares``, its operands' squares); ``result`` takes its stacked
-    operands (a one-unit stack reads views) and, once the product is
-    taken, its result; with ``mask``, a bool buffer of its largest stack."""
+    ``product`` takes a stack's matrix product; ``result`` takes its stacked
+    operands (a one-unit stack reads views) and, once the product is taken,
+    its result; ``mask`` is a bool buffer of its largest stack."""
 
-    def __init__(self, stacks, dim: int, mask: bool = False, squares: bool = False):
+    def __init__(self, stacks, dim: int):
         size = max(_elements(s) for s in stacks)
         operands = max(
             (len(m) * (n_rows + n_cols) * dim for m, n_rows, n_cols, _ in stacks if len(m) > 1),
             default=0,
         )
-        squared = max(len(m) * max(n_rows, n_cols) * dim for m, n_rows, n_cols, _ in stacks)
-        self.product = np.empty(max(size, squared if squares else 0))
+        self.product = np.empty(size)
         self.result = np.empty(max(size, operands))
-        self.mask = np.empty(size, dtype=bool) if mask else None
+        self.mask = np.empty(size, dtype=bool)
 
 
 def _blas_pinned() -> bool:
@@ -363,50 +363,35 @@ def _workers(stacks) -> int:
 
 class _Feed:
     """A pass's stacks, handed out one at a time: the calling thread takes
-    them from the front, the pool thread from the back, until the two
-    meet.  A worker that runs late (its CPU busy, or its thread not yet
-    woken) so takes fewer stacks instead of holding up the pass, and each
-    worker's stacks stay one contiguous run.  ``stop_at(i)`` hands out no
-    stack from ``i`` on (``close`` none at all); a pool thread that had not
-    ``join``-ed before ``close`` never touches the pass."""
+    them from the front, the pool thread from the back, until the two meet
+    or the feed is closed.  A worker that runs late (its CPU busy, or its
+    thread not yet woken) so takes fewer stacks instead of holding up the
+    pass, and each worker's stacks stay one contiguous run."""
 
     def __init__(self, stacks):
         self._stacks = stacks
-        self._front, self._back, self._limit = 0, len(stacks), len(stacks)
+        self._front, self._back = 0, len(stacks)
         self._lock = threading.Lock()
-        self._joined = False
-
-    def join(self) -> bool:
-        """Whether the pool thread may work on the pass (it is not closed)."""
-        with self._lock:
-            self._joined = self._limit > 0
-            return self._joined
-
-    def stop_at(self, index: int) -> None:
-        """Hand out no stack from ``index`` on."""
-        with self._lock:
-            self._limit = min(self._limit, max(index, 0))
 
     def close(self) -> bool:
-        """Hand out no more stacks; whether the pool thread had joined."""
+        """Hand out no more stacks (the front moves past the end); whether
+        the pool thread took any."""
         with self._lock:
-            self._limit = 0
-            return self._joined
+            self._front = len(self._stacks)
+            return self._back < len(self._stacks)
 
-    def take(self, taken: list, back: bool = False):
-        """The stacks a worker takes from the front (or the ``back``), the
-        index of each in ``taken[0]``."""
+    def take(self, back: bool = False):
+        """The stacks a worker takes from the front (or the ``back``)."""
         while True:
             with self._lock:
-                end = min(self._back, self._limit)
-                if self._front >= end:
+                if self._front >= self._back:
                     return
                 if back:
-                    index = self._back = end - 1
+                    self._back -= 1
+                    index = self._back
                 else:
                     index = self._front
                     self._front += 1
-            taken[0] = index
             yield self._stacks[index]
 
 
@@ -443,56 +428,41 @@ def _pool():
 def _work_on(step, feed: _Feed, back: bool, *args):
     """Run ``step(stacks, *args)`` on the stacks this worker takes from
     ``feed`` (from its back with ``back``).  Returns None, or on an error
-    stops the feed at the stack that failed and returns ``(index, error)``,
-    ``index`` that of the last stack taken (-1 for none)."""
-    taken = [-1]
+    closes the feed and returns the error."""
     try:
         # numpy keeps its error state per context (numpy 2) or per thread
         # (numpy 1.24), so the pool thread does not see the caller's
         with np.errstate(over="ignore", invalid="ignore"):
-            step(feed.take(taken, back), *args)
+            step(feed.take(back), *args)
     except BaseException as exc:  # raised by the caller once the pass is over
-        feed.stop_at(taken[0])
-        return taken[0], exc
+        feed.close()
+        return exc
     return None
 
 
-def _pool_side(step, feed: _Feed, *args):
-    """The pool thread's share of a pass, none if the pass is over first."""
-    return _work_on(step, feed, True, *args) if feed.join() else None
-
-
-def _run_pass(step, stacks, workers: int, dim: int, *per_worker, mask=False, squares=False):
+def _run_pass(step, stacks, workers: int, dim: int, *per_worker):
     """Run ``step(stacks, work, *args)`` over a pass's stacks on ``workers``
-    (``_workers``) threads.  Each worker passes an iterator of the stacks it
-    takes from one ``_Feed``, a ``_Work`` for the pass (``dim``, ``mask`` and
-    ``squares`` as there) allocated here on the calling thread, and its
-    entries of ``per_worker`` (one list per argument, one entry per worker).
-    The calling thread is the first worker, the pool thread the second.
-    Returns once no worker is left on the pass.  If a step raised, raises
-    the error of the earliest stack that failed, the serial walk's error: a
-    failure at stack i stops the feed there, and every stack before i is
-    still run.
+    (``_workers``) threads: the calling thread, and with two the pool
+    thread.  Each worker passes an iterator of the stacks it takes from one
+    ``_Feed``, a ``_Work(stacks, dim)`` allocated here on the calling
+    thread, and its entries of ``per_worker`` (one list per argument, one
+    entry per worker).  The pool thread is on the pass from the first stack
+    it takes, and the call returns once no worker is left on it.  A step
+    that raises closes the feed, and the call then raises the calling
+    thread's error, or else the pool thread's.
     """
-    args = [
-        (_Work(stacks, dim, mask, squares), *(arg[i] for arg in per_worker))
-        for i in range(workers)
-    ]
-    if workers == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return step(iter(stacks), *args[0])
-    import queue  # with the pool thread, not with the package
+    args = [(_Work(stacks, dim), *(arg[i] for arg in per_worker)) for i in range(workers)]
+    feed = _Feed(stacks)
+    for extra in args[1:]:
+        import queue  # with the pool thread, not with the package
 
-    feed, done, failed = _Feed(stacks), queue.SimpleQueue(), []
-    _pool().put((functools.partial(_pool_side, step, feed, *args[1]), done))
-    try:
-        failed.append(_work_on(step, feed, False, *args[0]))
-    finally:
-        if feed.close():
-            failed.append(done.get())
-    first = min(filter(None, failed), default=None, key=lambda f: f[0])
-    if first is not None:
-        raise first[1]
+        done = queue.SimpleQueue()
+        _pool().put((functools.partial(_work_on, step, feed, True, *extra), done))
+    errors = [_work_on(step, feed, False, *args[0])]
+    if feed.close():  # the pool thread took a stack: wait until it is done
+        errors.append(done.get())
+    for error in filter(None, errors):
+        raise error
 
 
 def _tiled_sums(spec, blocks, pairs):
@@ -520,7 +490,7 @@ def _tiled_sums(spec, blocks, pairs):
             if stack[3]:
                 diagonals[members] = np.diagonal(tiles, axis1=1, axis2=2).sum(axis=1)
 
-    _run_pass(run, stacks, _workers(stacks), blocks[0].shape[-1], squares=spec.kind == "rbf")
+    _run_pass(run, stacks, _workers(stacks), blocks[0].shape[-1])
     if not (np.isfinite(parts).all() and np.isfinite(diagonals).all()):
         raise NumericalError("kernel sum is not finite")
     sums = np.full((len(blocks), len(blocks)), np.nan)

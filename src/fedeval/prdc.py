@@ -30,16 +30,19 @@ so each client's scores are its own ``prdc_scores``.  Without the pooled
 score (``pooled=False``, a scores round) no cross-client distance is
 taken.  No pooled copy of the samples is made.
 
-The self-pair, cross-pair and ball-test walks run on two threads under
-the kernel pass's gate (``kernelmmd._workers``: at least 4 TILE^2 tile
-elements, BLAS pinned to one thread, two usable CPUs), each thread taking
-the walk's stacks one at a time (``kernelmmd._run_pass``).  The calling
-thread keeps its results in the pass's own arrays.  The pool thread
-keeps its own k smallest per row, merged as it goes, and its own integer
-ball counts and boolean flags.  The caller adds them in once the walk is
-over, by a k-smallest merge, an integer add and an OR.  All three are
-order-free, so every radius and score has the serial walk's bits,
-whichever thread took which stacks.
+The self-pair, cross-pair and ball-test walks run as every kernel pass
+does (``kernelmmd._run_pass``): the calling thread takes the walk's
+stacks one at a time from a feed, and under the kernel pass's gate
+(``kernelmmd._workers``: at least 4 TILE^2 tile elements, BLAS pinned to
+one thread, two usable CPUs) the pool thread takes some of them too.
+The calling thread keeps its results in the pass's own arrays.  The pool
+thread keeps its own k smallest per row, merged as it goes, and its own
+integer ball counts and boolean flags.  The caller adds them in once the
+walk is over, by a k-smallest merge, an integer add and an OR.  All
+three are order-free, so every radius and score has the one-thread
+walk's bits, whichever thread took which stacks.  A stack whose squared
+distances are not finite raises ``NumericalError`` and closes the feed;
+the call raises it once no worker is left on the walk.
 """
 
 from __future__ import annotations
@@ -272,7 +275,7 @@ def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
         workers = _workers(stacks)
         tallies = [_tallies(mats, m, len(radii)) for _ in range(workers)]
         walk = functools.partial(_balls_walk, blocks, norms, units, radii)
-        _run_pass(walk, stacks, workers, blocks[0].shape[-1], tallies, mask=True)
+        _run_pass(walk, stacks, workers, blocks[0].shape[-1], tallies)
     cover, covered, recalled = tallies[0]
     for more_cover, more_covered, more_recalled in tallies[1:]:
         for total, more in zip(cover, more_cover):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -1000,6 +1001,51 @@ def test_parse_grid_inclusive_endpoints():
         message = f"^grid start, stop and step must be finite numbers, got '{text}'$"
         with pytest.raises(ValueError, match=message):
             parse_grid(text)
+
+
+def run_capped(args):
+    """The CLI in a child process whose address space is capped at 1 GiB,
+    so that an allocation too large for the host ends in a MemoryError
+    whatever the host's overcommit policy.  BLAS runs on one thread, whose
+    buffers fit under the cap on any number of cores."""
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(fedeval.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "fedeval.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
+@pytest.mark.parametrize("text", ["0:1:1e-300", "-1e308:1e308:1"])
+def test_sweep_grid_with_too_many_points_exit_1(text):
+    # refused before any point is built (building them would run out of
+    # memory)
+    proc = run_capped(["sweep", "toy-mixture", f"--grid={text}"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"fedeval: error: grid has more than 1000000 steps, got '{text}'\n"
+
+
+def test_refused_allocation_is_one_error_line(tmp_path):
+    # numpy's MemoryError for 10^15 or 10^12 samples is one line naming the
+    # allocation and exit 1, never a traceback
+    client = {"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 10**15}
+    (tmp_path / "s.json").write_text(json.dumps(small_scenario(clients=[client])))
+    calls = [
+        (["simulate", "--scenario", tmp_path / "s.json"], "14.2 PiB"),
+        (["sweep", "toy-mixture", "--grid", "0:1:0.5", "--n", "1000000000000"], "14.6 TiB"),
+    ]
+    for args, size in calls:
+        proc = run_capped(args)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"fedeval: error: Unable to allocate {size} ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_every_operation_mapped_to_exactly_one_subcommand():

@@ -204,6 +204,21 @@ def test_broadcast_counts_generator_reals(rng):
     assert trace.messages[0].real_count == 1 + 3 + 9
 
 
+def test_round_with_a_gaussian_model_generator(rng):
+    # the broadcast carries the model's mean and covariance, d + d^2 reals,
+    # and the log-likelihood scores read the model itself
+    clients = make_clients(rng, k=3, n=15, d=3)
+    a = rng.normal(size=(3, 5))
+    model = GaussianModel(mean=rng.normal(size=3), cov=a @ a.T / 5 + 0.1 * np.eye(3))
+    ll = log_likelihood_scores(clients, model)
+    for mode, metrics in (("raw", ["ll_avg", "ll_all"]), ("scores", ["ll_avg"])):
+        report, trace = run_round(clients, model, mode, metrics)
+        assert trace.messages[0].body == {"generator": "model"}
+        assert trace.messages[0].real_count == 3 + 9
+        assert report.per_client["ll"] == ll.per_client
+        assert report.scores == {m: getattr(ll, m[3:]) for m in metrics}
+
+
 # ---------------------------------------------------------------------------
 # protocol / library equivalence
 

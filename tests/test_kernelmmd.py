@@ -347,3 +347,37 @@ def test_non_finite_kernel_sum_raises(spec, rng):
     for score in (lambda: mmd2(spec, x, x), lambda: kernel_stats(clients, x, spec)):
         with pytest.raises(NumericalError, match="^kernel sum is not finite$"):
             score()
+
+
+def test_vstat_roundoff_below_zero_clamps_to_zero():
+    # a plug-in score a hair below 0 (block sums 1, 1 - 3e-12 and a cross
+    # sum of 1) is roundoff and reads 0; further below is an error
+    from fedeval.kernelmmd import VSTAT_CLAMP, KernelStats, _clamp_vstat
+
+    stats = KernelStats(
+        weights=np.ones(1),
+        natural_weights=True,
+        counts=np.array([1, 1]),
+        sums=np.array([[1.0, 1.0], [1.0, 1.0 - 3e-12]]),
+        traces=np.array([1.0, 1.0 - 3e-12]),
+    )
+    result = stats.client_mmd2(0)
+    assert result.within_ref + result.within_gen - 2.0 * result.cross < 0.0
+    assert repr(result.value) == "0.0"
+    assert repr(stats.kid_all()) == "0.0"
+    assert repr(_clamp_vstat(-VSTAT_CLAMP)) == "0.0"
+    assert _clamp_vstat(0.25) == 0.25
+    with pytest.raises(NumericalError, match="below clamp threshold"):
+        _clamp_vstat(-2 * VSTAT_CLAMP)
+
+
+def test_pooled_scores_need_the_cross_client_blocks(rng):
+    clients = random_raw_clients(rng, k_max=3, d=2)
+    gen = rng.normal(size=(9, 2))
+    stats = kernel_stats(clients, gen, cross=False)
+    message = "^kernel statistic was built without cross-client blocks$"
+    for score in (stats.kid_all, lambda: stats.kid_all("ustat"), stats.gap):
+        with pytest.raises(ValueError, match=message):
+            score()
+    # the per-client scores do not read them
+    assert stats.kid_avg().value == kernel_stats(clients, gen).kid_avg().value

@@ -211,3 +211,24 @@ def test_non_finite_distances_raise(rng, scale):
         prdc_scores(ref, gen, k=2)
     with pytest.raises(NumericalError, match="^squared distance is not finite$"):
         knn_radii(ref, k=2)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_k_below_one_rejected(rng, k):
+    x, gen = rng.normal(size=(8, 2)), rng.normal(size=(6, 2))
+    clients = ClientSet([Client(id="a", embeddings=x)])
+    for call in (
+        lambda: knn_radii(x, k=k),
+        lambda: prdc_scores(x, gen, k=k),
+        lambda: prdc_aggregate(clients, gen, k=k),
+    ):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            call()
+
+
+def test_dimension_mismatch_rejected(rng):
+    x, gen = rng.normal(size=(8, 3)), rng.normal(size=(6, 2))
+    clients = ClientSet([Client(id="a", embeddings=x), Client(id="b", embeddings=x + 1.0)])
+    for call in (lambda: prdc_scores(x, gen, k=2), lambda: prdc_aggregate(clients, gen, k=2)):
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            call()

@@ -86,6 +86,35 @@ def test_binary_bad_magic(tmp_path):
         ingest(path)
 
 
+INGEST_ERRORS = {
+    "truncated-header": (
+        "m.fevb", b"FEVB" + bytes([1, 1]) + bytes(7), "{path}: truncated header"
+    ),
+    "unsupported-version": (
+        "m.fevb", b"FEVB" + bytes([2, 1]) + bytes(8), "{path}: unsupported version 2"
+    ),
+    "unknown-dtype-code": (
+        "m.fevb", b"FEVB" + bytes([1, 7]) + bytes(8), "{path}: unknown dtype code 7"
+    ),
+    "unparseable-csv-value": (
+        "m.csv",
+        b"1,2\n3,x\n",
+        "{path}:2: unparseable value (could not convert string to float: 'x')",
+    ),
+    "csv-without-rows": ("m.csv", b"# dim x, dim y\n\n", "{path}: no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_ERRORS))
+def test_ingest_error_texts(tmp_path, case):
+    name, blob, message = INGEST_ERRORS[case]
+    path = tmp_path / name
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as info:
+        ingest(path)
+    assert str(info.value) == message.format(path=path)
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_binary_round_trip_bit_identical(tmp_path, rng, dtype):
     x = rng.normal(size=(7, 3)).astype(dtype).astype(np.float64)
@@ -224,6 +253,24 @@ def test_pooling_hypothesis_property(seed, sizes, d, shift):
     assert np.abs(pooled.cov - oracle.cov).max() <= bound
     assert np.abs(pooled.mean - oracle.mean).max() <= 1e-14 * np.abs(x).max()
     assert pooled.n == x.shape[0]
+
+
+def test_pool_moments_unbiased_on_raw_clients(rng):
+    # each client's samples take the ddof=1 covariance, mixed with the
+    # weights as the population ones are
+    clients = random_raw_clients(rng, k_max=5, n_max=30, d=3, natural_weights=False)
+    pooled = pool_moments(clients, estimator="unbiased")
+    w = clients.weights
+    means = np.stack([c.embeddings.mean(axis=0) for c in clients])
+    covs = [np.cov(c.embeddings, rowvar=False, ddof=1) for c in clients]
+    mean = w @ means
+    centred = means - mean
+    want = sum(w_i * c for w_i, c in zip(w, covs)) + (w * centred.T) @ centred
+    np.testing.assert_allclose(pooled.mean, mean, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(pooled.cov, want, rtol=1e-12, atol=1e-13)
+    assert pooled.n == sum(c.embeddings.shape[0] for c in clients)
+    population = pool_moments(clients)
+    assert not np.allclose(pooled.cov, population.cov, rtol=1e-6, atol=0)
 
 
 def test_weights_must_sum_to_one():
