@@ -315,13 +315,25 @@ def test_barycenter_mean_is_weighted_mean(rng):
 
 
 def test_barycenter_non_convergence_carries_iterate(rng):
+    """ConvergenceError carries the last iterate whose map was evaluated,
+    which is PSD (after one map, the weighted mean), and that map's
+    residual."""
     clients = random_stats_clients(rng, k_max=4, d=5)
-    with pytest.raises(ConvergenceError) as excinfo:
-        barycenter(clients, tol=1e-16, max_iter=1)
-    err = excinfo.value
-    assert err.last_cov is not None
-    assert err.residual is not None
-    assert err.iterations == 1
+    history = barycenter(clients).residual_history
+    for max_iter in (1, 3):
+        with pytest.raises(ConvergenceError) as excinfo:
+            barycenter(clients, tol=1e-16, max_iter=max_iter)
+        err = excinfo.value
+        assert err.iterations == max_iter
+        assert err.residual == history[max_iter - 1]
+        assert str(err) == (
+            f"barycenter did not converge in {max_iter} iterations (residual {err.residual:.3e})"
+        )
+        assert np.linalg.eigvalsh(err.last_cov)[0] > 0.0
+        if max_iter == 1:
+            covs = np.stack([s.cov for s in clients.stats_list()])
+            mean_cov = np.einsum("i,ijk->jk", clients.weights, covs)
+            np.testing.assert_allclose(err.last_cov, mean_cov, rtol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,19 @@
 
 The oracle below is the code the single-root path replaced: a trace
 cross term that takes a full ``eigh`` of both ``A`` and
-``A^1/2 B A^1/2``, and a barycenter iteration that decomposes every
-iterate twice (once for ``C^1/2``, once for ``C^-1/2``).
+``A^1/2 B A^1/2``, and the plain barycenter iteration, which decomposes
+every iterate twice (once for ``C^1/2``, once for ``C^-1/2``).
 
 The cross term must agree to 1e-12 relative to ``Tr A + Tr B`` on
 full-rank pairs.  On rank-deficient pairs the product has zero
 eigenvalues, which both ``eigh`` and ``eigvalsh`` return as roundoff of
 order ``eps * ||A|| ||B||``; the square root in the trace turns that
 into ``sqrt(eps)``-sized noise, which both paths carry, so those pairs
-get that term on top of the 1e-12.  The barycenter must be bit-identical.
+get that term on top of the 1e-12.  The accelerated barycenter must give
+the oracle's mean bits and a covariance within ``PLAIN_REL`` (1e-8
+relative) of the oracle's, and must converge where the oracle fails on
+clients sharing a null direction; with every accelerated step rejected
+it is the oracle, bit for bit.
 
 The cross term is read off ``frechet_distance``'s trace term, so the
 oracle checks the one scoring path every Gaussian score takes.  A stack
@@ -24,10 +28,12 @@ point are pinned exactly, both in matrices solved and in calls made.
 from __future__ import annotations
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -239,10 +245,11 @@ def test_cross_term_clamp_thresholds_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# barycenter: one eigh per iterate, bit-identical to two
+# barycenter: the accelerated, range-restricted solver against the plain
+# two-eigh iteration
 
 
-def _barycenter_instance(seed, k, d, singular):
+def _barycenter_instance(seed, k, d, singular, scale=1.0):
     rng = np.random.default_rng(seed)
     w = rng.random(k) + 0.1
     w = w / w.sum()
@@ -251,7 +258,7 @@ def _barycenter_instance(seed, k, d, singular):
     proj = np.eye(d) - np.outer(null, null) / float(null @ null)
     clients = []
     for i in range(k):
-        cov = random_cov(rng, d)
+        cov = scale * random_cov(rng, d)
         if singular:
             cov = proj @ cov @ proj
             cov = (cov + cov.T) / 2.0
@@ -280,41 +287,74 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def _outcome(solve, clients):
-    try:
-        s = solve(clients, 1e-10, 60)
-    except ConvergenceError as exc:
-        return ("ConvergenceError", str(exc), exc.last_cov.tobytes(), _bits(exc.residual))
-    except (NotPsdError, np.linalg.LinAlgError) as exc:
-        # Clients sharing a null direction can drive an iterate's C^-1/2
-        # to overflow; both paths must then fail the same way.
-        return (type(exc).__name__, str(exc))
-    return (
-        "solution",
-        s.mean.tobytes(),
-        s.cov.tobytes(),
-        s.iterations,
-        _bits(s.residual),
-        [_bits(r) for r in s.residual_history],
-    )
+def _covs(clients):
+    return np.stack([s.cov for s in clients.stats_list()])
+
+
+def _relative(a, b):
+    return float(np.linalg.norm(a - b)) / float(np.linalg.norm(b))
+
+
+def _assert_converged(solution, tol):
+    assert solution.residual <= tol * np.linalg.norm(solution.cov)
+    assert len(solution.residual_history) == solution.iterations + 1
+    assert solution.residual_history[-1] == solution.residual
+
+
+# The accelerated iterate differs from the plain one in its last digits:
+# 4.8e-10 relative at worst over 400 full-rank draws (K 1-4, d 1-6).
+PLAIN_REL = 1e-8
 
 
 @SETTINGS
 @given(barycenter_clients())
 # Two rank-1 clients along one direction (covs ~ [[0.4559, 0.1156],
-# [0.1156, 0.0293]] and [[0.1944, 0.0493], [0.0493, 0.0125]]): both paths
-# raise ConvergenceError with residual nan and identical last_cov bytes.
+# [0.1156, 0.0293]] and [[0.1944, 0.0493], [0.0493, 0.0125]]): the plain
+# iteration ends in ConvergenceError with residual nan; on the range of
+# the weighted mean the problem is one-dimensional.
 @example(_barycenter_instance(seed=1, k=2, d=2, singular=True))
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_barycenter_bit_identical_to_two_eigh_iteration(clients):
-    got = _outcome(lambda c, tol, it: barycenter(c, tol=tol, max_iter=it), clients)
-    want = _outcome(oracle_barycenter, clients)
-    assert got == want
+@pytest.mark.filterwarnings("error")
+def test_barycenter_matches_plain_iteration(clients):
+    """Where the plain iteration converges, the solution has the same mean
+    bits and a covariance within PLAIN_REL of it; where it fails (clients
+    sharing a null direction), the solver converges."""
+    tol = 1e-10
+    got = barycenter(clients, tol=tol, max_iter=60)
+    _assert_converged(got, tol)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = oracle_barycenter(clients, tol, 60)
+    except (ConvergenceError, NotPsdError, np.linalg.LinAlgError):
+        return
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert _relative(got.cov, want.cov) <= PLAIN_REL
 
 
-def test_barycenter_regularized_branch_bit_identical(eig_counts):
-    """Commuting covariances with a shared zero eigenvalue: every iterate is
-    singular, so each non-final iterate is regularized and decomposed again."""
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 8), st.floats(-3.0, 3.0)
+)
+@pytest.mark.filterwarnings("error")
+def test_barycenter_converges_on_shared_null_clients(seed, k, d, log_scale):
+    """Clients sharing a null direction: the solver converges, and the
+    barycenter is a fixed point of the full-space map within
+    ``d * sqrt(eps)`` relative.  The clients' null components are roundoff
+    of order ``eps * lambda_max``, which the map's roots raise to
+    ``sqrt(eps)``; the largest defect seen was 0.31 of the bound (3000
+    draws).  No LinAlgError, NotPsdError or RuntimeWarning escapes."""
+    clients = _barycenter_instance(seed, k, d, singular=True, scale=10.0**log_scale)
+    solution = barycenter(clients)
+    _assert_converged(solution, 1e-10)
+    image = oracle_barycenter_map(solution.cov, _covs(clients), clients.weights)
+    assert _relative(image, solution.cov) <= d * math.sqrt(EPS)
+
+
+def test_barycenter_restricted_to_shared_range(eig_counts):
+    """Commuting covariances with a shared zero eigenvalue: the solver
+    iterates on the 2-dimensional range of the weighted mean.  The start's
+    eigh (3x3) is the first iterate's, and every map takes K = 2 inner
+    products and one eigh of the (2x2) iterate."""
     clients = ClientSet(
         [
             Client(id="a", stats=GaussianStats(n=2, mean=[0, 0, 0], cov=np.diag([1.0, 4.0, 0.0]))),
@@ -324,10 +364,75 @@ def test_barycenter_regularized_branch_bit_identical(eig_counts):
     solution = barycenter(clients)
     it = solution.iterations
     assert it >= 1
-    assert eig_counts["eigh"] == (it + 1) * 3 + it
+    assert eig_counts["eigh"] == (it + 1) * 3
     np.testing.assert_allclose(solution.cov, np.diag([4.0, 2.25, 0.0]), atol=1e-9)
-    want = _outcome(oracle_barycenter, clients)
-    assert _outcome(lambda c, tol, it: barycenter(c, tol=tol, max_iter=it), clients) == want
+    _assert_converged(solution, 1e-10)
+
+
+def _gauss_rank_clients(seed, k=8, d=56):
+    """The benchmark's Gaussian clients in shape: one geometric spectrum
+    (0.1 to 5), rotated per client by the exponential of a random skew
+    matrix, equal weights."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = np.geomspace(0.1, 5.0, d)
+    clients = []
+    for i in range(k):
+        skew = rng.standard_normal((d, d)) / math.sqrt(d)
+        basis = scipy.linalg.expm(skew - skew.T) @ q
+        cov = (basis * lam) @ basis.T
+        stats = GaussianStats(n=384, mean=np.zeros(d), cov=(cov + cov.T) / 2.0)
+        clients.append(Client(id=f"c{i}", stats=stats))
+    return ClientSet(clients)
+
+
+def test_barycenter_map_evaluations_on_benchmark_shaped_clients(eig_counts):
+    clients = _gauss_rank_clients(0)
+    k = len(clients)
+    plain = oracle_barycenter(clients, 1e-10, 1000)
+    assert plain.iterations + 1 == 14
+    eig_counts.update(eigh=0, eigvalsh=0)
+    solution = barycenter(clients)
+    assert solution.iterations + 1 <= 10
+    _assert_converged(solution, 1e-10)
+    assert _relative(solution.cov, plain.cov) <= PLAIN_REL
+    # Each map: one eigh of the iterate and K of the inner products.
+    assert eig_counts == {"eigh": (solution.iterations + 1) * (k + 1), "eigvalsh": 0}
+
+
+@pytest.mark.filterwarnings("error")
+def test_barycenter_rejected_step_falls_back_to_plain(eig_counts, monkeypatch, rng):
+    """A mixed iterate with a negative eigenvalue is dropped for the plain
+    image; with every one dropped the solver is the plain iteration, bit
+    for bit, at one more eigh per dropped step."""
+    clients = random_stats_clients(rng, k_max=4, d=5)
+    k = len(clients)
+    dropped = []
+
+    def overshoot(pairs):
+        dropped.append(len(pairs))
+        return -np.eye(5)
+
+    monkeypatch.setattr(frechet, "_anderson_step", overshoot)
+    want = oracle_barycenter(clients, 1e-10, 1000)
+    eig_counts.update(eigh=0, eigvalsh=0)
+    got = barycenter(clients)
+    assert dropped and all(n > 1 for n in dropped)
+    assert eig_counts["eigh"] == (got.iterations + 1) * (k + 1) + len(dropped)
+    assert (got.iterations, got.cov.tobytes(), _bits(got.residual)) == (
+        want.iterations, want.cov.tobytes(), _bits(want.residual)
+    )
+    assert [_bits(r) for r in got.residual_history] == [_bits(r) for r in want.residual_history]
+
+
+@pytest.mark.filterwarnings("error")
+def test_anderson_step_drops_a_repeated_residual():
+    """A residual difference of zero spans nothing: it is dropped, not
+    divided by, and the step is the newest plain image."""
+    f = np.diag([1.0, -2.0])
+    images = [np.eye(2), 3.0 * np.eye(2)]
+    step = frechet._anderson_step([(f, images[0]), (f, images[1])])
+    assert step.tobytes() == images[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +629,9 @@ def test_decomposition_call_counts(eig_counts, rng):
         k = len(clients)
         eig_counts.update(eigh=0, eigvalsh=0)
         it = fid_avg_decomposition(clients, _gen(rng, 4)).solution.iterations
-        # The centre's root is the converged iterate's, taken in the loop.
+        # Each map evaluation takes K+1 eigh: the iterate's (a mixed
+        # step's, or the plain image's) and K inner products.  The centre's
+        # root is the converged iterate's, taken in the loop.
         assert eig_counts == {"eigh": (it + 1) * (k + 1), "eigvalsh": k + 1}
 
 
