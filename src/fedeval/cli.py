@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -294,11 +293,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_rank(args) -> int:
     from . import fedsim
 
-    with open(args.table_a, "r", encoding="utf-8") as fh:
-        table_a = json.load(fh)
-    with open(args.table_b, "r", encoding="utf-8") as fh:
-        table_b = json.load(fh)
-    _emit(fedsim.compare_rankings(table_a, table_b).to_json_dict(), args.out)
+    tables = (statkit._read_json(path) for path in (args.table_a, args.table_b))
+    _emit(fedsim.compare_rankings(*tables).to_json_dict(), args.out)
     return 0
 
 
@@ -403,7 +399,7 @@ def main(argv=None) -> int:
         # LinAlgError (a ValueError) is LAPACK failing, not bad input.
         print(f"fedeval: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         # a MemoryError from numpy names the allocation it refused
         print(f"fedeval: error: {exc}", file=sys.stderr)
         return 1

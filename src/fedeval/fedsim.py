@@ -35,7 +35,6 @@ per message.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from .statkit import (
     GaussianModel,
     GaussianStats,
     _JsonFields,
+    _check_count,
     _check_mean_cov,
     _floats,
     _is_int,
@@ -60,6 +60,9 @@ from .statkit import (
     _json_field,
     _json_object,
     _json_objects,
+    _json_record,
+    _mean_cov,
+    _read_json,
     _real,
     json_text,
     log_likelihood_scores,
@@ -364,20 +367,17 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
 def _mean_and_cov(mean, cov, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """A flat mean and a covariance matrix, checked as :class:`GaussianStats`
     checks them; a scalar ``cov`` stands for ``cov * I``."""
-    mean = _floats(mean, "mean", f"{kind} field 'mean'").reshape(-1)
+    mean, cov = _mean_cov(mean, cov, kind)
     if mean.shape[0] < 1:
         raise ValueError("Gaussian spec mean must have at least one entry")
-    cov = _floats(cov, "covariance", f"{kind} field 'cov'")
     if cov.ndim == 0:
-        cov = float(cov) * np.eye(mean.shape[0])
-    return _check_mean_cov(mean, cov, kind)
+        cov = np.diag(np.full(mean.shape[0], float(cov)))
+    return _check_mean_cov(mean, cov)
 
 
-def _check_n_and_seed(spec) -> None:
-    if not (_is_int(spec.n) and spec.n >= 1):
-        raise ValueError(f"sample count n must be an integer >= 1, got {spec.n!r}")
-    if spec.seed is not None and not (_is_int(spec.seed) and spec.seed >= 0):
-        raise ValueError(f"spec seed must be null or an integer >= 0, got {spec.seed!r}")
+def _check_seed(seed) -> None:
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"spec seed must be null or an integer >= 0, got {seed!r}")
 
 
 @dataclass
@@ -393,7 +393,8 @@ class ClientSpec(_JsonFields):
 
     def __post_init__(self):
         self.mean, self.cov = _mean_and_cov(self.mean, self.cov, "scenario client")
-        _check_n_and_seed(self)
+        _check_count(self.n)
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -428,13 +429,10 @@ class GeneratorSpec(_JsonFields):
             self.point = point.reshape(-1)
             if not np.isfinite(self.point).all():
                 raise ValueError("non-finite entry in generator point")
-            jitter = self.jitter
-            if not (
-                _is_real(jitter)
-                and math.isfinite(_real(jitter, "scenario generator field 'jitter'"))
-            ):
-                raise ValueError(f"point jitter must be a finite number, got {self.jitter!r}")
-        _check_n_and_seed(self)
+            message = f"point jitter must be a finite number, got {self.jitter!r}"
+            _real(self.jitter, "scenario generator field 'jitter'", message, math.isfinite)
+        _check_count(self.n)
+        _check_seed(self.seed)
 
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
@@ -446,7 +444,9 @@ def _draw(spec, seed: int | None, root) -> np.ndarray:
     """``spec.n`` samples of one spec; ``root`` is a Gaussian spec's covariance root."""
     rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
     if spec.kind == "point":
-        return spec.point + spec.jitter * rng.standard_normal((spec.n, spec.point.shape[0]))
+        # Finite jitter whose samples overflow fails as_embeddings' finiteness check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return spec.point + spec.jitter * rng.standard_normal((spec.n, spec.point.shape[0]))
     return spec.mean + rng.standard_normal((spec.n, spec.mean.shape[0])) @ root
 
 
@@ -519,12 +519,9 @@ class Scenario(_JsonFields):
             raise ValueError(
                 f"collapse scenario needs an integer collapse_step, got {self.collapse_step!r}"
             )
-        if not _is_real(self.detection_threshold):
-            raise ValueError(
-                f"detection_threshold must be a number, got {self.detection_threshold!r}"
-            )
+        message = f"detection_threshold must be a number, got {self.detection_threshold!r}"
         self.detection_threshold = _real(
-            self.detection_threshold, "scenario field 'detection_threshold'"
+            self.detection_threshold, "scenario field 'detection_threshold'", message
         )
 
     def materialize(self) -> tuple[ClientSet, list[np.ndarray]]:
@@ -533,48 +530,33 @@ class Scenario(_JsonFields):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Scenario":
         _json_object(obj, "scenario")
+        what = "scenario client"
         clients = [
-            ClientSpec(
-                id=str(_json_field(c, "id", "scenario client")),
-                mean=_json_field(c, "mean", "scenario client"),
-                cov=_json_field(c, "cov", "scenario client"),
-                n=_json_field(c, "n", "scenario client"),
-                seed=c.get("seed"),
-            )
+            _json_record(ClientSpec, c, what, id=str(_json_field(c, "id", what)))
             for c in _json_objects(_json_field(obj, "clients", "scenario"), "scenario clients")
         ]
-        generators = []
-        for g in _json_objects(_json_field(obj, "generators", "scenario"), "scenario generators"):
-            generators.append(
-                GeneratorSpec(
-                    id=str(_json_field(g, "id", "scenario generator")),
-                    kind=g.get("kind", "gaussian"),
-                    n=_json_field(g, "n", "scenario generator"),
-                    mean=g.get("mean"),
-                    cov=g.get("cov"),
-                    point=g.get("point"),
-                    jitter=g.get("jitter", 1e-6),
-                    seed=g.get("seed"),
-                )
+        what = "scenario generator"
+        generators = [
+            _json_record(
+                GeneratorSpec, g, what, id=str(_json_field(g, "id", what)), kind=g.get("kind", "gaussian")
             )
+            for g in _json_objects(_json_field(obj, "generators", "scenario"), "scenario generators")
+        ]
         kernel = obj.get("kernel")
-        return cls(
+        return _json_record(
+            cls,
+            obj,
+            "scenario",
             name=obj.get("name", "scenario"),
             kind=obj.get("kind", "round"),
             clients=clients,
             generators=generators,
-            metrics=obj.get("metrics", ["fid_avg", "fid_all"]),
-            mode=obj.get("mode", RAW),
-            kernel=KernelSpec.from_json_dict(kernel) if kernel is not None else None,
-            seed=obj.get("seed", 0),
-            collapse_step=obj.get("collapse_step"),
-            detection_threshold=obj.get("detection_threshold", 2.0),
+            kernel=None if kernel is None else KernelSpec.from_json_dict(kernel),
         )
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Scenario.from_json_dict(json.load(fh))
+    return Scenario.from_json_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,14 @@ def _references(refs: list) -> _References:
     covariances are symmetric, as :class:`GaussianStats` and the scenario
     specs validate."""
     covs = np.stack([r.cov for r in refs])
-    w, v = np.linalg.eigh((covs + np.swapaxes(covs, 1, 2)) / 2.0)
+    # Finite entries whose sum overflows give a non-finite root or trace,
+    # which the scores and the draws that use them reject.
+    with np.errstate(over="ignore"):
+        w, v = np.linalg.eigh((covs + np.swapaxes(covs, 1, 2)) / 2.0)
+        traces = np.trace(covs, axis1=1, axis2=2)
     roots = _root(np.clip(w, 0.0, None), v)
     means = np.stack([r.mean for r in refs])
-    return _References(means, roots, np.trace(covs, axis1=1, axis2=2), w)
+    return _References(means, roots, traces, w)
 
 
 def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):

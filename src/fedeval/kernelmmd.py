@@ -78,7 +78,6 @@ generated samples ran fastest at 256 among 128, 256, 384, 512 and 1024.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import sys
@@ -88,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SampleCountError
-from .statkit import ClientSet, _is_real, _JsonFields, _real, as_embeddings
+from .statkit import ClientSet, _is_real, _JsonFields, _read_json, _real, as_embeddings
 
 VSTAT_CLAMP = 1e-10
 # Side of the square tiles of every kernel and distance pass: no larger
@@ -132,24 +131,16 @@ class KernelSpec(_JsonFields):
             if self.degree > MAX_DEGREE:
                 raise ValueError(f"polynomial degree must be at most {MAX_DEGREE}")
             self.degree = int(self.degree)
-            if self.scale is not None and not (
-                _is_real(self.scale) and _real(self.scale, "kernel spec field 'scale'") > 0
-            ):
-                raise ValueError(f"kernel scale must be positive, got {self.scale!r}")
-            if not _is_real(self.offset):
-                raise ValueError(f"kernel offset must be a number, got {self.offset!r}")
-            _real(self.offset, "kernel spec field 'offset'")
+            if self.scale is not None:
+                message = f"kernel scale must be positive, got {self.scale!r}"
+                _real(self.scale, "kernel spec field 'scale'", message, lambda x: x > 0)
+            message = f"kernel offset must be a number, got {self.offset!r}"
+            _real(self.offset, "kernel spec field 'offset'", message)
         if self.kind == "rbf" and self.bandwidth is not None:
-            if not (
-                _is_real(self.bandwidth)
-                and _real(self.bandwidth, "kernel spec field 'bandwidth'") > 0
-            ):
-                raise ValueError(f"rbf bandwidth must be positive, got {self.bandwidth!r}")
-            try:
-                square = float(self.bandwidth) ** 2
-            except OverflowError:
-                square = math.inf
-            if not sys.float_info.min <= square < math.inf:
+            message = f"rbf bandwidth must be positive, got {self.bandwidth!r}"
+            where = "kernel spec field 'bandwidth'"
+            bandwidth = _real(self.bandwidth, where, message, lambda x: x > 0)
+            if not sys.float_info.min <= bandwidth * bandwidth < math.inf:
                 raise ValueError(
                     f"kernel spec field 'bandwidth' has a square outside float range, "
                     f"got {self.bandwidth!r}"
@@ -165,20 +156,15 @@ class KernelSpec(_JsonFields):
     def from_json_dict(cls, obj: dict) -> "KernelSpec":
         if not isinstance(obj, dict):
             raise ValueError(f"kernel spec must be a JSON object, got {obj!r}")
-        kind = obj.get("kind", "polynomial")
-        if kind == "polynomial":
-            return cls(
-                kind="polynomial",
-                degree=obj.get("degree", 3),
-                scale=obj.get("scale"),
-                offset=obj.get("offset", 1.0),
-            )
-        return cls(kind=kind, bandwidth=obj.get("bandwidth"))
+        kind = obj.get("kind", cls.kind)
+        # Each kind reads only its own fields: an rbf spec ignores the
+        # polynomial ones, and a polynomial spec the bandwidth.
+        keys = ("degree", "scale", "offset") if kind == "polynomial" else ("bandwidth",)
+        return cls(kind=kind, **{key: obj[key] for key in keys if key in obj})
 
 
 def load_kernel_spec(path) -> KernelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return KernelSpec.from_json_dict(json.load(fh))
+    return KernelSpec.from_json_dict(_read_json(path))
 
 
 def _take(buffer, shape):

@@ -37,7 +37,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +192,16 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _read_json(path):
+    """The JSON document in the file at ``path``: the one place a JSON input
+    is decoded.  Nesting too deep for the decoder is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _json_object(value, what: str) -> dict:
     """``value`` if it is a JSON object, else a ValueError naming ``what``."""
     if not isinstance(value, dict):
@@ -214,6 +224,18 @@ def _json_field(obj: dict, key: str, what: str):
         raise ValueError(f"{what} has no field {key!r}") from None
 
 
+def _json_record(cls, obj: dict, what: str, **given):
+    """``cls`` built from the JSON object ``obj``: the fields in ``given`` as
+    given, and every other field as ``obj`` has it.  A field ``obj`` lacks
+    takes its dataclass default, or is a ValueError naming ``what`` if it has
+    none."""
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.name not in given and (required or f.name in obj):
+            given[f.name] = _json_field(obj, f.name, what)
+    return cls(**given)
+
+
 def _floats(value, what: str, where: str | None = None) -> np.ndarray:
     """``value`` as a float64 array; a JSON object, a string or a ragged
     list is a ValueError naming ``what``, and an integer beyond float range
@@ -226,13 +248,19 @@ def _floats(value, what: str, where: str | None = None) -> np.ndarray:
         raise ValueError(f"{what} must be a number or nested lists of numbers") from None
 
 
-def _real(value, where: str) -> float:
-    """``value`` as a float; an integer beyond float range is a ValueError
-    naming ``where`` (the input kind and its field)."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{where} is beyond float range") from None
+def _real(value, where: str, message: str, accept=lambda x: True) -> float:
+    """``value`` as a float, if it is a real number (a bool is none) whose
+    float ``accept`` takes, else a ValueError with ``message``; an integer
+    beyond float range is a ValueError naming ``where`` (the input kind and
+    its field)."""
+    if _is_real(value):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise ValueError(f"{where} is beyond float range") from None
+        if accept(x):
+            return x
+    raise ValueError(message)
 
 
 def _is_int(value) -> bool:
@@ -246,6 +274,12 @@ def _is_real(value) -> bool:
     return isinstance(value, real) and not isinstance(value, bool)
 
 
+def _check_count(n) -> None:
+    """A sample count is an integer of at least 1."""
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"sample count n must be an integer >= 1, got {n!r}")
+
+
 def _check_finite(mean, cov) -> None:
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("non-finite entry in Gaussian parameters")
@@ -253,8 +287,9 @@ def _check_finite(mean, cov) -> None:
 
 def _far(a, b, rtol: float) -> bool:
     """Whether ``||a - b||_F > rtol * max(||a||_F, 1)``, taken on both divided
-    by the power of two at or above their largest magnitude (or by 1), so no
-    norm overflows; a power of two changes no bit of the comparison.
+    by the power of two at or above their largest magnitude (by 1 at least,
+    and by 2**1023 at most, the largest finite one), so no norm overflows; a
+    power of two changes no bit of the comparison.
 
     Equal arrays are not far, and are answered by one comparison: a library-
     built covariance equals its transpose exactly.  NaN never compares
@@ -262,16 +297,21 @@ def _far(a, b, rtol: float) -> bool:
     if (a == b).all():
         return False
     big = max(float(np.abs(m).max(initial=0.0)) for m in (a, b))
-    scale = math.ldexp(1.0, max(math.frexp(big)[1], 0)) if math.isfinite(big) else 1.0
+    scale = math.ldexp(1.0, min(max(math.frexp(big)[1], 0), 1023)) if math.isfinite(big) else 1.0
     a, b = a / scale, b / scale
     return bool(np.linalg.norm(a - b) > rtol * max(float(np.linalg.norm(a)), 1.0 / scale))
 
 
-def _check_mean_cov(mean, cov, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """A flat float mean and a square symmetric covariance of its dimension,
-    both finite; ``kind`` names the input in an out-of-range error."""
+def _mean_cov(mean, cov, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A flat float mean and a float covariance; ``kind`` names the input in
+    an out-of-range error."""
     mean = _floats(mean, "mean", f"{kind} field 'mean'").reshape(-1)
-    cov = _floats(cov, "covariance", f"{kind} field 'cov'")
+    return mean, _floats(cov, "covariance", f"{kind} field 'cov'")
+
+
+def _check_mean_cov(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mean`` and ``cov`` of :func:`_mean_cov`, if the covariance is square,
+    symmetric and of the mean's dimension, and both are finite."""
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
     if cov.shape[0] != mean.shape[0]:
@@ -293,9 +333,8 @@ class GaussianStats(_JsonFields):
     cov: np.ndarray
 
     def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ValueError(f"sample count n must be an integer >= 1, got {self.n!r}")
-        self.mean, self.cov = _check_mean_cov(self.mean, self.cov, "moments")
+        _check_count(self.n)
+        self.mean, self.cov = _check_mean_cov(*_mean_cov(self.mean, self.cov, "moments"))
 
     @property
     def dim(self) -> int:
@@ -303,14 +342,13 @@ class GaussianStats(_JsonFields):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GaussianStats":
-        _json_object(obj, "moments")
-        n, mean, cov = (_json_field(obj, key, "moments") for key in ("n", "mean", "cov"))
-        stats = cls(n=n, mean=mean, cov=cov)
+        stats = _json_record(cls, _json_object(obj, "moments"), "moments")
         if obj.get("second_moment") is not None:
             s = _floats(obj["second_moment"], "second_moment", "moments field 'second_moment'")
             if s.shape != stats.cov.shape:
                 raise ValueError(f"second_moment shape {s.shape}, expected {stats.cov.shape}")
-            expected = stats.cov + np.outer(stats.mean, stats.mean)
+            with np.errstate(over="ignore"):
+                expected = stats.cov + np.outer(stats.mean, stats.mean)
             if _far(expected, s, SECOND_MOMENT_RTOL):
                 raise ValueError("second_moment inconsistent with cov + mean mean^T")
         return stats
@@ -324,7 +362,7 @@ class GaussianModel(_JsonFields):
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean, self.cov = _check_mean_cov(self.mean, self.cov, "Gaussian model")
+        self.mean, self.cov = _check_mean_cov(*_mean_cov(self.mean, self.cov, "Gaussian model"))
 
     @property
     def dim(self) -> int:
@@ -332,8 +370,7 @@ class GaussianModel(_JsonFields):
 
 
 def load_stats(path) -> GaussianStats:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GaussianStats.from_json_dict(json.load(fh))
+    return GaussianStats.from_json_dict(_read_json(path))
 
 
 def save_stats(stats: GaussianStats, path) -> None:
@@ -357,10 +394,12 @@ def moments(x, estimator: str = "population") -> GaussianStats:
         divisor = n - 1
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / divisor
-    cov = (cov + cov.T) / 2.0
+    # Finite samples whose moments overflow fail GaussianStats' finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = centered.T @ centered / divisor
+        cov = (cov + cov.T) / 2.0
     return GaussianStats(n=n, mean=mean, cov=cov)
 
 
@@ -482,8 +521,7 @@ def load_client_set(path) -> ClientSet:
     "embeddings"?: path, "moments"?: path}, ...]}``.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = _json_object(json.load(fh), "client set")
+    obj = _json_object(_read_json(path), "client set")
     base = path.parent
     clients = []
 
@@ -496,9 +534,8 @@ def load_client_set(path) -> ClientSet:
     for entry in _json_objects(_json_field(obj, "clients", "client set"), "clients"):
         weight = entry.get("weight")
         if weight is not None:
-            if not _is_real(weight):
-                raise ValueError(f"client set field 'weight' must be a number, got {weight!r}")
-            _real(weight, "client set field 'weight'")
+            message = f"client set field 'weight' must be a number, got {weight!r}"
+            _real(weight, "client set field 'weight'", message)
         embeddings, stats = data_file(entry, "embeddings"), data_file(entry, "moments")
         clients.append(
             Client(

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
+import operator
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import fedeval
 from fedeval import moments, write_embeddings
@@ -1065,3 +1070,214 @@ def test_every_operation_mapped_to_exactly_one_subcommand():
         seen[op] = sub
     # the registry covers the complete public operation surface
     assert len(OPERATION_SUBCOMMANDS) == 25
+
+
+@pytest.fixture
+def inputs_dir(workspace):
+    """The workspace, plus a score table for ``rank`` to compare against."""
+    tmp, _ = workspace
+    (tmp / "table_b.json").write_text(json.dumps({"g1": 2.0, "g2": 1.0, "g3": 3.0}))
+    return tmp
+
+
+def _input_args(kind, path, tmp):
+    """The CLI call that reads ``path`` as an input of ``kind``, next to the
+    files of ``inputs_dir``."""
+    return {
+        "scenario": ["simulate", "--scenario", path],
+        "clients": ["stats", "--clients", path],
+        "moments": ["fid", "--ref", path, "--gen", tmp / "gen.fevb"],
+        "kernel": ["kid", "--clients", tmp / "clients.json", "--gen", tmp / "gen.fevb", "--kernel", path],
+        "rank": ["rank", "--table-a", path, "--table-b", tmp / "table_b.json"],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["scenario", "clients", "moments", "kernel", "rank"])
+def test_deeply_nested_json_input_is_one_error_line(inputs_dir, capsys, kind):
+    """JSON nested deeper than the decoder can recurse is one input error
+    line, not a RecursionError traceback."""
+    tmp = inputs_dir
+    path = tmp / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert run_cli(_input_args(kind, path, tmp)) == 1
+    assert capsys.readouterr().err == f"fedeval: error: {path}: JSON nested too deeply\n"
+
+
+def test_symmetry_test_of_entries_near_float_max():
+    """The symmetry test divides by at most 2**1023: an entry at or above
+    2**1023 does not overflow the scale, a covariance symmetric within
+    tolerance passes, and one that is not fails."""
+    from fedeval import GaussianStats, NotPsdError
+    from fedeval.statkit import SYMMETRY_RTOL, _far
+
+    near = np.array([[1e308, 1e300], [1e300 * (1 + 1e-15), 1.0]])
+    assert not _far(near, near.T, SYMMETRY_RTOL)
+    assert GaussianStats(n=2, mean=[0.0, 0.0], cov=near).cov[0, 0] == 1e308
+    assert _far(near, near.T, 1e-25)
+    with pytest.raises(NotPsdError, match="^covariance is not symmetric$"):
+        GaussianStats(n=2, mean=[0.0, 0.0], cov=[[1e308, 1e308], [0.0, 1.0]])
+
+
+def test_asymmetric_covariance_near_float_max_exit_2(workspace, capsys):
+    tmp, _ = workspace
+    moments_file = {"n": 5, "mean": [0.0, 0.0], "cov": [[1e308, 1e308], [0.0, 1.0]]}
+    (tmp / "big.json").write_text(json.dumps(moments_file))
+    assert run_cli(["fid", "--ref", tmp / "big.json", "--gen", tmp / "gen.fevb"]) == 2
+    assert capsys.readouterr().err == "fedeval: numerical failure: covariance is not symmetric\n"
+
+
+_NON_FINITE_STATS = "fedeval: error: non-finite entry in Gaussian parameters\n"
+_NON_FINITE_SAMPLES = "fedeval: error: non-finite entry in embedding matrix\n"
+# Scenario fields whose samples or moments overflow, and the error line each
+# gives: the moments of the samples, the scalar covariance times I, the
+# symmetrized covariance and the jittered point.
+OVERFLOWING_SCENARIOS = {
+    "client-mean": (_client_field(mean=[1e308, 0.0]), _NON_FINITE_STATS),
+    "generator-mean": (_generator_field(mean=[1e308, 0.0]), _NON_FINITE_STATS),
+    "generator-point": (_generator_field(kind="point", point=[1e308, 0.0]), _NON_FINITE_STATS),
+    "client-cov-infinity": (_client_field(cov=float("inf")), _NON_FINITE_STATS),
+    "client-cov": (_client_field(cov=1e308), _NON_FINITE_SAMPLES),
+    "point-jitter": (
+        _generator_field(kind="point", point=[0.0, 0.0], jitter=1e308), _NON_FINITE_SAMPLES
+    ),
+}
+
+
+def _run_warnings_as_errors(args):
+    """``run_cli(args)`` with every warning an exception (``python -W
+    error``), and its exit code and stderr."""
+    import contextlib
+    import io
+    import warnings
+
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(args)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_SCENARIOS))
+def test_scenario_whose_statistics_overflow_warns_nothing(tmp_path, case):
+    """A scenario value whose samples or moments overflow is the error line
+    alone, with no RuntimeWarning before it."""
+    fields, expected = OVERFLOWING_SCENARIOS[case]
+    (tmp_path / "s.json").write_text(json.dumps(small_scenario(**fields)))
+    assert _run_warnings_as_errors(["simulate", "--scenario", tmp_path / "s.json"]) == (1, expected)
+
+
+def test_finite_inputs_whose_moments_overflow_warn_nothing(workspace):
+    tmp, _ = workspace
+    write_embeddings(np.full((4, 2), 1e308), tmp / "big.fevb")
+    assert _run_warnings_as_errors(["stats", "--input", tmp / "big.fevb"]) == (1, _NON_FINITE_STATS)
+    # mean mean^T overflows where second_moment is checked against it
+    moments_file = {"n": 5, "mean": [1e308, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]],
+                    "second_moment": [[1.0, 0.0], [0.0, 1.0]]}
+    (tmp / "big.json").write_text(json.dumps(moments_file))
+    args = ["fid", "--ref", tmp / "big.json", "--gen", tmp / "gen.fevb"]
+    assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: distance is not finite\n")
+
+
+# One valid input of each kind, each read by _input_args' call for its kind.
+CONTRACT_INPUTS = {
+    "scenario": {
+        "name": "contract",
+        "kind": "round",
+        "mode": "raw",
+        "metrics": ["fid_avg", "fid_all", "kid_avg"],
+        "seed": 1,
+        "detection_threshold": 2.0,
+        "kernel": {"kind": "polynomial", "degree": 3, "scale": 0.5, "offset": 1.0},
+        "clients": [
+            {"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 6, "seed": 3},
+            {"id": "c2", "mean": [1.0, 0.0], "cov": [[1.0, 0.0], [0.0, 2.0]], "n": 5},
+        ],
+        "generators": [
+            {"id": "g1", "kind": "gaussian", "mean": [1.5, 0.0], "cov": 1.0, "n": 7},
+            {"id": "g2", "kind": "point", "point": [0.0, 0.0], "jitter": 0.1, "n": 7, "seed": 2},
+        ],
+    },
+    "collapse-scenario": {
+        "kind": "collapse",
+        "collapse_step": 1,
+        "kernel": {"kind": "rbf", "bandwidth": 1.0},
+        "clients": [{"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 6}],
+        "generators": [
+            {"id": "g1", "mean": [0.0, 0.0], "cov": 1.0, "n": 6},
+            {"id": "g2", "kind": "point", "point": [0.0, 0.0], "n": 6},
+        ],
+    },
+    "clients": {
+        "clients": [
+            {"id": "c1", "embeddings": "c1.fevb", "weight": 0.5},
+            {"id": "c2", "moments": "gen_moments.json", "weight": 0.5},
+        ]
+    },
+    "moments": {
+        "n": 5,
+        "mean": [0.0, 0.0],
+        "cov": [[1.0, 0.0], [0.0, 1.0]],
+        "second_moment": [[1.0, 0.0], [0.0, 1.0]],
+    },
+    "kernel": {"kind": "polynomial", "degree": 3, "scale": 0.5, "offset": 1.0},
+    "rbf-kernel": {"kind": "rbf", "bandwidth": 1.0},
+    "rank": {"g1": 1.0, "g2": 2.0, "g3": 3.0},
+}
+# What a mutation puts in place of a node; _DELETE removes an object's key.
+_MUTANTS = [None, True, "x", 10**400, 1e308, float("inf"), float("nan"), [], [1.0], {}, {"a": 1}]
+_DELETE = "<delete>"
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def one_node_mutations(draw):
+    """(input kind, node path, new value): one node of a valid input,
+    replaced by a value of another JSON type or out of range, or deleted."""
+    kind = draw(st.sampled_from(sorted(CONTRACT_INPUTS)))
+    path = draw(st.sampled_from(list(_nodes(CONTRACT_INPUTS[kind]))))
+    deletable = bool(path) and isinstance(path[-1], str)
+    return kind, path, draw(st.sampled_from(_MUTANTS + [_DELETE] * deletable))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value == _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=one_node_mutations())
+@example(case=("scenario", ("clients", 0, "cov"), float("inf")))
+@example(case=("scenario", ("generators", 1, "jitter"), 1e308))
+@example(case=("moments", ("cov", 0, 1), 1e308))
+@example(case=("moments", ("second_moment", 1, 1), 1e308))
+def test_one_node_mutation_of_a_json_input_keeps_the_contract(inputs_dir, case):
+    """Changing one node of a valid JSON input of any kind either leaves an
+    input the CLI runs (exit 0, nothing on stderr) or is exactly one error
+    line with exit 1 (input) or 2 (numerical failure); never a traceback
+    and never a warning."""
+    kind, path, value = case
+    tmp = inputs_dir
+    (tmp / "input.json").write_text(json.dumps(_mutated(CONTRACT_INPUTS[kind], path, value)))
+    code, err = _run_warnings_as_errors(_input_args(kind.split("-")[-1], tmp / "input.json", tmp))
+    lines = err.splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1
+        assert lines[0].startswith("fedeval: error: " if code == 1 else "fedeval: numerical failure: ")
