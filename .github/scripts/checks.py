@@ -4,10 +4,15 @@
         runs every demo under ``python -W error`` with ``PYTHONPATH=src``;
         fails if one exits non-zero.
     python .github/scripts/checks.py oracles
+        prints the usable CPUs and the three BLAS thread variables, then
         runs ``perfbench/run.py`` for 3 s on seeds 0, 1 and 2 of each
         workload, then once traced for 2 s on gauss-rank seed 0; fails
         unless every run exits 0 and reports ``"correct": true`` with at
-        least one attempted evaluation.
+        least one attempted evaluation.  The tile passes (``fedeval.tiles``)
+        run on two threads only with BLAS pinned to one thread and at
+        least two usable CPUs; ``perfbench/run.py`` pins BLAS for its
+        worker, so the CPU count tells whether kernel-knn's runs took the
+        two-way path.
 
 Each check stops at its first failure and exits 1.
 """
@@ -37,6 +42,9 @@ def demos() -> bool:
 
 
 def oracles() -> bool:
+    print("usable CPUs:", len(os.sched_getaffinity(0)))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        print(f"{name}={os.environ.get(name, '<unset>')}", flush=True)
     for workload, seed, seconds, trace in ORACLE_RUNS:
         args = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                 "--seconds", str(seconds), "--trace", str(trace)]

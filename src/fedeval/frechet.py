@@ -41,7 +41,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NotPsdError, NumericalError
-from .statkit import SYMMETRY_RTOL, ClientSet, _far, _JsonFields, _mixture_moments, pool_moments
+from .statkit import (
+    SYMMETRY_RTOL,
+    ClientSet,
+    _far,
+    _JsonFields,
+    _mixture_moments,
+    _symmetrized,
+    pool_moments,
+)
 
 EIGENVALUE_CLAMP_REL = 1e-8
 VALUE_CLAMP = 1e-8
@@ -84,8 +92,7 @@ def _clamped_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The PSD square root ``V diag(sqrt(w)) V^T`` from clamped eigenpairs, stacked or not."""
-    b = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return (b + np.swapaxes(b, -1, -2)) / 2.0
+    return _symmetrized((v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
 def _symmetric(a) -> np.ndarray:
@@ -96,7 +103,7 @@ def _symmetric(a) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if _far(a, a.T, SYMMETRY_RTOL):
         raise NotPsdError("matrix is not symmetric")
-    return (a + a.T) / 2.0
+    return _symmetrized(a)
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -150,10 +157,10 @@ def _references(refs: list) -> _References:
     covariances are symmetric, as :class:`GaussianStats` and the scenario
     specs validate."""
     covs = np.stack([r.cov for r in refs])
-    # Finite entries whose sum overflows give a non-finite root or trace,
-    # which the scores and the draws that use them reject.
+    w, v = np.linalg.eigh(_symmetrized(covs))
+    # A trace of finite entries can overflow, as can a root's eigenvalues;
+    # the scores and the draws that use them reject both.
     with np.errstate(over="ignore"):
-        w, v = np.linalg.eigh((covs + np.swapaxes(covs, 1, 2)) / 2.0)
         traces = np.trace(covs, axis1=1, axis2=2)
     roots = _root(np.clip(w, 0.0, None), v)
     means = np.stack([r.mean for r in refs])
@@ -173,7 +180,7 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
         inner = refs.roots @ cov @ refs.roots
-        w = np.linalg.eigvalsh((inner + np.swapaxes(inner, -1, -2)) / 2.0)
+        w = np.linalg.eigvalsh(_symmetrized(inner))
         cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
         trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
         value = mean_term + trace_term
@@ -248,11 +255,10 @@ def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> 
     """sum_i w_i (C^1/2 C_i C^1/2)^1/2, given the iterate's root C^1/2."""
     acc = np.zeros_like(root)
     for w_i, c_i in zip(weights, covs):
-        inner = root @ c_i @ root
-        inner = (inner + inner.T) / 2.0
+        inner = _symmetrized(root @ c_i @ root)
         ew, ev = _clamped_eigh(inner, "barycenter inner product")
         acc = acc + w_i * ((ev * np.sqrt(ew)) @ ev.T)
-    return (acc + acc.T) / 2.0
+    return _symmetrized(acc)
 
 
 def _anderson_step(pairs: list) -> np.ndarray:
@@ -282,7 +288,7 @@ def _anderson_step(pairs: list) -> np.ndarray:
     step = image.copy()
     for q, u in basis:
         step -= np.vdot(q, f) * u
-    return (step + step.T) / 2.0
+    return _symmetrized(step)
 
 
 def _next_iterate(pairs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,16 +357,14 @@ def _barycenter(
     basis = None
     if kept.any() and not kept.all():
         basis = v[:, kept]
-        covs = np.swapaxes(basis, 0, 1) @ covs @ basis
-        covs = (covs + np.swapaxes(covs, 1, 2)) / 2.0
+        covs = _symmetrized(np.swapaxes(basis, 0, 1) @ covs @ basis)
         w, v = w[kept], np.eye(basis.shape[1])
         cov = np.diag(w)
 
     def lift(b: np.ndarray) -> np.ndarray:
         if basis is None:
             return b
-        b = basis @ b @ basis.T
-        return (b + b.T) / 2.0
+        return _symmetrized(basis @ b @ basis.T)
 
     history: list[float] = []
     pairs: list = []  # (F(C) - C, F(C)) of the last iterates, oldest first
@@ -381,8 +385,7 @@ def _barycenter(
                 residual_history=history,
             ), lift(root), spectrum
         inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-        image = inv_sqrt @ (m @ m) @ inv_sqrt
-        image = (image + image.T) / 2.0
+        image = _symmetrized(inv_sqrt @ (m @ m) @ inv_sqrt)
         if iteration and residual >= history[-2]:
             pairs.clear()
         pairs = pairs[-_ANDERSON_DEPTH:] + [(image - cov, image)]

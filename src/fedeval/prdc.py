@@ -10,16 +10,16 @@ neighbor" around each sample and test strict containment:
 * coverage  -- fraction of reference balls containing at least one
   generated sample.
 
-Nearest neighbors are exact.  Distances are taken on the kernel's work
-units (``kernelmmd._schedule``): every pair of sample sets is tiled on its
-own grid of ``kernelmmd.TILE`` rows and columns from the sets' first
-rows, so memory does not grow with the sample count and a set's
-distances do not depend on the other sets.  Each row keeps its k
-smallest squared distances so far, unclipped; only the k-th is clipped
-at 0 and square-rooted.  Both steps are non-decreasing, so the radius
-has the same bits as selecting among clipped, rooted distances, and ties
-resolve to the same value regardless of index order.  The ball tests
-compare clipped, rooted distances with the radii.
+Nearest neighbors are exact.  Distances are taken on the tile engine's
+work units (``tiles``): every pair of sample sets is tiled on its own
+grid of ``tiles.TILE`` rows and columns from the sets' first rows, so
+memory does not grow with the sample count and a set's distances do not
+depend on the other sets.  Each row keeps its k smallest squared
+distances so far, unclipped; only the k-th is clipped at 0 and
+square-rooted.  Both steps are non-decreasing, so the radius has the
+same bits as selecting among clipped, rooted distances, and ties resolve
+to the same value regardless of index order.  The ball tests compare
+clipped, rooted distances with the radii.
 
 ``prdc_aggregate`` runs one pass.  Each client's self pair and the
 generator's give their own radii, bit for bit those of ``knn_radii``.
@@ -30,19 +30,11 @@ so each client's scores are its own ``prdc_scores``.  Without the pooled
 score (``pooled=False``, a scores round) no cross-client distance is
 taken.  No pooled copy of the samples is made.
 
-The self-pair, cross-pair and ball-test walks run as every kernel pass
-does (``kernelmmd._run_pass``): the calling thread takes the walk's
-stacks one at a time from a feed, and under the kernel pass's gate
-(``kernelmmd._workers``: at least 4 TILE^2 tile elements, BLAS pinned to
-one thread, two usable CPUs) the pool thread takes some of them too.
-The calling thread keeps its results in the pass's own arrays.  The pool
-thread keeps its own k smallest per row, merged as it goes, and its own
-integer ball counts and boolean flags.  The caller adds them in once the
-walk is over, by a k-smallest merge, an integer add and an OR.  All
-three are order-free, so every radius and score has the one-thread
-walk's bits, whichever thread took which stacks.  A stack whose squared
-distances are not finite raises ``NumericalError`` and closes the feed;
-the call raises it once no worker is left on the walk.
+Each walk runs as a pass of ``tiles._run_pass``, which may give it a
+second worker with state of its own; the caller merges that state in by
+a k-smallest merge, an integer add and an OR, all order-free, so every
+radius and score has the one-thread walk's bits.  A stack whose squared
+distances are not finite raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -52,18 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernelmmd
+from . import tiles
 from .errors import NumericalError, SampleCountError
-from .kernelmmd import (
-    _gather,
-    _operands,
-    _row_norms,
-    _run_pass,
-    _schedule,
-    _squared_distances,
-    _take,
-    _workers,
-)
 from .statkit import ClientSet, _JsonFields, as_embeddings
 
 DEFAULT_K = 5
@@ -121,8 +103,8 @@ def _tile_distances(blocks, norms, units, stack, work) -> tuple[np.ndarray, list
     """Unclipped squared distances of a stack of units, in the ``result``
     buffer of ``work``, and its units.  A distance that is not finite raises
     ``NumericalError``."""
-    chosen, x, y = _operands(blocks, units, stack, work)
-    sq = _squared_distances(x, y, *_operands(norms, units, stack)[1:], work)
+    chosen, x, y = tiles._operands(blocks, units, stack, work)
+    sq = tiles._squared_distances(x, y, *tiles._operands(norms, units, stack)[1:], work)
     if not np.isfinite(sq.max()):
         raise NumericalError("squared distance is not finite")
     return sq, chosen
@@ -131,14 +113,12 @@ def _tile_distances(blocks, norms, units, stack, work) -> tuple[np.ndarray, list
 def _nearest_walk(blocks, norms, units, k, taken, work, best) -> None:
     """Merge the squared distances of the stacks ``taken`` by one worker of
     a pass into the k smallest kept per row in ``best``, one entry per
-    block, None for a block whose rows are all inf yet."""
+    block."""
     held: dict[tuple, list] = {}
     size = 0
 
     def merge_held():
         for (owner, lo), found in held.items():
-            if best[owner] is None:
-                best[owner] = np.full((blocks[owner].shape[0], k), np.inf)
             _merge_nearest(best[owner], lo, *found)
         held.clear()
 
@@ -148,7 +128,7 @@ def _nearest_walk(blocks, norms, units, k, taken, work, best) -> None:
             diagonal = np.arange(stack[1])
             sq[:, diagonal, diagonal] = np.inf
         else:
-            columns = _take(work.product, (len(chosen), stack[2], stack[1]))
+            columns = tiles._take(work.product, (len(chosen), stack[2], stack[1]))
             np.copyto(columns, np.swapaxes(sq, 1, 2))
             near = _smallest(columns, k)
             for (_, q, _, c0), cols in zip(chosen, near):
@@ -158,7 +138,7 @@ def _nearest_walk(blocks, norms, units, k, taken, work, best) -> None:
         for (p, _, r0, _), rows in zip(chosen, near):
             held.setdefault((p, r0), []).append(rows)
         size += near.size
-        if size >= kernelmmd.TILE**2 // 4:
+        if size >= tiles.TILE**2 // 4:
             merge_held()
             size = 0
     merge_held()
@@ -173,19 +153,19 @@ def _nearest(blocks, norms, best, pairs, k: int) -> None:
     column by one stacked partition each.  These are held per owner row
     range, about TILE^2 / 4 of them at most, and each range then takes them
     in with one merge.  Only values are kept, so the k smallest do not
-    depend on the stacking or on the order of the merges.  So the pool
-    thread's stacks (``kernelmmd._run_pass``) merge into rows of its own,
-    which join ``best`` once the pass is over.
+    depend on the stacking or on the order of the merges.  So a second
+    worker's stacks merge into rows of its own, which join ``best`` once
+    the pass is over.
     """
-    units, stacks = _schedule(blocks, pairs)
-    workers = _workers(stacks)
-    kept = [best] + [[None] * len(best) for _ in range(workers - 1)]
+    units, stacks = tiles._schedule(blocks, pairs)
+
+    def state(worker):
+        return best if worker == 0 else [np.full((b.shape[0], k), np.inf) for b in blocks]
+
     walk = functools.partial(_nearest_walk, blocks, norms, units, k)
-    _run_pass(walk, stacks, workers, blocks[0].shape[-1], kept)
-    for own in kept[1:]:
+    for own in tiles._run_pass(walk, stacks, blocks[0].shape[-1], state)[1:]:
         for rows, found in zip(best, own):
-            if found is not None:
-                _merge_nearest(rows, 0, found)
+            _merge_nearest(rows, 0, found)
 
 
 def _radius(best: np.ndarray) -> np.ndarray:
@@ -200,7 +180,7 @@ def knn_radii(x, k: int) -> np.ndarray:
     _check_knn(k, [x.shape[0]])
     best = np.full((x.shape[0], k), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        _nearest([x], [_row_norms(x)], [best], [(0, 0)], k)
+        _nearest([x], [tiles._row_norms(x)], [best], [(0, 0)], k)
     return _radius(best)
 
 
@@ -216,36 +196,36 @@ def _result(cover, recalled, covered, k: int) -> PrdcResult:
     )
 
 
-def _tallies(mats: list[np.ndarray], m: int, sets: int):
-    """Zeroed ball tests of ``sets`` sets of radii: per set, the balls of
-    each block (of the union) around each generated sample and each
-    block's balls that hold one; then each block's samples in a generated
-    ball."""
-    cover = [np.zeros((len(mats), m), dtype=np.int64), np.zeros((1, m), dtype=np.int64)][:sets]
-    covered = [[np.zeros(x.shape[0], dtype=bool) for x in mats] for _ in range(sets)]
-    recalled = [np.zeros(x.shape[0], dtype=bool) for x in mats]
-    return cover, covered, recalled
+def _tallies(n: int, m: int, g: int, sets: int):
+    """Zeroed ball tests of ``sets`` sets of radii of ``n`` samples in ``g``
+    blocks: the balls of each block (then of the union) around each
+    generated sample; per set, the samples (in union order) whose ball
+    holds one; the samples inside a generated ball."""
+    cover = np.zeros((g + sets - 1, m), dtype=np.int64)
+    return cover, np.zeros((sets, n), dtype=bool), np.zeros(n, dtype=bool)
 
 
-def _balls_walk(blocks, norms, units, radii, taken, work, tallies) -> None:
+def _balls_walk(blocks, norms, units, radii, starts, taken, work, tallies) -> None:
     """Add the ball tests of the block x generator stacks ``taken`` by one
     worker of a pass to ``tallies`` (``_tallies``), counts and flags, which
-    do not depend on the order the stacks are visited in."""
+    do not depend on the order the stacks are visited in; block ``p``'s
+    samples start at ``starts[p]`` of the union."""
     cover, covered, recalled = tallies
     for stack in taken:
         sq, chosen = _tile_distances(blocks, norms, units, stack, work)
         dists = _distances(sq)
         n_rows, n_cols = stack[1], stack[2]
-        inside = _take(work.mask, dists.shape)
-        np.less(dists, _gather(radii[0], chosen, 1, n_cols)[:, None, :], out=inside)
-        for (p, _, r0, _), hit in zip(chosen, inside.any(axis=2)):
-            recalled[p][r0 : r0 + n_rows] |= hit
+        rows = [slice(starts[p] + r0, starts[p] + r0 + n_rows) for p, _, r0, _ in chosen]
+        inside = tiles._take(work.mask, dists.shape)
+        np.less(dists, tiles._gather(radii[0], chosen, 1, n_cols)[:, None, :], out=inside)
+        for row, hit in zip(rows, inside.any(axis=2)):
+            recalled[row] |= hit
         for s, set_radii in enumerate(radii):
-            np.less(dists, _gather(set_radii, chosen, 0, n_rows)[..., None], out=inside)
+            np.less(dists, tiles._gather(set_radii, chosen, 0, n_rows)[..., None], out=inside)
             counts = inside.sum(axis=1, dtype=np.int64)
-            for (p, _, r0, c0), count, hit in zip(chosen, counts, inside.any(axis=2)):
-                cover[s][0 if s else p, c0 : c0 + n_cols] += count
-                covered[s][p][r0 : r0 + n_rows] |= hit
+            for (p, _, _, c0), row, count, hit in zip(chosen, rows, counts, inside.any(axis=2)):
+                cover[-1 if s else p, c0 : c0 + n_cols] += count
+                covered[s, row] |= hit
 
 
 def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
@@ -255,41 +235,40 @@ def _scores(mats: list[np.ndarray], gen: np.ndarray, k: int, pooled: bool):
     Every set's k smallest squared distances come from its self pair; the
     union's start from the blocks' and take in the cross-block pairs.  One
     walk over the block x generator pairs then tests every distance
-    against the generator radii and each set of block radii; the pool
-    thread tallies the stacks it takes apart, added in at the end.
+    against the generator radii and each set of block radii.
     Returns ``(union, per_block)``, ``union`` None unless ``pooled``; one
     block is its own union.
     """
     _check_blocks(mats, gen, k)
     blocks, g, m = [*mats, gen], len(mats), gen.shape[0]
+    starts = np.cumsum([0, *(x.shape[0] for x in mats)]).tolist()
     best = [np.full((b.shape[0], k), np.inf) for b in blocks]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [_row_norms(b) for b in blocks]
+        norms = [tiles._row_norms(b) for b in blocks]
         _nearest(blocks, norms, best, [(p, p) for p in range(g + 1)], k)
         radii = [[_radius(b) for b in best]]
         if pooled and g > 1:
             # the union's k smallest: the blocks' own, then the cross pairs
             _nearest(blocks, norms, best, [(p, q) for p in range(g) for q in range(p + 1, g)], k)
             radii.append([_radius(b) for b in best[:g]])
-        units, stacks = _schedule(blocks, [(p, g) for p in range(g)])
-        workers = _workers(stacks)
-        tallies = [_tallies(mats, m, len(radii)) for _ in range(workers)]
-        walk = functools.partial(_balls_walk, blocks, norms, units, radii)
-        _run_pass(walk, stacks, workers, blocks[0].shape[-1], tallies)
-    cover, covered, recalled = tallies[0]
-    for more_cover, more_covered, more_recalled in tallies[1:]:
-        for total, more in zip(cover, more_cover):
-            total += more
-        for totals, more_sets in zip([*covered, recalled], [*more_covered, more_recalled]):
-            for total, more in zip(totals, more_sets):
-                total |= more
-    per_block = [_result(cover[0][p], recalled[p], covered[0][p], k) for p in range(g)]
+        units, stacks = tiles._schedule(blocks, [(p, g) for p in range(g)])
+        walk = functools.partial(_balls_walk, blocks, norms, units, radii, starts)
+        tallies, *more = tiles._run_pass(
+            walk, stacks, blocks[0].shape[-1], lambda worker: _tallies(starts[-1], m, g, len(radii))
+        )
+    for extra in more:
+        for total, add in zip(tallies, extra):
+            total += add  # counts add; a bool += is an OR
+    cover, covered, recalled = tallies
+    per_block = [
+        _result(cover[p], recalled[lo:hi], covered[0, lo:hi], k)
+        for p, (lo, hi) in enumerate(zip(starts, starts[1:]))
+    ]
     if not pooled:
         return None, per_block
     if g == 1:
         return per_block[0], per_block
-    union = _result(cover[1][0], np.concatenate(recalled), np.concatenate(covered[1]), k)
-    return union, per_block
+    return _result(cover[-1], recalled, covered[1], k), per_block
 
 
 def prdc_scores(ref, gen, k: int = DEFAULT_K) -> PrdcResult:

@@ -280,6 +280,15 @@ def _check_count(n) -> None:
         raise ValueError(f"sample count n must be an integer >= 1, got {n!r}")
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``(a + a^T) / 2`` of a matrix or a stack of them, taken as half of
+    each plus its transpose, so no finite entry overflows on the way; the
+    bits are the plain formula's unless an entry, or half of one, is
+    subnormal."""
+    half = a * 0.5
+    return half + np.swapaxes(half, -1, -2)
+
+
 def _check_finite(mean, cov) -> None:
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("non-finite entry in Gaussian parameters")
@@ -347,6 +356,8 @@ class GaussianStats(_JsonFields):
             s = _floats(obj["second_moment"], "second_moment", "moments field 'second_moment'")
             if s.shape != stats.cov.shape:
                 raise ValueError(f"second_moment shape {s.shape}, expected {stats.cov.shape}")
+            if not np.isfinite(s).all():
+                raise ValueError("non-finite entry in moments field 'second_moment'")
             with np.errstate(over="ignore"):
                 expected = stats.cov + np.outer(stats.mean, stats.mean)
             if _far(expected, s, SECOND_MOMENT_RTOL):
@@ -398,8 +409,7 @@ def moments(x, estimator: str = "population") -> GaussianStats:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
         centered = x - mean
-        cov = centered.T @ centered / divisor
-        cov = (cov + cov.T) / 2.0
+        cov = _symmetrized(centered.T @ centered / divisor)
     return GaussianStats(n=n, mean=mean, cov=cov)
 
 
@@ -558,7 +568,7 @@ def _mixture_moments(stats: list[GaussianStats], w: np.ndarray):
     within = np.einsum("i,ijk->jk", w, np.stack([s.cov for s in stats]))
     centred = means - mean
     between = (w * centred.T) @ centred
-    return mean, (within + within.T) / 2.0, (between + between.T) / 2.0
+    return mean, _symmetrized(within), _symmetrized(between)
 
 
 def pool_moments(clients: ClientSet, estimator: str = "population") -> GaussianStats:
@@ -614,14 +624,13 @@ def log_likelihood_scores(
     """Mean log-density scores per client plus the two aggregates.
 
     ``avg`` is the weighted mean of per-client scores; ``all`` is the
-    mean log-density over the pooled samples.  With weights ``n_i / n``
-    the two coincide up to summation order.  ``pooled=False`` leaves the
-    pooled samples unscored and ``all`` None.
+    mean log-density over the pooled samples, taken from the same
+    per-client densities, so every sample is scored once.  With weights
+    ``n_i / n`` the two coincide up to summation order.  ``pooled=False``
+    leaves ``all`` None.
     """
-    mats = clients.client_embeddings()
-    per_client = [float(np.mean(gaussian_log_density(x, model))) for x in mats]
+    densities = [gaussian_log_density(x, model) for x in clients.client_embeddings()]
+    per_client = [float(np.mean(d)) for d in densities]
     avg = float(clients.weights @ np.asarray(per_client))
-    all_score = None
-    if pooled:
-        all_score = float(np.mean(gaussian_log_density(np.concatenate(mats, axis=0), model)))
+    all_score = float(np.mean(np.concatenate(densities))) if pooled else None
     return LogLikelihoodScores(per_client=per_client, avg=avg, all=all_score)

@@ -85,15 +85,16 @@ def gram_elements(monkeypatch):
 
 @pytest.fixture
 def distance_elements(monkeypatch):
-    """Sizes of the distance tiles the k-NN and ball passes evaluate, in call
-    order; a stacked call counts every tile of its stack."""
+    """Sizes of the distance tiles the k-NN and ball walks evaluate (not the
+    rbf kernel's), in call order; a stacked call counts every tile of its
+    stack."""
     elements = []
-    real_distances = prdc._squared_distances
+    real_distances = prdc._tile_distances
 
-    def counting_distances(x, y, x_sq, y_sq, *work):
-        out = real_distances(x, y, x_sq, y_sq, *work)
-        elements.append(out.size)
+    def counting_distances(*args):
+        out = real_distances(*args)
+        elements.append(out[0].size)
         return out
 
-    monkeypatch.setattr(prdc, "_squared_distances", counting_distances)
+    monkeypatch.setattr(prdc, "_tile_distances", counting_distances)
     return elements

@@ -758,6 +758,13 @@ MALFORMED_JSON_INPUTS = {
         {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "second_moment": [1.0, 0.0]},
         "second_moment shape (2,), expected (2, 2)",
     ),
+    # NaN is not ordered, so no consistency bound catches it
+    "moments-second-moment-nan": (
+        "moments",
+        {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]],
+         "second_moment": [[float("nan"), 0.0], [0.0, 1.0]]},
+        "non-finite entry in moments field 'second_moment'",
+    ),
     "moments-n-object": (
         "moments",
         {"n": {}, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
@@ -1129,14 +1136,15 @@ def test_asymmetric_covariance_near_float_max_exit_2(workspace, capsys):
 _NON_FINITE_STATS = "fedeval: error: non-finite entry in Gaussian parameters\n"
 _NON_FINITE_SAMPLES = "fedeval: error: non-finite entry in embedding matrix\n"
 # Scenario fields whose samples or moments overflow, and the error line each
-# gives: the moments of the samples, the scalar covariance times I, the
-# symmetrized covariance and the jittered point.
+# gives: the moments of the samples (a covariance of 1e308 I is drawn from,
+# and its samples' moments overflow), the scalar covariance times I and the
+# jittered point.
 OVERFLOWING_SCENARIOS = {
     "client-mean": (_client_field(mean=[1e308, 0.0]), _NON_FINITE_STATS),
     "generator-mean": (_generator_field(mean=[1e308, 0.0]), _NON_FINITE_STATS),
     "generator-point": (_generator_field(kind="point", point=[1e308, 0.0]), _NON_FINITE_STATS),
     "client-cov-infinity": (_client_field(cov=float("inf")), _NON_FINITE_STATS),
-    "client-cov": (_client_field(cov=1e308), _NON_FINITE_SAMPLES),
+    "client-cov": (_client_field(cov=1e308), _NON_FINITE_STATS),
     "point-jitter": (
         _generator_field(kind="point", point=[0.0, 0.0], jitter=1e308), _NON_FINITE_SAMPLES
     ),
@@ -1177,6 +1185,19 @@ def test_finite_inputs_whose_moments_overflow_warn_nothing(workspace):
     (tmp / "big.json").write_text(json.dumps(moments_file))
     args = ["fid", "--ref", tmp / "big.json", "--gen", tmp / "gen.fevb"]
     assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: distance is not finite\n")
+
+
+def test_covariance_near_float_max_is_scored(workspace, capsys):
+    """A valid covariance whose entries are near float max is symmetrized
+    without overflow and scored."""
+    tmp, _ = workspace
+    ref = {"n": 5, "mean": [0.0, 0.0], "cov": [[1e308, 0.0], [0.0, 1.0]]}
+    gen = {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    (tmp / "ref.json").write_text(json.dumps(ref))
+    (tmp / "identity.json").write_text(json.dumps(gen))
+    assert _run_warnings_as_errors(["fid", "--ref", tmp / "ref.json", "--gen", tmp / "identity.json"]) == (0, "")
+    assert run_cli(["fid", "--ref", tmp / "ref.json", "--gen", tmp / "identity.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1e308
 
 
 # One valid input of each kind, each read by _input_args' call for its kind.

@@ -28,7 +28,6 @@ from fedeval import (
     fedsim,
     fid_all,
     fid_avg,
-    kernelmmd,
     log_likelihood_scores,
     mode_collapse_timeline,
     moments,
@@ -37,6 +36,7 @@ from fedeval import (
     run_round,
     run_scenario,
     statkit,
+    tiles,
     toy_mixture_sweep,
     variance_limited_sweep,
 )
@@ -906,7 +906,7 @@ def one_kernel_pass(sizes, m):
     above the diagonal, the generator tile and one client x generator tile
     per client."""
     n = sum(sizes)
-    assert max(sizes) < kernelmmd.TILE and m < kernelmmd.TILE
+    assert max(sizes) < tiles.TILE and m < tiles.TILE
     return (n * n + sum(s * s for s in sizes)) // 2 + m * m + n * m
 
 

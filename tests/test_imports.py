@@ -167,15 +167,15 @@ def test_cli_import_starts_no_pool_machinery():
 
 
 CLI_MODULES = ["fedeval", "fedeval.cli", "fedeval.errors", "fedeval.statkit"]
-FEDSIM_MODULES = ("fedsim", "frechet", "kernelmmd", "prdc")
+FEDSIM_MODULES = ("fedsim", "frechet", "kernelmmd", "prdc", "tiles")
 
 # The library modules each subcommand loads beyond the CLI's own.
 SUBCOMMAND_MODULES = {
     "stats": (),
     "fid": ("frechet",),
     "barycenter": ("frechet",),
-    "kid": ("kernelmmd",),
-    "prdc": ("kernelmmd", "prdc"),
+    "kid": ("kernelmmd", "tiles"),
+    "prdc": ("prdc", "tiles"),
     "counterexample": ("frechet", "counterexample"),
     "simulate": FEDSIM_MODULES,
     "sweep": FEDSIM_MODULES,

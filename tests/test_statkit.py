@@ -441,6 +441,32 @@ def test_log_likelihood_avg_equals_all_with_natural_weights():
         assert abs(scores.avg - scores.all) <= 1e-12 * max(1.0, abs(scores.all))
 
 
+def test_log_likelihood_scores_each_sample_once(monkeypatch):
+    # one density call per client, pooled or not; ``all`` is the mean of
+    # the concatenated per-client densities, bit for bit, one-sample
+    # clients included
+    rng = np.random.default_rng(1)
+    clients = ClientSet(
+        [Client(id=f"c{i}", embeddings=rng.normal(size=(n, 3))) for i, n in enumerate((1, 4, 1, 7))]
+    )
+    model = GaussianModel(mean=rng.normal(size=3), cov=np.eye(3) + 0.1)
+    densities = []
+    real_density = statkit.gaussian_log_density
+
+    def density(x, m):
+        densities.append(real_density(x, m))
+        return densities[-1]
+
+    monkeypatch.setattr(statkit, "gaussian_log_density", density)
+    scores = log_likelihood_scores(clients, model)
+    assert [len(d) for d in densities] == [1, 4, 1, 7]
+    assert scores.all == float(np.mean(np.concatenate(densities)))
+    assert scores.per_client == [float(np.mean(d)) for d in densities]
+    densities.clear()
+    assert log_likelihood_scores(clients, model, pooled=False).all is None
+    assert [len(d) for d in densities] == [1, 4, 1, 7]
+
+
 def test_log_likelihood_degenerate_weight():
     clients = ClientSet(
         [

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedeval import Client, ClientSet, KernelSpec, kernelmmd, prdc
+from fedeval import Client, ClientSet, KernelSpec, kernelmmd, prdc, tiles
 from fedeval.errors import NumericalError, SampleCountError
 from fedeval.fedsim import METRIC_KEYS, run_round
 
@@ -43,12 +43,24 @@ SETTINGS = settings(
 
 @contextmanager
 def small_tiles(side=SMALL_TILE):
-    saved = kernelmmd.TILE
-    kernelmmd.TILE = side
+    saved = tiles.TILE
+    tiles.TILE = side
     try:
         yield
     finally:
-        kernelmmd.TILE = saved
+        tiles.TILE = saved
+
+
+def test_small_tiles_shrinks_the_engine_tile(rng):
+    # the properties below run at the small side only if the engine reads
+    # it: a 20-row self pair is 6 tiles of 7 on and above the diagonal, and
+    # no other module holds a TILE of its own for a test to set
+    blocks = [rng.normal(size=(20, 2))]
+    with small_tiles():
+        units, _ = tiles._schedule(blocks, [(0, 0)])
+    assert len(units) == 6
+    assert len(tiles._schedule(blocks, [(0, 0)])[0]) == 1
+    assert not hasattr(kernelmmd, "TILE") and not hasattr(prdc, "TILE")
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +283,13 @@ def test_kid_avg_computes_no_cross_client_blocks(gram_elements, rng, monkeypatch
     )
     gen = rng.normal(size=(30, 3))
     schedules = []
-    real_schedule = kernelmmd._schedule
+    real_schedule = tiles._schedule
 
     def counting_schedule(blocks, pairs):
         schedules.append(pairs)
         return real_schedule(blocks, pairs)
 
-    monkeypatch.setattr(kernelmmd, "_schedule", counting_schedule)
+    monkeypatch.setattr(tiles, "_schedule", counting_schedule)
     kernelmmd.kid_avg(clients, gen)
     sizes = np.array([c.n for c in clients])
     assert sum(gram_elements) == int((sizes**2).sum() + sizes.sum() * 30 + 30**2)
@@ -378,7 +390,7 @@ def test_client_scores_bit_identical_to_mmd2(case, kind, cross):
 # stacked block pairs against the per-pair tile loop
 
 
-def tiles(n_rows, n_cols, symmetric, side):
+def tile_bounds(n_rows, n_cols, symmetric, side):
     """``(r0, r1, c0, c1)`` of the side x side tiles covering an n_rows x
     n_cols matrix, row tile by row tile; ``symmetric`` keeps those on or
     above the diagonal."""
@@ -395,7 +407,7 @@ def per_pair_tiled_sums(spec, blocks, pairs):
     for p, q in pairs:
         total = 0.0
         x, y = blocks[p], blocks[q]
-        for r0, r1, c0, c1 in tiles(x.shape[0], y.shape[0], q == p, kernelmmd.TILE):
+        for r0, r1, c0, c1 in tile_bounds(x.shape[0], y.shape[0], q == p, tiles.TILE):
             tile = kernelmmd.gram(spec, x[r0:r1], y[c0:c1])
             part = tile.sum()
             total += part
@@ -506,7 +518,7 @@ def test_many_small_pairs_take_few_stacked_calls(gram_elements, rng):
     )
     kernelmmd.kernel_stats(clients, cross=True)
     assert len(gram_elements) == 1 + 8
-    assert max(gram_elements) <= kernelmmd.TILE**2
+    assert max(gram_elements) <= tiles.TILE**2
     assert sum(gram_elements) == 1275 * 20 * 20
 
 
@@ -514,7 +526,7 @@ def test_many_small_pairs_take_few_stacked_calls(gram_elements, rng):
 @given(
     size_pool_clients(4, 20, 30),
     st.integers(1, 3),
-    st.sampled_from([8, 16, kernelmmd.TILE]),
+    st.sampled_from([8, 16, tiles.TILE]),
 )
 def test_scores_round_prdc_is_each_clients_prdc_scores(case, k, tile):
     # a scores round scores each client on its own samples, stacked or not,
@@ -634,8 +646,8 @@ def test_radii_on_real_valued_duplicates(rng):
     # below 0 about a third of the time before the clip
     v = rng.normal(size=(64, 16)) * rng.uniform(0.1, 10.0, size=(64, 1))
     x = np.repeat(v, 2, axis=0)
-    norms = kernelmmd._row_norms(x)
-    sq = kernelmmd._squared_distances(x, x, norms, norms)
+    norms = tiles._row_norms(x)
+    sq = tiles._squared_distances(x, x, norms, norms)
     pair = sq[np.arange(0, 128, 2), np.arange(1, 128, 2)]
     assert (pair < 0).any()
     clipped = np.repeat(pair <= 0, 2)
@@ -752,12 +764,12 @@ def test_client_scores_independent_of_other_clients(case, k, kind, data):
 
 @contextmanager
 def unstacked():
-    saved = kernelmmd._stack_depth
-    kernelmmd._stack_depth = lambda n_rows, n_cols, dim: 1
+    saved = tiles._stack_depth
+    tiles._stack_depth = lambda n_rows, n_cols, dim: 1
     try:
         yield
     finally:
-        kernelmmd._stack_depth = saved
+        tiles._stack_depth = saved
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -789,7 +801,7 @@ def test_stacks_copy_at_most_a_tile_of_inputs(rng):
     d = 4
     blocks = [rng.normal(size=(8 * 40, d)), rng.normal(size=(9, d))]
     with small_tiles(8):
-        _, stacks = kernelmmd._schedule(blocks, [(0, 1), (1, 1)])
+        _, stacks = tiles._schedule(blocks, [(0, 1), (1, 1)])
     assert {(n_rows, n_cols) for _, n_rows, n_cols, _ in stacks} >= {(8, 8), (8, 1)}
     for members, n_rows, n_cols, _ in stacks:
         assert len(members) == 1 or len(members) * (n_rows + n_cols) * d <= 8 * 8
@@ -835,7 +847,7 @@ def test_memory_bounded_by_tiles_and_radii(rng):
     )
     gen = rng.normal(size=(m, d))
     big = 4 * n
-    tile = kernelmmd.TILE**2
+    tile = tiles.TILE**2
     for run, bound in (
         (lambda: prdc.prdc_aggregate(clients, gen, k=k), 8 * (4 * big * k + 8 * tile)),
         (lambda: kernelmmd.kernel_stats(clients, gen), 8 * 8 * tile),
@@ -859,11 +871,11 @@ def two_way(open_):
     the stacks of a pass of two or more) or forced shut."""
     with pytest.MonkeyPatch.context() as mp:
         if open_:
-            mp.setattr(kernelmmd, "_TWO_WAY_MIN", 0)
+            mp.setattr(tiles, "_TWO_WAY_MIN", 0)
             mp.setenv("OPENBLAS_NUM_THREADS", "1")
-            mp.setattr(kernelmmd, "_usable_cpus", lambda: 2)
+            mp.setattr(tiles, "_usable_cpus", lambda: 2)
         else:
-            mp.setattr(kernelmmd, "_TWO_WAY_MIN", math.inf)
+            mp.setattr(tiles, "_TWO_WAY_MIN", math.inf)
         yield
 
 
@@ -958,7 +970,7 @@ def test_two_way_pass_done_when_the_call_returns_or_raises(monkeypatch, rng):
     # only after both workers have left the pass, a worker being on it
     # from the first stack it takes to the end of its step
     running = []
-    real = kernelmmd._work_on
+    real = tiles._work_on
 
     def tracked(step, feed, *args):
         token = object()
@@ -980,7 +992,7 @@ def test_two_way_pass_done_when_the_call_returns_or_raises(monkeypatch, rng):
 
         return real(counted, feed, *args)
 
-    monkeypatch.setattr(kernelmmd, "_work_on", tracked)
+    monkeypatch.setattr(tiles, "_work_on", tracked)
     clients = ClientSet([Client(id=f"c{i}", embeddings=rng.normal(size=(60, 3))) for i in range(3)])
     gen = rng.normal(size=(50, 3))
     with two_way(True):
@@ -1015,7 +1027,7 @@ def test_two_way_raises_the_earliest_failing_stacks_error(slow, fails, want):
     stacks = one_unit_stacks(8)
     ran, running = [], []
 
-    def step(taken, work):
+    def step(taken, work, own):
         running.append(threading.current_thread())
         try:
             for stack in taken:
@@ -1027,59 +1039,71 @@ def test_two_way_raises_the_earliest_failing_stacks_error(slow, fails, want):
         finally:
             running.remove(threading.current_thread())
 
-    with pytest.raises(ValueError, match=want):
-        kernelmmd._run_pass(step, stacks, 2, 1)
+    with two_way(True), pytest.raises(ValueError, match=want):
+        tiles._run_pass(step, stacks, 1)
     assert running == []
     assert len(ran) == len(set(ran))
 
 
 def test_two_way_pass_runs_every_stack_once_on_two_threads():
+    # each worker's state is made on the calling thread, and the pass
+    # returns the states, the calling thread's first
     stacks = one_unit_stacks(40)
+    made, used = [], {}
 
-    def step(taken, work, mine):
+    def state(worker):
+        made.append((worker, threading.current_thread()))
+        return []
+
+    def step(taken, work, own):
         for stack in taken:
             time.sleep(0.001)
-            mine.append(stack[0][0])
+            own.append(stack[0][0])
+            used[id(own)] = threading.current_thread()
 
-    mine = ([], [])
-    kernelmmd._run_pass(step, stacks, 2, 1, mine)
+    with two_way(True):
+        mine = tiles._run_pass(step, stacks, 1, state)
+    caller = threading.current_thread()
+    assert made == [(0, caller), (1, caller)]
     assert sorted(mine[0] + mine[1]) == list(range(40))
     # the calling thread takes a run from the front, the pool thread the
     # rest from the back
     assert mine[0] == list(range(len(mine[0])))
     assert mine[1] == list(range(39, len(mine[0]) - 1, -1))
+    if mine[1]:
+        assert used[id(mine[1])] is not caller
 
 
 def test_two_way_gate_needs_two_stacks_and_the_tile_elements(rng):
     blocks = [rng.normal(size=(n, 3)) for n in (600, 300, 90, 40)]
-    _, stacks = kernelmmd._schedule(blocks, [(p, q) for p in range(4) for q in range(p, 4)])
+    _, stacks = tiles._schedule(blocks, [(p, q) for p in range(4) for q in range(p, 4)])
     with two_way(True):
-        assert kernelmmd._workers(stacks) == 2
-        assert kernelmmd._workers(stacks[:1]) == 1
+        assert tiles._workers(stacks) == 2
+        assert tiles._workers(stacks[:1]) == 1
     with two_way(True), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernelmmd, "_TWO_WAY_MIN", sum(map(kernelmmd._elements, stacks)))
-        assert kernelmmd._workers(stacks) == 2
-        assert kernelmmd._workers(stacks[1:]) == 1
+        mp.setattr(tiles, "_TWO_WAY_MIN", sum(map(tiles._elements, stacks)))
+        assert tiles._workers(stacks) == 2
+        assert tiles._workers(stacks[1:]) == 1
     with two_way(False):
-        assert kernelmmd._workers(stacks) == 1
+        assert tiles._workers(stacks) == 1
 
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
     """No pool thread yet; one the test creates is shut down after it."""
-    monkeypatch.setattr(kernelmmd, "_POOL", None)
+    monkeypatch.setattr(tiles, "_POOL", None)
     yield
-    if kernelmmd._POOL is not None:
-        kernelmmd._POOL[1].put(None)
+    if tiles._POOL is not None:
+        tiles._POOL[1].put(None)
 
 
 @pytest.fixture
 def pinned(monkeypatch):
     """BLAS pinned to one thread, on two usable CPUs."""
-    for name in kernelmmd._BLAS_THREAD_VARIABLES:
+    for name in tiles._BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(kernelmmd.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tiles.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return monkeypatch
 
 
@@ -1100,13 +1124,13 @@ def test_fed_protocol_sized_round_stays_serial(fresh_pool, pinned, rng):
     run_round(clients, gen, "raw", sorted(k for k in METRIC_KEYS if k.startswith(("kid", "prdc"))))
     kernelmmd.kernel_stats(clients, gen)
     prdc.prdc_aggregate(clients, gen)
-    assert kernelmmd._POOL is None
+    assert tiles._POOL is None
 
 
 def test_kernel_knn_sized_pass_takes_the_pool(fresh_pool, pinned, rng):
     clients, gen = kernel_knn_sized(rng)
     kernelmmd.kernel_stats(clients, gen)
-    assert kernelmmd._POOL is not None
+    assert tiles._POOL is not None
     assert "fedeval-tiles" in [t.name for t in threading.enumerate()]
 
 
@@ -1125,7 +1149,7 @@ def test_two_way_pass_does_not_wait_for_a_busy_pool_thread(fresh_pool, rng):
     safety.start()
     try:
         with two_way(True):
-            kernelmmd._pool().put((release.wait, done))
+            tiles._pool().put((release.wait, done))
             got = every_output(clients, gen, spec, 3)
             returned_first = not release.is_set()
     finally:
@@ -1150,11 +1174,11 @@ def test_gate_shut_unless_blas_pinned_on_two_cpus(fresh_pool, pinned, rng, env, 
     pinned.delenv("OPENBLAS_NUM_THREADS")
     for name, value in env.items():
         pinned.setenv(name, value)
-    pinned.setattr(kernelmmd.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    pinned.setattr(tiles.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     clients, gen = kernel_knn_sized(rng)
     kernelmmd.kernel_stats(clients, gen)
     prdc.prdc_aggregate(clients, gen)
-    assert kernelmmd._POOL is None
+    assert tiles._POOL is None
 
 
 @pytest.mark.parametrize(
@@ -1168,11 +1192,11 @@ def test_gate_shut_unless_blas_pinned_on_two_cpus(fresh_pool, pinned, rng, env, 
     ],
 )
 def test_blas_pinned_reads_openblas_variables_in_order(monkeypatch, env, pinned_):
-    for name in kernelmmd._BLAS_THREAD_VARIABLES:
+    for name in tiles._BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert kernelmmd._blas_pinned() is pinned_
+    assert tiles._blas_pinned() is pinned_
 
 
 def test_memory_bounded_on_the_two_way_path(rng):
