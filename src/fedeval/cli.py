@@ -143,12 +143,15 @@ def _cmd_fid(args) -> int:
         raise ValueError("fid needs --clients or --ref")
     clients = statkit.load_client_set(args.clients)
     out: dict = {}
-    if args.agg in ("avg", "both"):
-        result = frechet.fid_avg(clients, gen_stats)
+    # One root of the generator serves both aggregations.
+    result, pooled = frechet._fid(
+        clients, gen_stats, avg=args.agg in ("avg", "both"), pooled=args.agg in ("all", "both")
+    )
+    if result is not None:
         out["fid_avg"] = result.value
         out["per_client"] = [r.value for r in result.per_client]
-    if args.agg in ("all", "both"):
-        out["fid_all"] = frechet.fid_all(clients, gen_stats).value
+    if pooled is not None:
+        out["fid_all"] = pooled.value
     _emit(out, args.out)
     return 0
 
@@ -209,7 +212,7 @@ def _cmd_barycenter(args) -> int:
         solution = result.solution
         out["barycenter_part"] = result.barycenter_part
         out["const_part"] = result.const_part
-        out["fid_avg"] = frechet.fid_avg(clients, gen_stats).value
+        out["fid_avg"] = result.avg.value
     else:
         solution = frechet.barycenter(clients, tol=args.tol, max_iter=args.max_iter)
     out["mean"] = solution.mean.tolist()

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError
-from .frechet import _clamp, _references, fid_all, fid_avg
+from .frechet import _clamp, _fid, _references
 from .kernelmmd import KernelSpec, KernelStats, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
@@ -331,10 +331,10 @@ def _aggregate(source, generator, metrics, kernel, k_neighbors=5) -> tuple[dict,
         want_all = f"{family}_all" in metrics
         if family == "fid":
             gen_stats = _generator_stats(generator)
-            result = fid_avg(source, gen_stats)
+            result, pool = _fid(source, gen_stats, pooled=want_all)
             values, avg = [r.value for r in result.per_client], result.value
             if want_all:
-                pooled = fid_all(source, gen_stats).value
+                pooled = pool.value
         elif family == "kid":
             stats = source
             if not isinstance(source, KernelStats):

@@ -9,16 +9,33 @@ The squared distance between Gaussian surrogates ``(mean_a, cov_a)`` and
 The trace cross term is always evaluated through the symmetric product
 ``A^1/2 B A^1/2``, never through the non-symmetric ``(A B)^1/2``; the
 traces coincide and symmetric eigensolvers are stable on rank-deficient
-covariances.  The cross term needs only the eigenvalues of that product;
-the reference side's root ``A^1/2`` is the one full eigendecomposition.
-Every distance is scored through one path: references are stacked
-(:class:`_References`, their roots from one stacked ``eigh``) and a
-Gaussian is scored against the whole stack with one stacked ``eigvalsh``
-(:func:`_distances`).  A single pair is a one-row stack; ``fid_avg``
-stacks the K clients, the counterexample search adds the pool, and a
-scenario draws its Gaussian specs' samples with the roots of their
-stack.  numpy solves a stack matrix by matrix, so a row does not depend
-on the rows stacked with it.
+covariances.  The cross term needs only the eigenvalues of that product,
+and it is symmetric in ``A`` and ``B``, so the rooted side ``A^1/2``
+(the one full eigendecomposition) is whichever side has fewer distinct
+matrices.  Every distance is scored through one path: references are
+stacked (:class:`_References`, their roots from one stacked ``eigh``)
+and a Gaussian, or a stack of them, is scored against the references
+with one stacked ``eigvalsh`` (:func:`_distances`).  numpy solves a
+stack matrix by matrix, so a row does not depend on the rows stacked
+with it.
+
+Which side is rooted:
+
+- a single pair (:func:`frechet_distance`) roots its first argument;
+- ``fid_avg`` and ``fid_all`` root the generator once and score the K
+  clients, then the pool, as a stack of targets (:func:`_against`); the
+  avg decomposition shares that root between its barycenter part and
+  the aggregate;
+- the counterexample search roots its K clients and the pool, since it
+  scores many candidate generators against them;
+- a scenario draws its Gaussian specs' samples with the roots of their
+  stack.
+
+The generator-rooted path falls back to rooting the clients, as a
+single pair would, when the generator's root is rejected, a client's
+covariance has no Cholesky factor (a singular one included), the
+dimensions differ or a row fails a check; so every error is raised with
+the text, and in the order, of the client-rooted scoring.
 
 The barycenter is the fixed point of ``C = M(C)``, found from the plain
 image ``F(C) = C^-1/2 M(C)^2 C^-1/2`` with Anderson (type-II) mixing
@@ -30,8 +47,9 @@ weighted mean covariance (its eigenvectors above 1e-12 of its largest
 eigenvalue), so clients that share a null direction give a nonsingular
 iterate.  It takes both ``C^1/2`` and ``C^-1/2`` of each iterate from a
 single eigendecomposition, and the mixing history holds six matrices of
-the iterate's size (201 MB at d = 2048); the avg decomposition scores
-the converged iterate, with that root, against the K clients.
+the iterate's size (201 MB at d = 2048).  The avg decomposition takes
+the centre's distances to the K clients from the converged map's inner
+eigenvalues, so it solves no further matrix for them.
 """
 
 from __future__ import annotations
@@ -178,13 +196,19 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     if refs.means.shape[-1] != mean.shape[-1]:
         raise ValueError(f"dimension mismatch: {refs.means.shape[-1]} vs {mean.shape[-1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
         inner = refs.roots @ cov @ refs.roots
         w = np.linalg.eigvalsh(_symmetrized(inner))
+    return _scored(refs, mean, cov, w, np.isfinite(inner).all(axis=(-2, -1)))
+
+
+def _scored(refs: _References, mean: np.ndarray, cov: np.ndarray, w: np.ndarray, finite):
+    """The rows of :func:`_distances`, given the products' ascending
+    eigenvalues ``w`` and whether each product is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
         cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
         trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
         value = mean_term + trace_term
-    finite = np.isfinite(inner).all(axis=(-2, -1))
     # Every check of every row in one boolean; a value that is NaN fails both bounds.
     passed = (value >= -VALUE_CLAMP) & (value < np.inf) & finite & ~_below_clamp(w)
     if refs.rejected.any() or not passed.all():
@@ -205,6 +229,40 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     return np.where(value < 0.0, 0.0, value), mean_term, trace_term
 
 
+def _positive_definite(covs: np.ndarray) -> bool:
+    """Whether every covariance of a stack has a Cholesky factor.  Then each
+    one's eigenvalues are at worst roundoff below 0, far inside the clamp
+    of :func:`_clamp`, so rooting it would pass."""
+    try:
+        np.linalg.cholesky(_symmetrized(covs))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _against(gen: _References, g, targets: list, refs: _References | None = None):
+    """The :func:`_distances` rows of each of ``targets`` (Gaussian
+    statistics) against ``g``, rooted on ``g``: ``gen`` is ``g``'s one-row
+    stack, so one root serves every target.
+
+    The cross term is symmetric, so the rows are the targets' distances.
+    They are rooted on the targets instead (``refs``, or the targets'
+    stack), as :func:`frechet_distance` would root them, when ``g``'s root
+    is rejected, a target fails :func:`_positive_definite` (a singular one
+    included), the dimensions differ or a row fails a check.  That path
+    raises each error it raises for the targets' own roots, in its order.
+    """
+    means = np.stack([t.mean for t in targets])
+    covs = np.stack([t.cov for t in targets])
+    rootable = not gen.rejected.any() and gen.means.shape[-1] == means.shape[-1]
+    if rootable and _positive_definite(covs):
+        try:
+            return _distances(gen, means, covs)
+        except NumericalError:
+            pass
+    return _distances(_references(targets) if refs is None else refs, g.mean, g.cov)
+
+
 def _results(rows) -> list[FrechetResult]:
     """One :class:`FrechetResult` per row of :func:`_distances`."""
     return [FrechetResult(*row) for row in zip(*(x.tolist() for x in rows))]
@@ -223,7 +281,7 @@ def frechet_distance(a, b) -> FrechetResult:
 
 def fid_all(clients: ClientSet, g) -> FrechetResult:
     """Distance between the pooled (mixture) reference moments and ``g``."""
-    return frechet_distance(pool_moments(clients), g)
+    return _fid(clients, g, avg=False)[1]
 
 
 @dataclass
@@ -236,8 +294,24 @@ class FidAvgResult:
 
 def fid_avg(clients: ClientSet, g) -> FidAvgResult:
     """Weighted mean of per-client distances to ``g`` (clients in id order)."""
-    rows = _distances(_references(clients.stats_list()), g.mean, g.cov)
+    return _fid(clients, g, pooled=False)[0]
+
+
+def _avg(clients: ClientSet, rows) -> FidAvgResult:
     return FidAvgResult(value=float(clients.weights @ rows[0]), per_client=_results(rows))
+
+
+def _fid(clients: ClientSet, g, avg: bool = True, pooled: bool = True):
+    """``(fid_avg, fid_all)`` of ``g``, each ``None`` unless asked for, with
+    ``g`` rooted once for both (:func:`_against`).  The clients are scored
+    first, then the pool, the order their errors raise in."""
+    gen = _references([g])
+    result = pool = None
+    if avg:
+        result = _avg(clients, _against(gen, g, clients.stats_list()))
+    if pooled:
+        pool = _results(_against(gen, g, [pool_moments(clients)]))[0]
+    return result, pool
 
 
 @dataclass
@@ -251,14 +325,17 @@ class BarycenterSolution:
     residual_history: list[float] = field(default_factory=list, repr=False)
 
 
-def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i (C^1/2 C_i C^1/2)^1/2, given the iterate's root C^1/2."""
+def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray):
+    """sum_i w_i (C^1/2 C_i C^1/2)^1/2, given the iterate's root C^1/2, and
+    the clamped eigenvalues of each inner product ``C^1/2 C_i C^1/2``."""
     acc = np.zeros_like(root)
+    spectra = []
     for w_i, c_i in zip(weights, covs):
         inner = _symmetrized(root @ c_i @ root)
         ew, ev = _clamped_eigh(inner, "barycenter inner product")
         acc = acc + w_i * ((ev * np.sqrt(ew)) @ ev.T)
-    return _symmetrized(acc)
+        spectra.append(ew)
+    return _symmetrized(acc), np.stack(spectra)
 
 
 def _anderson_step(pairs: list) -> np.ndarray:
@@ -339,10 +416,10 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     return _barycenter(clients, tol, max_iter)[0]
 
 
-def _barycenter(
-    clients: ClientSet, tol: float, max_iter: int
-) -> tuple[BarycenterSolution, np.ndarray, np.ndarray]:
-    """:func:`barycenter`, with the returned iterate's root and clamped eigenvalues."""
+def _barycenter(clients: ClientSet, tol: float, max_iter: int):
+    """:func:`barycenter`, with the returned iterate's root, its clamped
+    eigenvalues and those of its K inner products ``C^1/2 C_i C^1/2``,
+    each padded with zeros to the clients' dimension."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"barycenter tol must be a finite number > 0, got {tol!r}")
     if max_iter < 1:
@@ -372,18 +449,18 @@ def _barycenter(
         if iteration:
             cov, w, v = _next_iterate(pairs)
         root = _root(w, v)
-        m = _barycenter_map(root, covs, weights)
+        m, inner = _barycenter_map(root, covs, weights)
         residual = float(np.linalg.norm(cov - m))
         history.append(residual)
         if residual <= tol * max(float(np.linalg.norm(cov)), np.finfo(float).tiny):
-            spectrum = np.concatenate([np.zeros(len(mean) - len(w)), w])
+            pad = np.zeros((len(inner), len(mean) - len(w)))
             return BarycenterSolution(
                 mean=mean,
                 cov=lift(cov),
                 iterations=iteration,
                 residual=residual,
                 residual_history=history,
-            ), lift(root), spectrum
+            ), lift(root), np.concatenate([pad[0], w]), np.hstack([pad, inner])
         inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
         image = _symmetrized(inv_sqrt @ (m @ m) @ inv_sqrt)
         if iteration and residual >= history[-2]:
@@ -404,8 +481,9 @@ class DecompositionResult:
 
     ``barycenter_part`` is the distance from the barycenter surrogate to
     the generator; ``const_part`` is the weighted mean distance from the
-    barycenter to the clients and does not depend on the generator.  With
-    ``T(A, B) = Tr((A^1/2 B A^1/2)^1/2)``, barycenter covariance ``C``,
+    barycenter to the clients and does not depend on the generator;
+    ``avg`` is the avg aggregate itself, as :func:`fid_avg` scores it.
+    With ``T(A, B) = Tr((A^1/2 B A^1/2)^1/2)``, barycenter covariance ``C``,
     client covariances ``C_i`` and generator covariance ``G``, the avg
     aggregate equals
 
@@ -421,19 +499,36 @@ class DecompositionResult:
     barycenter_part: float
     const_part: float
     solution: BarycenterSolution
+    avg: FidAvgResult
 
 
 def fid_avg_decomposition(
     clients: ClientSet, g, tol: float = 1e-10, max_iter: int = 1000
 ) -> DecompositionResult:
-    """Evaluate the barycenter-centered split of the avg aggregate for ``g``."""
-    solution, root, w = _barycenter(clients, tol, max_iter)
-    # One reference, the centre, against the generator and then the K clients.
+    """Evaluate the barycenter-centered split of the avg aggregate for ``g``,
+    and the aggregate.
+
+    The generator is rooted once, for ``barycenter_part`` and the
+    aggregate (:func:`_against`).  ``const_part`` takes each ``T(C, C_i)``
+    from the converged map's inner eigenvalues, so it solves nothing; if
+    a row fails a check, the centre is scored against the clients as a
+    stack of targets instead, one ``eigvalsh`` each, which raises that
+    path's error.  The errors raise in this order: the barycenter's,
+    ``barycenter_part``'s, ``const_part``'s, then the aggregate's.
+    """
+    solution, root, w, inner = _barycenter(clients, tol, max_iter)
     center = _References(solution.mean[None], root[None], np.trace(solution.cov)[None], w[None])
-    barycenter_part = float(_distances(center, g.mean, g.cov)[0][0])
+    gen = _references([g])
+    barycenter_part = float(_against(gen, g, [solution], center)[0][0])
     stats = clients.stats_list()
     means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
-    const_part = float(clients.weights @ _distances(center, means, covs)[0])
+    try:
+        const = _scored(center, means, covs, inner, np.isfinite(inner).all(axis=-1))
+    except NumericalError:
+        const = _distances(center, means, covs)
     return DecompositionResult(
-        barycenter_part=barycenter_part, const_part=const_part, solution=solution
+        barycenter_part=barycenter_part,
+        const_part=float(clients.weights @ const[0]),
+        solution=solution,
+        avg=_avg(clients, _against(gen, g, stats)),
     )

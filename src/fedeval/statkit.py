@@ -192,14 +192,37 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+class _BoolList(list):
+    """A JSON array that holds ``true`` or ``false`` at some depth; every
+    number-array reader (:func:`_floats`) refuses one."""
+
+
+def _marked(value):
+    """``value`` with each array that holds ``true`` or ``false``, at any
+    depth, a :class:`_BoolList`."""
+    if isinstance(value, dict):
+        return {key: _marked(v) for key, v in value.items()}
+    if isinstance(value, list):
+        items = [_marked(v) for v in value]
+        return _BoolList(items) if any(isinstance(v, (bool, _BoolList)) for v in items) else items
+    return value
+
+
 def _read_json(path):
     """The JSON document in the file at ``path``: the one place a JSON input
-    is decoded.  Nesting too deep for the decoder is a ValueError."""
+    is decoded.  Nesting too deep for the decoder is a ValueError.  Only a
+    text that spells ``true`` or ``false`` is walked, to mark its arrays
+    (:func:`_marked`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+        text = fh.read()
+    # A one-letter search is a memchr; a moments file holds no t or f, and
+    # the word searches would cost ~1 % of a d = 56 evaluation.
+    spells_bool = ("t" in text and "true" in text) or ("f" in text and "false" in text)
+    try:
+        doc = json.loads(text)
+        return _marked(doc) if spells_bool else doc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _json_object(value, what: str) -> dict:
@@ -238,8 +261,11 @@ def _json_record(cls, obj: dict, what: str, **given):
 
 def _floats(value, what: str, where: str | None = None) -> np.ndarray:
     """``value`` as a float64 array; a JSON object, a string or a ragged
-    list is a ValueError naming ``what``, and an integer beyond float range
-    one naming ``where`` (the input kind and its field; ``what`` if not given)."""
+    list is a ValueError naming ``what``, and a bool (a JSON ``true`` or
+    ``false``, alone or in an array) or an integer beyond float range one
+    naming ``where`` (the input kind and its field; ``what`` if not given)."""
+    if isinstance(value, (bool, _BoolList)):
+        raise ValueError(f"{where or what} must hold numbers, not true or false")
     try:
         return np.asarray(value, dtype=np.float64)
     except OverflowError:

@@ -698,6 +698,16 @@ MALFORMED_JSON_INPUTS = {
         small_scenario(**_generator_field(kind="point", point={})),
         f"generator point {_NUMBERS}",
     ),
+    "scenario-point-bool": (
+        "scenario",
+        small_scenario(**_generator_field(kind="point", point=[0.0, False])),
+        "scenario generator field 'point' must hold numbers, not true or false",
+    ),
+    "scenario-cov-true": (
+        "scenario",
+        small_scenario(**_client_field(cov=True)),
+        "scenario client field 'cov' must hold numbers, not true or false",
+    ),
     "scenario-list": ("scenario", [], "scenario must be a JSON object"),
     "clients-object": ("clients", {"clients": {"id": "c"}}, f"clients {_LIST_OF_OBJECTS}"),
     "clients-strings": ("clients", {"clients": ["c1"]}, f"clients {_LIST_OF_OBJECTS}"),
@@ -791,6 +801,22 @@ MALFORMED_JSON_INPUTS = {
         "sample count n must be an integer >= 1, got 0",
     ),
     "moments-list": ("moments", [], "moments must be a JSON object"),
+    # JSON true and false are no numbers, in an array or alone.
+    "moments-bool-entries": (
+        "moments",
+        {"n": 5, "mean": [True, 0], "cov": [[True, False], [False, 1]]},
+        "moments field 'mean' must hold numbers, not true or false",
+    ),
+    "moments-cov-bool-entry": (
+        "moments",
+        {"n": 5, "mean": [1, 0], "cov": [[1, 0], [0, False]]},
+        "moments field 'cov' must hold numbers, not true or false",
+    ),
+    "moments-second-moment-bool": (
+        "moments",
+        {"n": 5, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "second_moment": True},
+        "moments field 'second_moment' must hold numbers, not true or false",
+    ),
     "rank-string-score": (
         "rank", ({"a": "x", "b": 1}, {"a": 1, "b": 2}), "score table values must be numbers"
     ),
@@ -1248,6 +1274,9 @@ CONTRACT_INPUTS = {
 # What a mutation puts in place of a node; _DELETE removes an object's key.
 _MUTANTS = [None, True, "x", 10**400, 1e308, float("inf"), float("nan"), [], [1.0], {}, {"a": 1}]
 _DELETE = "<delete>"
+# The fields that hold a number or an array of numbers; a JSON true in
+# one, alone or at any depth, is refused naming the field.
+_NUMBER_ARRAYS = {"mean", "cov", "point", "second_moment"}
 
 
 def _nodes(doc, path=()):
@@ -1286,16 +1315,23 @@ def _mutated(doc, path, value):
 @example(case=("scenario", ("generators", 1, "jitter"), 1e308))
 @example(case=("moments", ("cov", 0, 1), 1e308))
 @example(case=("moments", ("second_moment", 1, 1), 1e308))
+@example(case=("moments", ("mean", 0), True))
+@example(case=("scenario", ("clients", 0, "cov"), True))
 def test_one_node_mutation_of_a_json_input_keeps_the_contract(inputs_dir, case):
     """Changing one node of a valid JSON input of any kind either leaves an
     input the CLI runs (exit 0, nothing on stderr) or is exactly one error
     line with exit 1 (input) or 2 (numerical failure); never a traceback
-    and never a warning."""
+    and never a warning.  A JSON true in a number field is that field's
+    input error."""
     kind, path, value = case
     tmp = inputs_dir
     (tmp / "input.json").write_text(json.dumps(_mutated(CONTRACT_INPUTS[kind], path, value)))
     code, err = _run_warnings_as_errors(_input_args(kind.split("-")[-1], tmp / "input.json", tmp))
     lines = err.splitlines()
+    field = [key for key in path if isinstance(key, str)][-1:]
+    if value is True and set(field) <= _NUMBER_ARRAYS and field:
+        assert (code, len(lines)) == (1, 1)
+        assert lines[0].endswith(f" field '{field[0]}' must hold numbers, not true or false")
     if code == 0:
         assert lines == []
     else:

@@ -21,14 +21,23 @@ oracle checks the one scoring path every Gaussian score takes.  A stack
 (one generator against K references, or one reference against K
 targets, with one ``eigvalsh`` per stack) must be bit-identical to a
 loop of one-row ``frechet_distance`` calls, and must raise the error
-that loop raised first.  The eigensolver counts of each entry
-point are pinned exactly, both in matrices solved and in calls made.
+that loop raised first.  The aggregations root the generator: a row of
+``fid_avg`` is ``frechet_distance(g, client)``, bit for bit, and where
+a client fails Cholesky it is ``frechet_distance(client, g)``.  The
+client-rooted scoring they replaced is kept below as an oracle: every
+aggregation is within ``REL * (mean_term + Tr A + Tr B)`` of it (plus
+the rank-deficient term), and raises exactly what it raises.  The
+eigensolver counts of each entry point are pinned exactly, both in
+matrices solved and in calls made.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import warnings
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,7 +61,12 @@ from fedeval import (
     fid_avg_decomposition,
     frechet,
     frechet_distance,
+    moments,
+    pool_moments,
+    write_embeddings,
 )
+from fedeval.cli import main
+from fedeval.statkit import save_stats
 
 from conftest import random_cov, random_stats_clients
 
@@ -466,25 +480,38 @@ def _attempt(score):
         return (type(exc).__name__, str(exc))
 
 
+def _cholesky_passes(stats):
+    """The orientation rule: every covariance has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(np.stack([(s.cov + s.cov.T) / 2.0 for s in stats]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @SETTINGS
 @given(stacked_instances())
 def test_stacked_distances_bit_identical_to_single_pairs(case):
     clients, g = case
     stats = clients.stats_list()
-    # K references against one generator: fid_avg and the counterexample search.
+    # K references against one generator: the counterexample search.
     refs = frechet._references(stats)
     got = _attempt(lambda: _fields(*(x.tolist() for x in frechet._distances(refs, g.mean, g.cov))))
     want = _attempt(lambda: _result_fields([frechet_distance(s, g) for s in stats]))
     assert got == want
-    # One reference against K targets: the avg decomposition's per-client part.
+    # One reference against K targets: fid_avg's generator-rooted stack.
     center = frechet._references([g])
     means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
     got = _attempt(lambda: _fields(*(x.tolist() for x in frechet._distances(center, means, covs))))
     want = _attempt(lambda: _result_fields([frechet_distance(g, s) for s in stats]))
     assert got == want
-    # fid_avg field for field against the per-client loop it replaced.
+    # fid_avg field for field against the per-client loop of its orientation:
+    # rooted on the generator, or on the clients where one fails Cholesky.
     got = _attempt(lambda: fid_avg(clients, g))
-    want = _attempt(lambda: [frechet_distance(s, g) for s in stats])
+    if _cholesky_passes(stats):
+        want = _attempt(lambda: [frechet_distance(g, s) for s in stats])
+    else:
+        want = _attempt(lambda: [frechet_distance(s, g) for s in stats])
     if isinstance(want, list):
         assert _result_fields(got.per_client) == _result_fields(want)
         values = np.array([r.value for r in want])
@@ -494,8 +521,9 @@ def test_stacked_distances_bit_identical_to_single_pairs(case):
 
 
 def test_stacked_value_clamp_matches_single_pairs():
-    """A generator equal to client 0: its trace term comes out as -2e-15
-    roundoff, and its distance is clamped to 0.0 as on the single pair."""
+    """A generator equal to client 0: its trace term comes out as -1.8e-15
+    roundoff, and its distance is clamped to 0.0 as on the generator-rooted
+    single pair."""
     rng = np.random.default_rng(0)
     same = GaussianStats(n=5, mean=rng.normal(size=3), cov=random_cov(rng, 3))
     clients = ClientSet(
@@ -504,7 +532,7 @@ def test_stacked_value_clamp_matches_single_pairs():
     g = GaussianModel(mean=same.mean, cov=same.cov)
     got = fid_avg(clients, g).per_client
     assert got[0].value == 0.0 and got[0].trace_term < 0.0
-    want = [frechet_distance(s, g) for s in clients.stats_list()]
+    want = [frechet_distance(g, s) for s in clients.stats_list()]
     assert _result_fields(got) == _result_fields(want)
 
 
@@ -598,6 +626,205 @@ def test_counterexample_checks_every_root_before_scoring(run):
 
 
 # ---------------------------------------------------------------------------
+# generator-rooted aggregations against the client-rooted oracle
+
+
+def oracle_fid_avg(clients, g):
+    """fid_avg rooted on the clients: their roots from one stacked eigh."""
+    rows = frechet._distances(frechet._references(clients.stats_list()), g.mean, g.cov)
+    return float(clients.weights @ rows[0]), frechet._results(rows)
+
+
+def oracle_fid_all(clients, g):
+    """fid_all rooted on the pool."""
+    return frechet_distance(pool_moments(clients), g)
+
+
+def oracle_decomposition(clients, g):
+    """The split rooted on the centre (the converged iterate's root): the
+    centre against the generator, then against the K clients, one
+    eigvalsh each; then the client-rooted aggregate."""
+    solution, root, w, _ = frechet._barycenter(clients, 1e-10, 1000)
+    center = frechet._References(
+        solution.mean[None], root[None], np.trace(solution.cov)[None], w[None]
+    )
+    barycenter_part = frechet._results(frechet._distances(center, g.mean, g.cov))[0]
+    stats = clients.stats_list()
+    means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
+    const = frechet._results(frechet._distances(center, means, covs))
+    return solution, barycenter_part, const, oracle_fid_avg(clients, g)
+
+
+# Everything a Gaussian score may raise; the two paths must raise alike.
+_RAISED = (ValueError, ArithmeticError, NumericalError, np.linalg.LinAlgError, RuntimeWarning)
+_BELOW_CLAMP = re.compile(r"distance (\S+) below clamp threshold")
+
+
+@dataclass(frozen=True)
+class Raised:
+    kind: str
+    text: str
+
+
+def _outcome(score):
+    try:
+        return score()
+    except _RAISED as exc:
+        return Raised(type(exc).__name__, str(exc))
+
+
+def _bound(a, b, deficient):
+    """``REL * (mean_term + Tr A + Tr B)`` for the pair, plus the
+    rank-deficient term (0 for a pair of two dimensions, which raises)."""
+    if a.mean.shape != b.mean.shape:
+        return 0.0
+    return tolerance(a.cov, b.cov, deficient) + REL * float(((a.mean - b.mean) ** 2).sum())
+
+
+def _same_outcome(got, want, bounds) -> bool:
+    """Whether both paths returned.  An error of the oracle must be raised
+    as it is, with one exception: a distance whose roundoff put it below
+    the absolute value clamp, within ``bounds`` of 0, may pass on the
+    other orientation (the clamp compares a cancelling difference with
+    an absolute 1e-8, so its decision there is roundoff).  Nothing that
+    passes on the oracle raises."""
+    clamped = isinstance(want, Raised) and _BELOW_CLAMP.fullmatch(want.text)
+    if clamped and not isinstance(got, Raised):
+        assert abs(float(clamped[1])) <= max(bounds)
+        return False
+    if isinstance(want, Raised):
+        assert got == want
+        return False
+    assert not isinstance(got, Raised), got
+    return True
+
+
+def _near(got, want, bound):
+    """``got`` within ``bound`` of ``want``: the mean terms bit for bit,
+    the trace terms and values within the bound."""
+    assert _bits(got.mean_term) == _bits(want.mean_term)
+    assert abs(got.trace_term - want.trace_term) <= bound, (got, want, bound)
+    assert abs(got.value - want.value) <= bound, (got, want, bound)
+
+
+def _weighted(clients, bounds, value):
+    """The bound on a weighted mean of rows within ``bounds``: their
+    weighted mean, plus the rounding of the mean itself."""
+    return float(clients.weights @ np.array(bounds)) + 4 * EPS * abs(value)
+
+
+def _not_psd(rng, d, scale):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    lam = scale * np.linspace(-0.5, 1.0, d) if d > 1 else np.array([-scale])
+    return (q * lam) @ q.T
+
+
+def _mixed_case(name):
+    covs, gen_cov, _, _ = MIXED_CASES[name]
+    return _two_clients(*covs), GaussianModel(mean=np.zeros(len(gen_cov)), cov=gen_cov), True
+
+
+# One of each named case, besides the drawn ones: a generator that is not
+# PSD, a singular PSD client (no Cholesky factor), a generator from fewer
+# samples than d, and clients sharing a null direction.
+_NAMED_ROOTING_CASES = [
+    (_two_clients(np.eye(2), np.diag([2.0, 1.0])), GaussianModel(mean=np.ones(2), cov=NOT_PSD), True),
+    (_two_clients(np.eye(2), np.diag([1.0, 0.0])), GaussianModel(mean=np.ones(2), cov=np.eye(2)), True),
+    (_two_clients(np.eye(3), np.diag([2.0, 1.0, 3.0])), moments(np.eye(3)[:2] * 2.0), True),
+    (
+        _two_clients(np.diag([1.0, 2.0, 0.0]), np.diag([3.0, 1.0, 0.0])),
+        GaussianModel(mean=np.ones(3), cov=np.eye(3)),
+        True,
+    ),
+]
+
+
+@st.composite
+def rooting_cases(draw):
+    """``(clients, g, deficient)``: K = 1..4 weighted clients of d = 1..6,
+    each full-rank or of rank 0..d-1, some sharing a null direction, and a
+    generator that is full-rank, from fewer samples than d (so singular)
+    or not PSD, each covariance scaled by 10**[-3, 3]; or one of
+    MIXED_CASES.  ``deficient`` tells whether any covariance may be
+    rank-deficient."""
+    if draw(st.integers(0, 7)) == 0:
+        return _mixed_case(draw(st.sampled_from(sorted(MIXED_CASES))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    shared = d > 1 and draw(st.booleans())
+    null = rng.normal(size=d)
+    proj = np.eye(d) - shared * np.outer(null, null) / float(null @ null)
+    w = rng.random(k) + 0.1
+    w[:] = w / w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    deficient = shared
+    clients = []
+    for i in range(k):
+        rank = draw(st.integers(0, d - 1)) if draw(st.integers(0, 3)) == 0 else d + 3
+        deficient |= rank < d
+        cov = proj @ _psd(rng, d, rank, 10.0 ** draw(st.floats(-3.0, 3.0))) @ proj
+        mean = rng.normal(size=d) * 10.0 ** draw(st.floats(-2.0, 2.0))
+        stats = GaussianStats(n=10, mean=mean, cov=(cov + cov.T) / 2.0)
+        clients.append(Client(id=f"c{i}", weight=float(w[i]), stats=stats))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["full", "few-samples", "not-psd"]))
+    if kind == "few-samples":
+        deficient = True
+        g = moments(rng.normal(size=(draw(st.integers(1, d)), d)) * math.sqrt(scale))
+    else:
+        cov = _psd(rng, d, d + 3, scale) if kind == "full" else _not_psd(rng, d, scale)
+        g = GaussianModel(mean=rng.normal(size=d), cov=cov)
+    return ClientSet(clients), g, deficient
+
+
+@SETTINGS
+@given(rooting_cases())
+@example(_mixed_case('dimension-mismatch'))
+@example(_mixed_case('product-before-next-root'))
+@example(_mixed_case('root-alone'))
+@example(_mixed_case('root-before-own-product'))
+@example(_NAMED_ROOTING_CASES[0])
+@example(_NAMED_ROOTING_CASES[1])
+@example(_NAMED_ROOTING_CASES[2])
+@example(_NAMED_ROOTING_CASES[3])
+@pytest.mark.filterwarnings("error")
+def test_generator_rooted_aggregations_match_client_rooted_oracle(case):
+    """fid_avg, fid_all and fid_avg_decomposition, rooted on the generator,
+    are within the bound of the client-rooted oracle, and raise exactly
+    what it raises: the same type and text, in the same order."""
+    clients, g, deficient = case
+    stats = clients.stats_list()
+    bounds = [_bound(s, g, deficient) for s in stats]
+    got, want = _outcome(lambda: fid_avg(clients, g)), _outcome(lambda: oracle_fid_avg(clients, g))
+    if _same_outcome(got, want, bounds):
+        for r, o, bound in zip(got.per_client, want[1], bounds):
+            _near(r, o, bound)
+        assert abs(got.value - want[0]) <= _weighted(clients, bounds, want[0])
+    pool = _outcome(lambda: pool_moments(clients))
+    pool_bound = [_bound(pool, g, deficient)] if isinstance(pool, GaussianStats) else [0.0]
+    got, want = _outcome(lambda: fid_all(clients, g)), _outcome(lambda: oracle_fid_all(clients, g))
+    if _same_outcome(got, want, pool_bound):
+        _near(got, want, pool_bound[0])
+    got = _outcome(lambda: fid_avg_decomposition(clients, g))
+    want = _outcome(lambda: oracle_decomposition(clients, g))
+    center = _outcome(lambda: barycenter(clients))
+    if isinstance(center, Raised):
+        assert got == want == center
+        return
+    center_bounds = [_bound(center, s, deficient) for s in stats]
+    if not _same_outcome(got, want, [_bound(center, g, deficient), *center_bounds, *bounds]):
+        return
+    solution, barycenter_part, const, (avg, per_client) = want
+    assert got.solution.cov.tobytes() == solution.cov.tobytes()
+    assert abs(got.barycenter_part - barycenter_part.value) <= _bound(center, g, deficient)
+    want_const = float(clients.weights @ np.array([o.value for o in const]))
+    assert abs(got.const_part - want_const) <= _weighted(clients, center_bounds, want_const)
+    for r, o, bound in zip(got.avg.per_client, per_client, bounds):
+        _near(r, o, bound)
+    assert abs(got.avg.value - avg) <= _weighted(clients, bounds, avg)
+
+
+# ---------------------------------------------------------------------------
 # eigensolver counts: matrices solved and calls made
 
 
@@ -606,19 +833,24 @@ def _gen(rng, d):
 
 
 def test_fid_call_counts(eig_counts, rng):
+    """Each aggregation roots the generator alone; a single pair roots its
+    first argument.  Both aggregations from one call share that root."""
     clients = random_stats_clients(rng, k_max=6, d=5)
     k = len(clients)
     g = _gen(rng, 5)
     fid_avg(clients, g)
-    assert eig_counts == {"eigh": k, "eigvalsh": k}
+    assert eig_counts == {"eigh": 1, "eigvalsh": k}
     fid_all(clients, g)
     frechet_distance(g, g)
-    assert eig_counts == {"eigh": k + 2, "eigvalsh": k + 2}
+    assert eig_counts == {"eigh": 3, "eigvalsh": k + 2}
+    eig_counts.update(eigh=0, eigvalsh=0)
+    frechet._fid(clients, g)
+    assert eig_counts == {"eigh": 1, "eigvalsh": k + 1}
 
 
 def test_fid_avg_makes_one_call_per_solver(eig_calls, rng):
-    """The K client roots come from one stacked eigh, the K cross terms
-    from one stacked eigvalsh."""
+    """The generator's root is one eigh, the K cross terms one stacked
+    eigvalsh."""
     fid_avg(random_stats_clients(rng, k_max=6, d=5), _gen(rng, 5))
     assert eig_calls == {"eigh": 1, "eigvalsh": 1}
 
@@ -631,8 +863,36 @@ def test_decomposition_call_counts(eig_counts, rng):
         it = fid_avg_decomposition(clients, _gen(rng, 4)).solution.iterations
         # Each map evaluation takes K+1 eigh: the iterate's (a mixed
         # step's, or the plain image's) and K inner products.  The centre's
-        # root is the converged iterate's, taken in the loop.
-        assert eig_counts == {"eigh": (it + 1) * (k + 1), "eigvalsh": k + 1}
+        # root is the converged iterate's, taken in the loop, and the
+        # constant part reads the last map's inner eigenvalues.  The
+        # generator's one root serves the barycenter part and the K
+        # clients of the aggregate.
+        assert eig_counts == {"eigh": (it + 1) * (k + 1) + 1, "eigvalsh": k + 1}
+
+
+@pytest.mark.parametrize("k, d", [(8, 56), (4, 256)])
+def test_cli_eigensolver_matrices_per_evaluation(eig_counts, tmp_path, k, d):
+    """One evaluation of the benchmark's Gaussian workload, through the CLI:
+    ``fid --agg both`` solves one eigh (the generator's root) and K + 1
+    eigvalsh (the clients and the pool); ``barycenter --gen`` solves
+    ``(it + 1)(K + 1)`` eigh in its map evaluations plus the generator's
+    root, and K + 1 eigvalsh (the centre and the clients).  Matrices, not
+    calls, are counted."""
+    clients = _gauss_rank_clients(0, k=k, d=d)
+    entries = []
+    for client, stats in zip(clients, clients.stats_list()):
+        save_stats(stats, tmp_path / f"{client.id}.json")
+        entries.append({"id": client.id, "moments": f"{client.id}.json"})
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": entries}))
+    write_embeddings(np.random.default_rng(1).normal(size=(2 * d, d)), tmp_path / "gen.fevb")
+    common = ["--clients", str(tmp_path / "clients.json"), "--gen", str(tmp_path / "gen.fevb")]
+    eig_counts.update(eigh=0, eigvalsh=0)
+    assert main(["fid", "--agg", "both", *common, "--out", str(tmp_path / "fid.json")]) == 0
+    assert eig_counts == {"eigh": 1, "eigvalsh": k + 1}
+    eig_counts.update(eigh=0, eigvalsh=0)
+    assert main(["barycenter", *common, "--out", str(tmp_path / "bary.json")]) == 0
+    it = json.loads((tmp_path / "bary.json").read_text())["iterations"]
+    assert eig_counts == {"eigh": (it + 1) * (k + 1) + 1, "eigvalsh": k + 1}
 
 
 def _search_clients():
