@@ -236,6 +236,10 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """Run a scenario: a collapse timeline's ratios and detections, or a
+    round per generator, whose rows hold only scalar scores.  A PRDC
+    score is computed but written nowhere, except, in ``scores`` mode,
+    as each client's reply in the trace (``--out-trace``)."""
     from . import fedsim
 
     scenario = fedsim.load_scenario(args.scenario)

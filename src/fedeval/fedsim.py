@@ -663,7 +663,11 @@ def run_scenario(scenario: Scenario) -> dict:
     """Materialize and run a scenario; returns rows plus report/trace data.
 
     A collapse scenario draws only its clients here: the timeline draws
-    each generator in its step.
+    each generator in its step.  A round's rows keep only its scalar
+    scores: a PRDC score (a record of four) is computed when asked for
+    but left out of the rows, so it is in the returned reports and, in
+    ``scores`` mode, in the trace's ``ScoreReply`` bodies, and nowhere
+    else.
     """
     if scenario.kind == "collapse":
         clients, _ = _materialize(scenario.clients, [], scenario.seed)

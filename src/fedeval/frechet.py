@@ -45,11 +45,18 @@ positive definite is dropped, and a residual that does not decrease
 clears the history.  The iteration runs on the range of the clients'
 weighted mean covariance (its eigenvectors above 1e-12 of its largest
 eigenvalue), so clients that share a null direction give a nonsingular
-iterate.  It takes both ``C^1/2`` and ``C^-1/2`` of each iterate from a
-single eigendecomposition, and the mixing history holds six matrices of
-the iterate's size (201 MB at d = 2048).  The avg decomposition takes
-the centre's distances to the K clients from the converged map's inner
-eigenvalues, so it solves no further matrix for them.
+iterate; an iterate that turns singular inside that range ends the
+solve with a :class:`ConvergenceError`.  Each map evaluation takes one
+``eigh`` of the iterate, for both ``C^1/2`` and ``C^-1/2``, and roots
+the K inner products ``C^1/2 C_i C^1/2``: each client slot keeps the
+eigenvectors of its last inner ``eigh`` and refines the root in that
+basis with a few Newton corrections (Higham 2008, ch. 6), gated by a
+backward-error test, and solves with ``eigh`` again only when the
+refinement declines.  The mixing history holds six matrices of the
+iterate's size and the slots K more (201 MB and 134 MB at K = 4,
+d = 2048).  The avg decomposition takes the centre's distances to the
+K clients from the traces of the converged map's inner roots, so it
+solves no further matrix for them.
 """
 
 from __future__ import annotations
@@ -80,6 +87,12 @@ _ANDERSON_DEPTH = 2
 # A residual difference this close to the span of the earlier ones
 # (relative to its norm) adds only roundoff to the mixing and is dropped.
 _MIX_DROP = 1e-8
+_EPS = np.finfo(float).eps
+# A refined inner root is accepted when ||A - X^2||_F is within this many
+# eps * sqrt(d) * ||A||_F, the order of eigh's own backward error.
+_REFINE_BACKWARD = 4.0
+# Corrections a refined inner root may take before its slot solves again.
+_REFINE_STEPS = 3
 
 
 def _clamp(w: np.ndarray, what: str) -> np.ndarray:
@@ -198,19 +211,11 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         inner = refs.roots @ cov @ refs.roots
         w = np.linalg.eigvalsh(_symmetrized(inner))
-    return _scored(refs, mean, cov, w, np.isfinite(inner).all(axis=(-2, -1)))
-
-
-def _scored(refs: _References, mean: np.ndarray, cov: np.ndarray, w: np.ndarray, finite):
-    """The rows of :func:`_distances`, given the products' ascending
-    eigenvalues ``w`` and whether each product is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
         cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
-        trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
-        value = mean_term + trace_term
+    finite = np.isfinite(inner).all(axis=(-2, -1))
+    value, mean_term, trace_term = _terms(refs, mean, cov, cross)
     # Every check of every row in one boolean; a value that is NaN fails both bounds.
-    passed = (value >= -VALUE_CLAMP) & (value < np.inf) & finite & ~_below_clamp(w)
+    passed = _in_range(value) & finite & ~_below_clamp(w)
     if refs.rejected.any() or not passed.all():
         # The first failing row (in C order over a stack of targets) raises
         # its first failing check: its root, its product, then its value.
@@ -227,6 +232,21 @@ def _scored(refs: _References, mean: np.ndarray, cov: np.ndarray, w: np.ndarray,
             if v < -VALUE_CLAMP:
                 raise NumericalError(f"distance {float(v)!r} below clamp threshold")
     return np.where(value < 0.0, 0.0, value), mean_term, trace_term
+
+
+def _terms(refs: _References, mean: np.ndarray, cov: np.ndarray, cross: np.ndarray):
+    """Unchecked, unclamped ``(value, mean_term, trace_term)`` of every
+    reference against ``(mean, cov)``, given the cross terms
+    ``Tr((A^1/2 B A^1/2)^1/2)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
+        trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
+        return mean_term + trace_term, mean_term, trace_term
+
+
+def _in_range(value: np.ndarray) -> np.ndarray:
+    """Which distances pass both value checks (a NaN fails both)."""
+    return (value >= -VALUE_CLAMP) & (value < np.inf)
 
 
 def _positive_definite(covs: np.ndarray) -> bool:
@@ -325,17 +345,122 @@ class BarycenterSolution:
     residual_history: list[float] = field(default_factory=list, repr=False)
 
 
-def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray):
+def _refined_root(a: np.ndarray) -> np.ndarray | None:
+    """The principal square root ``X`` of a symmetric ``a`` that is close to
+    diagonal (an inner product in the basis of its slot's last ``eigh``),
+    or ``None`` when it declines.
+
+    With ``s = sqrt(diag(a))``, the start is ``X = diag(s) + O`` with
+    ``O = offdiag(a) / (s_j + s_k)``, and each correction is
+    ``X += (a - X^2) / (s_j + s_k)``: Newton's step for ``X^2 = a``
+    (Higham 2008, ch. 6) with ``X`` taken as ``diag(s)`` in its Sylvester
+    equation.  After at most ``_REFINE_STEPS`` (3) corrections, ``X`` is
+    accepted when the residual ``||a - X^2||_F`` is within the bound
+    ``_REFINE_BACKWARD * eps * sqrt(d) * ||a||_F`` (4 eps sqrt(d) ||a||_F,
+    the order of ``eigh``'s own backward error) and ``X`` is strictly
+    diagonally dominant by a margin ``m`` (the least
+    ``X_jj - sum_{k != j} |X_jk|``) with ``m^2`` above the bound plus the
+    residual.  Then ``X`` is positive definite (Gershgorin), so the
+    principal root of ``X^2``; it is within ``||a - X^2||_F / m`` of the
+    root of ``a`` (Frobenius norm); and the smallest eigenvalue of ``a``
+    exceeds the bound, so a singular or non-PSD ``a`` is never accepted.
+    An ``a`` whose iterate moved too far from the basis
+    (:func:`_unreachable`) is declined before any correction; so is an
+    ``a`` with a diagonal entry that is not positive or an entry that is
+    not finite.
+    """
+    diagonal = np.diagonal(a)
+    # A norm or a start that overflows declines below; eigh takes such an a.
+    with np.errstate(over="ignore"):
+        bound = _REFINE_BACKWARD * _EPS * np.sqrt(len(a)) * np.linalg.norm(a)
+        if not (float(diagonal.min()) > 0.0 and bound < np.inf):
+            return None
+        s = np.sqrt(diagonal)
+        inv = 1.0 / (s[:, None] + s)
+        x = a * inv
+        np.fill_diagonal(x, 0.0)
+        if _unreachable(float(np.linalg.norm(x)), float(s.min()), bound):
+            return None
+    np.fill_diagonal(x, s)
+    r = a - x @ x
+    residual = float(np.linalg.norm(r))
+    for _ in range(_REFINE_STEPS):
+        if residual <= bound:
+            break
+        r *= inv
+        x += r
+        r = a - x @ x
+        residual = float(np.linalg.norm(r))
+    margin = float((2.0 * np.diagonal(x) - np.abs(x).sum(axis=1)).min())
+    if not (residual <= bound and margin > 0.0 and margin * margin > bound + residual):
+        return None
+    return x
+
+
+def _unreachable(off: float, s_min: float, bound: float) -> bool:
+    """Whether :func:`_refined_root`'s corrections cannot bring the residual
+    within ``bound`` from a start with ``||O||_F = off``.  The start's
+    residual is ``-O^2`` and a correction shrinks the residual by about
+    ``rho = ||O||_F / min(s)``, so the limit is ``||O||_F^2 rho^3`` (three
+    corrections) above the bound, or ``rho`` not below 1."""
+    rho = off / s_min
+    return not (rho < 1.0 and off * off * rho**_REFINE_STEPS <= bound)
+
+
+def _far_from_basis(root: np.ndarray, c_i: np.ndarray, u: np.ndarray, scale: float) -> bool:
+    """Whether ``A = (C^1/2 U)^T C_i (C^1/2 U)`` is certain to be declined by
+    :func:`_refined_root` before any correction, judged from its first
+    column alone (four matrix-vector products, where forming ``A`` takes
+    three matrix products).
+
+    ``scale`` is ``||C||_2 ||C_i||_F``, which bounds both ``||A||_F`` and
+    every ``s_j^2 = A_jj``.  With ``s_0 = sqrt(A_00)`` and
+    ``t = sqrt(scale)``, ``||O||_F >= ||A_{1:,0}|| / (s_0 + t)``, ``s_0``
+    is at least ``min(s)`` and the bound is at most
+    ``4 eps sqrt(d) scale``; so when :func:`_unreachable` holds for these,
+    or ``A_00`` is not positive, the refinement's own test declines too.
+    """
+    col = u.T @ (root @ (c_i @ (root @ u[:, 0])))
+    if not col[0] > 0.0:
+        return True
+    s0 = float(np.sqrt(col[0]))
+    with np.errstate(over="ignore"):
+        low = float(np.linalg.norm(col[1:])) / (s0 + float(np.sqrt(scale)))
+    return _unreachable(low, s0, _REFINE_BACKWARD * _EPS * np.sqrt(len(u)) * scale)
+
+
+def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray, bases: list, scales):
     """sum_i w_i (C^1/2 C_i C^1/2)^1/2, given the iterate's root C^1/2, and
-    the clamped eigenvalues of each inner product ``C^1/2 C_i C^1/2``."""
+    each inner root's trace ``Tr((C^1/2 C_i C^1/2)^1/2)``.
+
+    ``bases`` holds each client slot's eigenvectors ``U_i`` from its last
+    ``eigh`` (``None`` before the first), and ``scales`` each slot's
+    ``||C||_2 ||C_i||_F``.  A slot first refines its inner root in that
+    basis (:func:`_refined_root` of ``(C^1/2 U_i)^T C_i (C^1/2 U_i)``, the
+    root then ``U_i X U_i^T``), unless :func:`_far_from_basis` shows the
+    refinement would decline; if it declines, the slot solves the inner
+    product with a clamped ``eigh``, as the plain map does, and keeps the
+    new eigenvectors.
+    """
     acc = np.zeros_like(root)
-    spectra = []
-    for w_i, c_i in zip(weights, covs):
-        inner = _symmetrized(root @ c_i @ root)
-        ew, ev = _clamped_eigh(inner, "barycenter inner product")
-        acc = acc + w_i * ((ev * np.sqrt(ew)) @ ev.T)
-        spectra.append(ew)
-    return _symmetrized(acc), np.stack(spectra)
+    traces = np.empty(len(covs))
+    for i, (w_i, c_i) in enumerate(zip(weights, covs)):
+        u = bases[i]
+        x = None
+        if u is not None and not _far_from_basis(root, c_i, u, scales[i]):
+            p = root @ u
+            x = _refined_root(_symmetrized(p.T @ c_i @ p))
+        if x is None:
+            inner = _symmetrized(root @ c_i @ root)
+            ew, u = _clamped_eigh(inner, "barycenter inner product")
+            bases[i] = u
+            s = np.sqrt(ew)
+            acc = acc + w_i * ((u * s) @ u.T)
+            traces[i] = s.sum()
+        else:
+            acc = acc + w_i * (u @ x @ u.T)
+            traces[i] = np.trace(x)
+    return _symmetrized(acc), traces
 
 
 def _anderson_step(pairs: list) -> np.ndarray:
@@ -395,7 +520,16 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     positive is dropped for the plain image, and a map whose residual
     does not decrease cuts the history to its own pair, so the next step
     is plain.  Both roots of an iterate come from one
-    eigendecomposition.
+    eigendecomposition.  Each inner root ``(C^1/2 C_i C^1/2)^1/2`` is
+    refined from the eigenvectors of its client's last inner ``eigh``
+    (:func:`_refined_root`: a few corrections, each one matrix product,
+    accepted only within the order of ``eigh``'s backward error) and
+    solved by ``eigh`` only when that declines, so a map evaluation takes
+    one ``eigh`` of the iterate and between 0 and K of the inner
+    products.  An iterate that turns singular (its smallest eigenvalue
+    clamps to 0; the barycenter loses rank inside the range below) has no
+    ``C^-1/2`` for the next step, and raises :class:`ConvergenceError`
+    with that iterate and its defect at once.
 
     The iteration runs on the range of ``W``, which holds the barycenter
     (the null space of ``W`` is the one all clients share): on the
@@ -404,7 +538,8 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
     the result is ``Q B Q^T``.  A full-rank ``W`` is iterated as it is.
     The history holds ``2 * (_ANDERSON_DEPTH + 1)`` = 6 matrices of the
     iterate's size, 201 MB at d = 2048 (one matrix is 33.5 MB), and a
-    mixed step needs about as many again while it runs.
+    mixed step needs about as many again while it runs; the K stored
+    inner bases add K more (134 MB at K = 4, d = 2048).
 
     Convergence is declared when the fixed-point defect
     ``||C - M(C)||_F`` drops below ``tol * ||C||_F``; ``tol`` must be
@@ -418,8 +553,8 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
 
 def _barycenter(clients: ClientSet, tol: float, max_iter: int):
     """:func:`barycenter`, with the returned iterate's root, its clamped
-    eigenvalues and those of its K inner products ``C^1/2 C_i C^1/2``,
-    each padded with zeros to the clients' dimension."""
+    eigenvalues (padded with zeros to the clients' dimension) and the
+    traces of its K inner roots, ``Tr((C^1/2 C_i C^1/2)^1/2)``."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"barycenter tol must be a finite number > 0, got {tol!r}")
     if max_iter < 1:
@@ -445,22 +580,31 @@ def _barycenter(clients: ClientSet, tol: float, max_iter: int):
 
     history: list[float] = []
     pairs: list = []  # (F(C) - C, F(C)) of the last iterates, oldest first
+    bases: list = [None] * len(covs)  # each inner product's last eigenvectors
+    norms = np.linalg.norm(covs, axis=(1, 2))
     for iteration in range(max_iter):
         if iteration:
             cov, w, v = _next_iterate(pairs)
         root = _root(w, v)
-        m, inner = _barycenter_map(root, covs, weights)
+        m, traces = _barycenter_map(root, covs, weights, bases, w[-1] * norms)
         residual = float(np.linalg.norm(cov - m))
         history.append(residual)
         if residual <= tol * max(float(np.linalg.norm(cov)), np.finfo(float).tiny):
-            pad = np.zeros((len(inner), len(mean) - len(w)))
             return BarycenterSolution(
                 mean=mean,
                 cov=lift(cov),
                 iterations=iteration,
                 residual=residual,
                 residual_history=history,
-            ), lift(root), np.concatenate([pad[0], w]), np.hstack([pad, inner])
+            ), lift(root), np.concatenate([np.zeros(len(mean) - len(w)), w]), traces
+        if not float(w[0]) > 0.0:
+            raise ConvergenceError(
+                f"barycenter iterate is singular after {iteration + 1} iterations "
+                f"(residual {residual:.3e})",
+                last_cov=lift(cov),
+                residual=residual,
+                iterations=iteration + 1,
+            )
         inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
         image = _symmetrized(inv_sqrt @ (m @ m) @ inv_sqrt)
         if iteration and residual >= history[-2]:
@@ -510,25 +654,26 @@ def fid_avg_decomposition(
 
     The generator is rooted once, for ``barycenter_part`` and the
     aggregate (:func:`_against`).  ``const_part`` takes each ``T(C, C_i)``
-    from the converged map's inner eigenvalues, so it solves nothing; if
-    a row fails a check, the centre is scored against the clients as a
-    stack of targets instead, one ``eigvalsh`` each, which raises that
-    path's error.  The errors raise in this order: the barycenter's,
-    ``barycenter_part``'s, ``const_part``'s, then the aggregate's.
+    from the converged map's inner root, the trace of its refined root
+    or the sum of its solved spectrum's roots, so it solves nothing; if
+    a row's distance is not finite or is below ``-VALUE_CLAMP``, the
+    centre is scored against the clients as a stack of targets instead,
+    one ``eigvalsh`` each, which raises that path's error.  The errors
+    raise in this order: the barycenter's, ``barycenter_part``'s,
+    ``const_part``'s, then the aggregate's.
     """
-    solution, root, w, inner = _barycenter(clients, tol, max_iter)
+    solution, root, w, cross = _barycenter(clients, tol, max_iter)
     center = _References(solution.mean[None], root[None], np.trace(solution.cov)[None], w[None])
     gen = _references([g])
     barycenter_part = float(_against(gen, g, [solution], center)[0][0])
     stats = clients.stats_list()
     means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
-    try:
-        const = _scored(center, means, covs, inner, np.isfinite(inner).all(axis=-1))
-    except NumericalError:
-        const = _distances(center, means, covs)
+    const = _terms(center, means, covs, cross)[0]
+    if not _in_range(const).all():
+        const = _distances(center, means, covs)[0]
     return DecompositionResult(
         barycenter_part=barycenter_part,
-        const_part=float(clients.weights @ const[0]),
+        const_part=float(clients.weights @ np.where(const < 0.0, 0.0, const)),
         solution=solution,
         avg=_avg(clients, _against(gen, g, stats)),
     )

@@ -311,6 +311,26 @@ def test_barycenter_lapack_failure_exit_2(workspace, capsys, monkeypatch):
     assert err.startswith("fedeval: numerical failure: Eigenvalues did not converge")
 
 
+@pytest.mark.filterwarnings("error")
+def test_barycenter_singular_iterate_exit_2(tmp_path, capsys):
+    """Two rank-1 clients on different lines have a singular barycenter: the
+    iterate that turns singular ends the run with one error line and exit
+    2, with or without a generator, not warnings and 1000 NaN iterations."""
+    entries = []
+    for i, cov in enumerate([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]]):
+        (tmp_path / f"c{i}.json").write_text(json.dumps({"n": 2, "mean": [0.0, 0.0], "cov": cov}))
+        entries.append({"id": f"c{i}", "moments": f"c{i}.json"})
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": entries}))
+    for gen in ([], ["--gen", tmp_path / "c0.json"]):
+        assert run_cli(["barycenter", "--clients", tmp_path / "clients.json", *gen]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "fedeval: numerical failure: barycenter iterate is singular after 6 iterations (residual "
+        )
+        assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

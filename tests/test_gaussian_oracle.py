@@ -220,6 +220,29 @@ def eig_calls(eig_tally):
     return eig_tally["calls"]
 
 
+@pytest.fixture
+def inner_roots(monkeypatch):
+    """Inner roots of the barycenter map that were refined from their slot's
+    last eigenbasis, refinements that declined, and attempts skipped
+    because the basis was certainly too far (both then solved by eigh)."""
+    tally = {"refined": 0, "declined": 0, "skipped": 0}
+    refine, far = frechet._refined_root, frechet._far_from_basis
+
+    def counted_refine(a):
+        x = refine(a)
+        tally["refined" if x is not None else "declined"] += 1
+        return x
+
+    def counted_far(*args):
+        skip = far(*args)
+        tally["skipped"] += skip
+        return skip
+
+    monkeypatch.setattr(frechet, "_refined_root", counted_refine)
+    monkeypatch.setattr(frechet, "_far_from_basis", counted_far)
+    return tally
+
+
 def cross_term(a, b):
     """Tr((A^1/2 B A^1/2)^1/2), from the trace term Tr A + Tr B - 2 Tr(...)."""
     zero = np.zeros(len(a))
@@ -364,11 +387,12 @@ def test_barycenter_converges_on_shared_null_clients(seed, k, d, log_scale):
     assert _relative(image, solution.cov) <= d * math.sqrt(EPS)
 
 
-def test_barycenter_restricted_to_shared_range(eig_counts):
+def test_barycenter_restricted_to_shared_range(eig_counts, inner_roots):
     """Commuting covariances with a shared zero eigenvalue: the solver
     iterates on the 2-dimensional range of the weighted mean.  The start's
-    eigh (3x3) is the first iterate's, and every map takes K = 2 inner
-    products and one eigh of the (2x2) iterate."""
+    eigh (3x3) is the first iterate's, every later map takes one eigh of
+    the (2x2) iterate, and each map roots K = 2 inner products: the first
+    map solves both, the second refines both in the first map's bases."""
     clients = ClientSet(
         [
             Client(id="a", stats=GaussianStats(n=2, mean=[0, 0, 0], cov=np.diag([1.0, 4.0, 0.0]))),
@@ -377,8 +401,10 @@ def test_barycenter_restricted_to_shared_range(eig_counts):
     )
     solution = barycenter(clients)
     it = solution.iterations
-    assert it >= 1
-    assert eig_counts["eigh"] == (it + 1) * 3
+    assert it == 1
+    solved = eig_counts["eigh"] - (it + 1)
+    assert (solved, inner_roots["refined"]) == (2, 2)
+    assert solved + inner_roots["refined"] == (it + 1) * 2
     np.testing.assert_allclose(solution.cov, np.diag([4.0, 2.25, 0.0]), atol=1e-9)
     _assert_converged(solution, 1e-10)
 
@@ -400,25 +426,31 @@ def _gauss_rank_clients(seed, k=8, d=56):
     return ClientSet(clients)
 
 
-def test_barycenter_map_evaluations_on_benchmark_shaped_clients(eig_counts):
+def test_barycenter_map_evaluations_on_benchmark_shaped_clients(eig_counts, inner_roots):
     clients = _gauss_rank_clients(0)
     k = len(clients)
     plain = oracle_barycenter(clients, 1e-10, 1000)
     assert plain.iterations + 1 == 14
     eig_counts.update(eigh=0, eigvalsh=0)
     solution = barycenter(clients)
-    assert solution.iterations + 1 <= 10
+    it = solution.iterations
+    assert it + 1 <= 10
     _assert_converged(solution, 1e-10)
     assert _relative(solution.cov, plain.cov) <= PLAIN_REL
-    # Each map: one eigh of the iterate and K of the inner products.
-    assert eig_counts == {"eigh": (solution.iterations + 1) * (k + 1), "eigvalsh": 0}
+    # Each map: one eigh of the iterate, and K inner roots, each refined
+    # from its slot's last eigenbasis or solved by one eigh.
+    solved = eig_counts["eigh"] - (it + 1)
+    assert solved + inner_roots["refined"] == (it + 1) * k
+    assert (it, solved, inner_roots) == (9, 32, {"refined": 48, "declined": 8, "skipped": 16})
+    assert eig_counts["eigvalsh"] == 0
 
 
 @pytest.mark.filterwarnings("error")
 def test_barycenter_rejected_step_falls_back_to_plain(eig_counts, monkeypatch, rng):
     """A mixed iterate with a negative eigenvalue is dropped for the plain
-    image; with every one dropped the solver is the plain iteration, bit
-    for bit, at one more eigh per dropped step."""
+    image; with every one dropped, and every inner root solved again (its
+    refinement declined), the solver is the plain iteration, bit for bit,
+    at one more eigh per dropped step."""
     clients = random_stats_clients(rng, k_max=4, d=5)
     k = len(clients)
     dropped = []
@@ -428,6 +460,7 @@ def test_barycenter_rejected_step_falls_back_to_plain(eig_counts, monkeypatch, r
         return -np.eye(5)
 
     monkeypatch.setattr(frechet, "_anderson_step", overshoot)
+    monkeypatch.setattr(frechet, "_refined_root", lambda a: None)
     want = oracle_barycenter(clients, 1e-10, 1000)
     eig_counts.update(eigh=0, eigvalsh=0)
     got = barycenter(clients)
@@ -437,6 +470,133 @@ def test_barycenter_rejected_step_falls_back_to_plain(eig_counts, monkeypatch, r
         want.iterations, want.cov.tobytes(), _bits(want.residual)
     )
     assert [_bits(r) for r in got.residual_history] == [_bits(r) for r in want.residual_history]
+
+
+def _rank_one_clients():
+    """Two rank-1 clients on different lines: their barycenter is singular
+    inside the (full) range of their weighted mean."""
+    covs = [np.diag([1.0, 0.0]), np.ones((2, 2))]
+    return ClientSet(
+        [Client(id=f"c{i}", stats=GaussianStats(n=2, mean=[0.0, 0.0], cov=c)) for i, c in enumerate(covs)]
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_barycenter_singular_iterate_is_one_convergence_error():
+    """An iterate that turns singular has no C^-1/2 for its next step: the
+    solver stops there with a ConvergenceError carrying that iterate,
+    finite, and its defect, not a warning and NaN iterates."""
+    clients = _rank_one_clients()
+    for solve in (barycenter, lambda c: fid_avg_decomposition(c, clients.stats_list()[0])):
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve(clients)
+        err = excinfo.value
+        assert str(err) == (
+            f"barycenter iterate is singular after 6 iterations (residual {err.residual:.3e})"
+        )
+        assert err.iterations == 6
+        assert np.isfinite(err.last_cov).all() and np.isfinite(err.residual)
+        assert np.linalg.eigvalsh(err.last_cov)[0] <= 1e-8 * np.linalg.norm(err.last_cov)
+
+
+def _perturbed_basis(rng, b, move):
+    """Eigenvectors of ``b`` plus a random symmetric perturbation of
+    relative size ``move``."""
+    n = rng.normal(size=b.shape)
+    n = (n + n.T) / 2.0
+    scale = move * float(np.linalg.norm(b)) / max(float(np.linalg.norm(n)), EPS)
+    return np.linalg.eigh(b + scale * n)[1]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.floats(-3.0, 3.0),
+    st.floats(-16.0, 0.0),
+    st.sampled_from(["definite", "singular", "indefinite"]),
+)
+@pytest.mark.filterwarnings("error")
+def test_refined_root_within_its_bound_or_declined(seed, d, log_scale, log_move, kind):
+    """A matrix in the eigenbasis of a perturbed copy of itself (the slot's
+    last basis, an iterate ago): the refinement's root is within its
+    stated bound of the eigh root, ``||a - X^2||_F / m`` with ``m`` the
+    diagonal-dominance margin of ``X`` (plus the eigh root's own
+    residual over ``m``, and roundoff), or the refinement declines.  A
+    singular or indefinite matrix is always declined."""
+    rng = np.random.default_rng(seed)
+    b = _psd(rng, d, d + 3 if kind == "definite" else d - 1, 10.0 ** (log_scale / 2))
+    if kind == "indefinite":
+        b = b - 0.1 * float(np.linalg.eigvalsh(b)[-1] + 1.0) * np.eye(d)
+    u = _perturbed_basis(rng, b, 10.0**log_move)
+    a = frechet._symmetrized(u.T @ b @ u)
+    x = frechet._refined_root(a)
+    if x is None:
+        return
+    assert kind == "definite"
+    bound = 4.0 * EPS * math.sqrt(d) * float(np.linalg.norm(a))
+    residual = float(np.linalg.norm(a - x @ x))
+    margin = float((2.0 * np.diagonal(x) - np.abs(x).sum(axis=1)).min())
+    assert residual <= bound and margin * margin > bound + residual
+    w, v = np.linalg.eigh(a)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    eigh_residual = float(np.linalg.norm(a - root @ root))
+    roundoff = d * EPS * float(np.linalg.norm(a)) / margin
+    assert float(np.linalg.norm(x - root)) <= (residual + eigh_residual) / margin + roundoff
+
+
+def test_refinement_declines_what_eigh_must_judge(inner_roots):
+    """A non-PSD, a singular and a far-basis inner product are declined, so
+    the map solves each with eigh: the non-PSD one raises the plain map's
+    NotPsdError, text and all, and the others give the plain map's bits."""
+    rng = np.random.default_rng(7)
+    d = 4
+    root = frechet.psd_sqrt(random_cov(rng, d))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    far = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    indefinite, singular, definite = (
+        (q * spectrum) @ q.T for spectrum in ([-1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    )
+    near = np.linalg.eigh(root @ indefinite @ root)[1]
+    others = [(singular, np.linalg.eigh(root @ singular @ root)[1]), (definite, far)]
+    for cov, basis in [(indefinite, near), *others]:
+        p = root @ basis
+        assert frechet._refined_root(frechet._symmetrized(p.T @ cov @ p)) is None
+    top = float(np.linalg.eigvalsh(root @ root)[-1])
+
+    def scales(cov):
+        return np.array([top * float(np.linalg.norm(cov))])
+
+    with pytest.raises(NotPsdError) as plain:
+        frechet._barycenter_map(root, indefinite[None], np.ones(1), [None], scales(indefinite))
+    with pytest.raises(NotPsdError) as refined:
+        frechet._barycenter_map(root, indefinite[None], np.ones(1), [near], scales(indefinite))
+    assert str(refined.value) == str(plain.value)
+    assert str(plain.value).startswith("barycenter inner product is not PSD: eigenvalue")
+    for cov, basis in others:
+        want = frechet._barycenter_map(root, cov[None], np.ones(1), [None], scales(cov))
+        bases = [basis]
+        got = frechet._barycenter_map(root, cov[None], np.ones(1), bases, scales(cov))
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert bases[0] is not basis
+    assert inner_roots["refined"] == 0
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(-3.0, 3.0), st.floats(-16.0, 0.0))
+@pytest.mark.filterwarnings("error")
+def test_far_basis_check_skips_only_what_refinement_declines(seed, d, log_scale, log_move):
+    """The one-column check before forming the inner product skips an
+    attempt only where the refinement would decline it anyway."""
+    rng = np.random.default_rng(seed)
+    c = _psd(rng, d, d + 3, 10.0 ** (log_scale / 2))
+    root = frechet.psd_sqrt(_psd(rng, d, d + 3, 1.0))
+    inner = root @ c @ root
+    u = _perturbed_basis(rng, inner, 10.0**log_move)
+    top = float(np.linalg.eigvalsh(root @ root)[-1])
+    if frechet._far_from_basis(root, c, u, top * float(np.linalg.norm(c))):
+        p = root @ u
+        assert frechet._refined_root(frechet._symmetrized(p.T @ c @ p)) is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -855,29 +1015,42 @@ def test_fid_avg_makes_one_call_per_solver(eig_calls, rng):
     assert eig_calls == {"eigh": 1, "eigvalsh": 1}
 
 
-def test_decomposition_call_counts(eig_counts, rng):
+def test_decomposition_call_counts(eig_counts, inner_roots, rng):
+    counts = []
     for _ in range(3):
         clients = random_stats_clients(rng, d=4)
         k = len(clients)
         eig_counts.update(eigh=0, eigvalsh=0)
+        inner_roots.update(refined=0, declined=0, skipped=0)
         it = fid_avg_decomposition(clients, _gen(rng, 4)).solution.iterations
-        # Each map evaluation takes K+1 eigh: the iterate's (a mixed
-        # step's, or the plain image's) and K inner products.  The centre's
-        # root is the converged iterate's, taken in the loop, and the
-        # constant part reads the last map's inner eigenvalues.  The
+        # Each map evaluation takes one eigh of the iterate (a mixed
+        # step's, or the plain image's) and roots K inner products, each
+        # refined from its slot's last eigenbasis or solved by one eigh.
+        # The centre's root is the converged iterate's, taken in the loop,
+        # and the constant part reads the last map's inner roots.  The
         # generator's one root serves the barycenter part and the K
         # clients of the aggregate.
-        assert eig_counts == {"eigh": (it + 1) * (k + 1) + 1, "eigvalsh": k + 1}
+        solved = eig_counts["eigh"] - (it + 1) - 1
+        assert solved + inner_roots["refined"] == (it + 1) * k
+        assert eig_counts["eigvalsh"] == k + 1
+        counts.append((k, it, solved, inner_roots["refined"]))
+    # (K, iterations, solved, refined) of each instance
+    assert counts == [(3, 7, 12, 12), (1, 0, 1, 0), (4, 9, 16, 24)]
 
 
-@pytest.mark.parametrize("k, d", [(8, 56), (4, 256)])
-def test_cli_eigensolver_matrices_per_evaluation(eig_counts, tmp_path, k, d):
+# (iterations, inner roots solved by eigh) of each instance below.
+CLI_BARYCENTER_COUNTS = {(8, 56): (9, 32), (4, 256): (10, 20)}
+
+
+@pytest.mark.parametrize("k, d", list(CLI_BARYCENTER_COUNTS))
+def test_cli_eigensolver_matrices_per_evaluation(eig_counts, inner_roots, tmp_path, k, d):
     """One evaluation of the benchmark's Gaussian workload, through the CLI:
     ``fid --agg both`` solves one eigh (the generator's root) and K + 1
-    eigvalsh (the clients and the pool); ``barycenter --gen`` solves
-    ``(it + 1)(K + 1)`` eigh in its map evaluations plus the generator's
-    root, and K + 1 eigvalsh (the centre and the clients).  Matrices, not
-    calls, are counted."""
+    eigvalsh (the clients and the pool); ``barycenter --gen`` solves one
+    eigh per map evaluation (the iterate's), one per inner root that is
+    not refined from its slot's last eigenbasis, and the generator's root,
+    and K + 1 eigvalsh (the centre and the clients).  Matrices, not calls,
+    are counted."""
     clients = _gauss_rank_clients(0, k=k, d=d)
     entries = []
     for client, stats in zip(clients, clients.stats_list()):
@@ -891,8 +1064,10 @@ def test_cli_eigensolver_matrices_per_evaluation(eig_counts, tmp_path, k, d):
     assert eig_counts == {"eigh": 1, "eigvalsh": k + 1}
     eig_counts.update(eigh=0, eigvalsh=0)
     assert main(["barycenter", *common, "--out", str(tmp_path / "bary.json")]) == 0
-    it = json.loads((tmp_path / "bary.json").read_text())["iterations"]
-    assert eig_counts == {"eigh": (it + 1) * (k + 1) + 1, "eigvalsh": k + 1}
+    it, solved = CLI_BARYCENTER_COUNTS[k, d]
+    assert json.loads((tmp_path / "bary.json").read_text())["iterations"] == it
+    assert eig_counts == {"eigh": (it + 1) + solved + 1, "eigvalsh": k + 1}
+    assert solved + inner_roots["refined"] == (it + 1) * k
 
 
 def _search_clients():
