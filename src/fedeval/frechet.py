@@ -54,9 +54,12 @@ basis with a few Newton corrections (Higham 2008, ch. 6), gated by a
 backward-error test, and solves with ``eigh`` again only when the
 refinement declines.  The mixing history holds six matrices of the
 iterate's size and the slots K more (201 MB and 134 MB at K = 4,
-d = 2048).  The avg decomposition takes the centre's distances to the
-K clients from the traces of the converged map's inner roots, so it
-solves no further matrix for them.
+d = 2048).  The avg decomposition's constant part, the centre's
+weighted mean distance to the K clients, is
+``sum_i w_i (||m - m_i||^2 + Tr C_i) + Tr C - 2 Tr M(C)`` at the
+returned iterate ``C``: the trace is linear, so the weighted cross
+terms of the centre and the clients sum to ``Tr M(C)``, and no
+eigensolve is needed.
 """
 
 from __future__ import annotations
@@ -212,10 +215,12 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
         inner = refs.roots @ cov @ refs.roots
         w = np.linalg.eigvalsh(_symmetrized(inner))
         cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+        mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
+        trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
+        value = mean_term + trace_term
     finite = np.isfinite(inner).all(axis=(-2, -1))
-    value, mean_term, trace_term = _terms(refs, mean, cov, cross)
     # Every check of every row in one boolean; a value that is NaN fails both bounds.
-    passed = _in_range(value) & finite & ~_below_clamp(w)
+    passed = (value >= -VALUE_CLAMP) & (value < np.inf) & finite & ~_below_clamp(w)
     if refs.rejected.any() or not passed.all():
         # The first failing row (in C order over a stack of targets) raises
         # its first failing check: its root, its product, then its value.
@@ -232,21 +237,6 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
             if v < -VALUE_CLAMP:
                 raise NumericalError(f"distance {float(v)!r} below clamp threshold")
     return np.where(value < 0.0, 0.0, value), mean_term, trace_term
-
-
-def _terms(refs: _References, mean: np.ndarray, cov: np.ndarray, cross: np.ndarray):
-    """Unchecked, unclamped ``(value, mean_term, trace_term)`` of every
-    reference against ``(mean, cov)``, given the cross terms
-    ``Tr((A^1/2 B A^1/2)^1/2)``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
-        trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
-        return mean_term + trace_term, mean_term, trace_term
-
-
-def _in_range(value: np.ndarray) -> np.ndarray:
-    """Which distances pass both value checks (a NaN fails both)."""
-    return (value >= -VALUE_CLAMP) & (value < np.inf)
 
 
 def _positive_definite(covs: np.ndarray) -> bool:
@@ -430,8 +420,8 @@ def _far_from_basis(root: np.ndarray, c_i: np.ndarray, u: np.ndarray, scale: flo
 
 
 def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray, bases: list, scales):
-    """sum_i w_i (C^1/2 C_i C^1/2)^1/2, given the iterate's root C^1/2, and
-    each inner root's trace ``Tr((C^1/2 C_i C^1/2)^1/2)``.
+    """``M(C) = sum_i w_i (C^1/2 C_i C^1/2)^1/2``, given the iterate's root
+    ``C^1/2``.
 
     ``bases`` holds each client slot's eigenvectors ``U_i`` from its last
     ``eigh`` (``None`` before the first), and ``scales`` each slot's
@@ -443,7 +433,6 @@ def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray, bas
     new eigenvectors.
     """
     acc = np.zeros_like(root)
-    traces = np.empty(len(covs))
     for i, (w_i, c_i) in enumerate(zip(weights, covs)):
         u = bases[i]
         x = None
@@ -454,13 +443,10 @@ def _barycenter_map(root: np.ndarray, covs: np.ndarray, weights: np.ndarray, bas
             inner = _symmetrized(root @ c_i @ root)
             ew, u = _clamped_eigh(inner, "barycenter inner product")
             bases[i] = u
-            s = np.sqrt(ew)
-            acc = acc + w_i * ((u * s) @ u.T)
-            traces[i] = s.sum()
+            acc = acc + w_i * ((u * np.sqrt(ew)) @ u.T)
         else:
             acc = acc + w_i * (u @ x @ u.T)
-            traces[i] = np.trace(x)
-    return _symmetrized(acc), traces
+    return _symmetrized(acc)
 
 
 def _anderson_step(pairs: list) -> np.ndarray:
@@ -553,15 +539,17 @@ def barycenter(clients: ClientSet, tol: float = 1e-10, max_iter: int = 1000) -> 
 
 def _barycenter(clients: ClientSet, tol: float, max_iter: int):
     """:func:`barycenter`, with the returned iterate's root, its clamped
-    eigenvalues (padded with zeros to the clients' dimension) and the
-    traces of its K inner roots, ``Tr((C^1/2 C_i C^1/2)^1/2)``."""
+    eigenvalues (padded with zeros to the clients' dimension) and
+    ``Tr M(C)``, the trace of its map."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"barycenter tol must be a finite number > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"barycenter max_iter must be at least 1, got {max_iter!r}")
     stats = clients.stats_list()
     weights = clients.weights
-    mean, cov, _ = _mixture_moments(stats, weights)
+    # The between part, unused here, overflows for means far apart.
+    with np.errstate(over="ignore"):
+        mean, cov, _ = _mixture_moments(stats, weights)
     covs = np.stack([s.cov for s in stats])
     # The start's eigendecomposition finds the range and is the first iterate's.
     w, v = _clamped_eigh(cov, "matrix")
@@ -586,7 +574,7 @@ def _barycenter(clients: ClientSet, tol: float, max_iter: int):
         if iteration:
             cov, w, v = _next_iterate(pairs)
         root = _root(w, v)
-        m, traces = _barycenter_map(root, covs, weights, bases, w[-1] * norms)
+        m = _barycenter_map(root, covs, weights, bases, w[-1] * norms)
         residual = float(np.linalg.norm(cov - m))
         history.append(residual)
         if residual <= tol * max(float(np.linalg.norm(cov)), np.finfo(float).tiny):
@@ -596,7 +584,7 @@ def _barycenter(clients: ClientSet, tol: float, max_iter: int):
                 iterations=iteration,
                 residual=residual,
                 residual_history=history,
-            ), lift(root), np.concatenate([np.zeros(len(mean) - len(w)), w]), traces
+            ), lift(root), np.concatenate([np.zeros(len(mean) - len(w)), w]), np.trace(m)
         if not float(w[0]) > 0.0:
             raise ConvergenceError(
                 f"barycenter iterate is singular after {iteration + 1} iterations "
@@ -627,17 +615,22 @@ class DecompositionResult:
     the generator; ``const_part`` is the weighted mean distance from the
     barycenter to the clients and does not depend on the generator;
     ``avg`` is the avg aggregate itself, as :func:`fid_avg` scores it.
-    With ``T(A, B) = Tr((A^1/2 B A^1/2)^1/2)``, barycenter covariance ``C``,
-    client covariances ``C_i`` and generator covariance ``G``, the avg
-    aggregate equals
+    With ``T(A, B) = Tr((A^1/2 B A^1/2)^1/2)``, barycenter mean ``m`` and
+    covariance ``C``, client means ``m_i`` and covariances ``C_i`` and
+    generator covariance ``G``, the trace is linear, so
+    ``sum_i w_i T(C, C_i) = Tr M(C)`` and
+
+        const_part = sum_i w_i (||m - m_i||^2 + Tr C_i) + Tr C - 2 Tr M(C),
+
+    which needs no eigensolve.  The avg aggregate equals
 
         barycenter_part + const_part + 2 [T(C, G) - sum_i w_i T(C_i, G)]
 
     (the mean terms cancel, and the fixed-point equation gives
-    ``sum_i w_i T(C, C_i) = Tr C``).  The remainder vanishes when the
-    client and generator covariances all commute; otherwise the two-term
-    sum deviates from the aggregate, which is why the aggregate is
-    measured, never assumed.
+    ``Tr M(C) = Tr C``).  The remainder vanishes when the client and
+    generator covariances all commute; otherwise the two-term sum
+    deviates from the aggregate, which is why the aggregate is measured,
+    never assumed.
     """
 
     barycenter_part: float
@@ -653,27 +646,31 @@ def fid_avg_decomposition(
     and the aggregate.
 
     The generator is rooted once, for ``barycenter_part`` and the
-    aggregate (:func:`_against`).  ``const_part`` takes each ``T(C, C_i)``
-    from the converged map's inner root, the trace of its refined root
-    or the sum of its solved spectrum's roots, so it solves nothing; if
-    a row's distance is not finite or is below ``-VALUE_CLAMP``, the
-    centre is scored against the clients as a stack of targets instead,
-    one ``eigvalsh`` each, which raises that path's error.  The errors
-    raise in this order: the barycenter's, ``barycenter_part``'s,
+    aggregate (:func:`_against`).  ``const_part`` is
+    ``sum_i w_i (||m - m_i||^2 + Tr C_i) + Tr C - 2 Tr M(C)``, with
+    ``Tr M(C)`` from the map the solver evaluated at the ``C`` it
+    returns, so no eigensolve is needed.  It is checked as a distance is:
+    a value that is not finite or is below ``-VALUE_CLAMP`` raises
+    :class:`NumericalError`, and one in between is clamped to 0.  The
+    errors raise in this order: the barycenter's, ``barycenter_part``'s,
     ``const_part``'s, then the aggregate's.
     """
-    solution, root, w, cross = _barycenter(clients, tol, max_iter)
-    center = _References(solution.mean[None], root[None], np.trace(solution.cov)[None], w[None])
+    solution, root, w, trace_map = _barycenter(clients, tol, max_iter)
+    trace = np.trace(solution.cov)
+    center = _References(solution.mean[None], root[None], trace[None], w[None])
     gen = _references([g])
     barycenter_part = float(_against(gen, g, [solution], center)[0][0])
     stats = clients.stats_list()
-    means, covs = np.stack([s.mean for s in stats]), np.stack([s.cov for s in stats])
-    const = _terms(center, means, covs, cross)[0]
-    if not _in_range(const).all():
-        const = _distances(center, means, covs)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = [((s.mean - solution.mean) ** 2).sum() + np.trace(s.cov) for s in stats]
+        const = float(clients.weights @ spread + trace - 2.0 * trace_map)
+    if not np.isfinite(const):
+        raise NumericalError("distance is not finite")
+    if const < -VALUE_CLAMP:
+        raise NumericalError(f"distance {const!r} below clamp threshold")
     return DecompositionResult(
         barycenter_part=barycenter_part,
-        const_part=float(clients.weights @ np.where(const < 0.0, 0.0, const)),
+        const_part=max(const, 0.0),
         solution=solution,
         avg=_avg(clients, _against(gen, g, stats)),
     )

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotPsdError, SampleCountError
+from .errors import NotPsdError, NumericalError, SampleCountError
 
 FEVB_MAGIC = b"FEVB"
 FEVB_VERSION = 1
@@ -628,7 +628,9 @@ class LogLikelihoodScores(_JsonFields):
 
 
 def gaussian_log_density(x, model: GaussianModel) -> np.ndarray:
-    """Row-wise log-density under a strictly positive-definite Gaussian."""
+    """Row-wise log-density under a strictly positive-definite Gaussian.
+
+    A density that overflows is a :class:`NumericalError`, not a warning."""
     x = as_embeddings(x)
     d = model.dim
     if x.shape[1] != d:
@@ -637,11 +639,15 @@ def gaussian_log_density(x, model: GaussianModel) -> np.ndarray:
         chol = np.linalg.cholesky(model.cov)
     except np.linalg.LinAlgError:
         raise NotPsdError("model covariance is singular or not positive definite")
-    diff = x - model.mean
-    solved = np.linalg.solve(chol, diff.T)
-    quad = np.sum(solved**2, axis=0)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x - model.mean
+        solved = np.linalg.solve(chol, diff.T)
+        quad = np.sum(solved**2, axis=0)
+        density = -0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
+    if not np.isfinite(density).all():
+        raise NumericalError("log-density is not finite")
+    return density
 
 
 def log_likelihood_scores(
@@ -653,10 +659,14 @@ def log_likelihood_scores(
     mean log-density over the pooled samples, taken from the same
     per-client densities, so every sample is scored once.  With weights
     ``n_i / n`` the two coincide up to summation order.  ``pooled=False``
-    leaves ``all`` None.
+    leaves ``all`` None.  A density or a mean that overflows is a
+    :class:`NumericalError`.
     """
     densities = [gaussian_log_density(x, model) for x in clients.client_embeddings()]
-    per_client = [float(np.mean(d)) for d in densities]
-    avg = float(clients.weights @ np.asarray(per_client))
-    all_score = float(np.mean(np.concatenate(densities))) if pooled else None
+    with np.errstate(over="ignore"):
+        per_client = [float(np.mean(d)) for d in densities]
+        avg = float(clients.weights @ np.asarray(per_client))
+        all_score = float(np.mean(np.concatenate(densities))) if pooled else None
+    if not np.isfinite([*per_client, avg, 0.0 if all_score is None else all_score]).all():
+        raise NumericalError("mean log-density is not finite")
     return LogLikelihoodScores(per_client=per_client, avg=avg, all=all_score)

@@ -375,6 +375,21 @@ def test_non_finite_frechet_distance_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "fedeval: numerical failure: distance is not finite\n"
 
 
+def test_non_finite_const_part_exit_2(tmp_path, capsys):
+    """Client means 2e200 apart overflow the barycenter's constant part
+    (the generator sits at the barycenter mean): one error line, exit 2."""
+    entries = []
+    for i, side in enumerate((-1.0, 1.0)):
+        stats = fedeval.GaussianStats(n=4, mean=[side * 1e200, 0.0], cov=np.eye(2))
+        save_stats(stats, tmp_path / f"c{i}.json")
+        entries.append({"id": f"c{i}", "moments": f"c{i}.json"})
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": entries}))
+    save_stats(fedeval.GaussianStats(n=4, mean=[0.0, 0.0], cov=np.eye(2)), tmp_path / "gen.json")
+    args = ["barycenter", "--clients", tmp_path / "clients.json", "--gen", tmp_path / "gen.json"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr() == ("", "fedeval: numerical failure: distance is not finite\n")
+
+
 def test_counterexample_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(2)
     write_embeddings(rng.normal(size=(20, 3)) + np.array([1.0, 0, 0]), tmp_path / "a.fevb")
@@ -1231,6 +1246,18 @@ def test_finite_inputs_whose_moments_overflow_warn_nothing(workspace):
     (tmp / "big.json").write_text(json.dumps(moments_file))
     args = ["fid", "--ref", tmp / "big.json", "--gen", tmp / "gen.fevb"]
     assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: distance is not finite\n")
+
+
+def test_non_finite_log_likelihood_exit_2(tmp_path):
+    """A log-density that overflows is one error line and exit 2, with no
+    warning, not -Infinity scores and exit 0."""
+    for name, value in (("a", 1.0), ("b", 1e160)):
+        (tmp_path / f"{name}.csv").write_text(f"{value},{value},{value}\n" * 4)
+    entries = [{"id": name, "embeddings": f"{name}.csv"} for name in ("a", "b")]
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": entries}))
+    save_stats(fedeval.GaussianStats(n=4, mean=np.zeros(3), cov=np.eye(3)), tmp_path / "model.json")
+    args = ["stats", "--clients", tmp_path / "clients.json", "--ll-model", tmp_path / "model.json"]
+    assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: log-density is not finite\n")
 
 
 def test_covariance_near_float_max_is_scored(workspace, capsys):

@@ -385,6 +385,21 @@ def test_ll_needs_model_generator(rng):
         run_round(clients, gen, "raw", ["ll_avg"])
 
 
+def test_round_with_overflowing_log_density_raises(rng):
+    """A log-density that overflows fails the round with the library's
+    NumericalError, in both modes that score ll, not an infinite score."""
+    clients = ClientSet(
+        [
+            Client(id="a", embeddings=rng.normal(size=(4, 3))),
+            Client(id="b", embeddings=np.full((4, 3), 1e160)),
+        ]
+    )
+    model = GaussianModel(mean=np.zeros(3), cov=np.eye(3))
+    for mode, metrics in (("raw", ["ll_avg", "ll_all"]), ("scores", ["ll_avg"])):
+        with pytest.raises(NumericalError, match="^log-density is not finite$"):
+            run_round(clients, model, mode, metrics)
+
+
 def test_unknown_metric_and_mode(rng):
     clients = make_clients(rng)
     gen = rng.normal(size=(10, 3))

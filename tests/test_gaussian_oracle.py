@@ -577,7 +577,7 @@ def test_refinement_declines_what_eigh_must_judge(inner_roots):
         want = frechet._barycenter_map(root, cov[None], np.ones(1), [None], scales(cov))
         bases = [basis]
         got = frechet._barycenter_map(root, cov[None], np.ones(1), bases, scales(cov))
-        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert got.tobytes() == want.tobytes()
         assert bases[0] is not basis
     assert inner_roots["refined"] == 0
 
@@ -751,6 +751,23 @@ def test_decomposition_raises_generator_failures():
     )
 
 
+def test_decomposition_const_part_overflow_raises(eig_calls):
+    """Client means 2e200 apart put const_part past float max while the
+    generator, at the barycenter mean, keeps barycenter_part finite:
+    const_part raises the distance's error before the aggregate is
+    scored, and no warning."""
+    clients = ClientSet(
+        [
+            Client(id=f"c{i}", stats=GaussianStats(n=4, mean=[side * 1e200, 0.0], cov=np.eye(2)))
+            for i, side in enumerate((-1.0, 1.0))
+        ]
+    )
+    with pytest.raises(NumericalError) as info:
+        fid_avg_decomposition(clients, GaussianModel(mean=np.zeros(2), cov=np.eye(2)))
+    assert str(info.value) == "distance is not finite"
+    assert eig_calls["eigvalsh"] == 1
+
+
 def test_distances_check_no_reference_spectrum(monkeypatch, rng):
     """The references' roots are PSD-checked once, when the stack is built:
     scoring tests only the products' eigenvalues, once per call."""
@@ -898,6 +915,22 @@ _NAMED_ROOTING_CASES = [
     ),
 ]
 
+# Two full-rank d = 2 clients drawn with _psd from seed 223, whose
+# barycenter stops after 4 iterations with residual 1.5e-8.  There
+# Tr C is about 63 bounds from sum_i w_i T(C, C_i) = Tr M(C), so a
+# const_part that takes Tr C for that sum fails the bound.
+_TRACE_SHORTCUT_CASE = (
+    _two_clients(
+        *[
+            _psd(rng, 2, 5, 10 ** rng.uniform(-1, 1))
+            for rng in [np.random.default_rng(223)]
+            for _ in range(2)
+        ]
+    ),
+    GaussianModel(mean=np.ones(2), cov=np.eye(2)),
+    False,
+)
+
 
 @st.composite
 def rooting_cases(draw):
@@ -947,6 +980,7 @@ def rooting_cases(draw):
 @example(_NAMED_ROOTING_CASES[1])
 @example(_NAMED_ROOTING_CASES[2])
 @example(_NAMED_ROOTING_CASES[3])
+@example(_TRACE_SHORTCUT_CASE)
 @pytest.mark.filterwarnings("error")
 def test_generator_rooted_aggregations_match_client_rooted_oracle(case):
     """fid_avg, fid_all and fid_avg_decomposition, rooted on the generator,

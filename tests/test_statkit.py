@@ -17,6 +17,7 @@ from fedeval import (
     GaussianModel,
     GaussianStats,
     NotPsdError,
+    NumericalError,
     SampleCountError,
     ingest,
     log_likelihood_scores,
@@ -465,6 +466,22 @@ def test_log_likelihood_scores_each_sample_once(monkeypatch):
     densities.clear()
     assert log_likelihood_scores(clients, model, pooled=False).all is None
     assert [len(d) for d in densities] == [1, 4, 1, 7]
+
+
+def test_log_likelihood_overflow_raises():
+    """A log-density that overflows, or a mean of finite ones that does, is
+    a NumericalError naming it, with no warning, not an infinite score."""
+    model = GaussianModel(mean=np.zeros(3), cov=np.eye(3))
+    clients = ClientSet(
+        [Client(id="a", embeddings=np.ones((4, 3))), Client(id="b", embeddings=np.full((4, 3), 1e160))]
+    )
+    with pytest.raises(NumericalError, match="^log-density is not finite$"):
+        log_likelihood_scores(clients, model)
+    # each row's density is about -7.4e307; three of them sum past float max
+    far = ClientSet([Client(id="a", embeddings=np.full((3, 3), 7e153))])
+    assert np.isfinite(statkit.gaussian_log_density(far.clients[0].embeddings, model)).all()
+    with pytest.raises(NumericalError, match="^mean log-density is not finite$"):
+        log_likelihood_scores(far, model)
 
 
 def test_log_likelihood_degenerate_weight():
