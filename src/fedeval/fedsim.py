@@ -42,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapabilityError
-from .frechet import _clamp, _fid, _references
+from .errors import CapabilityError, _eigenvalue_floor
+from .frechet import _fid, _references
 from .kernelmmd import KernelSpec, KernelStats, kernel_stats
 from .prdc import prdc_aggregate
 from .statkit import (
@@ -468,7 +468,7 @@ def _draws(specs, seeds) -> list[np.ndarray]:
         roots.update(zip(rows, refs.roots))
         rejected += [(rows[j], refs.spectra[j]) for j in np.flatnonzero(refs.rejected)]
     if rejected:
-        _clamp(min(rejected, key=lambda row: row[0])[1], "matrix")
+        _eigenvalue_floor(min(rejected, key=lambda row: row[0])[1], "matrix")
     return [_draw(spec, seed, roots.get(i)) for i, (spec, seed) in enumerate(zip(specs, seeds))]
 
 

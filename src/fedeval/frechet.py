@@ -68,7 +68,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, NotPsdError, NumericalError
+from .errors import VALUE_CLAMP, ConvergenceError, NotPsdError, NumericalError
+from .errors import _below_floor, _cancelling, _cancelling_rows, _eigenvalue_floor, _finite
 from .statkit import (
     SYMMETRY_RTOL,
     ClientSet,
@@ -79,8 +80,6 @@ from .statkit import (
     pool_moments,
 )
 
-EIGENVALUE_CLAMP_REL = 1e-8
-VALUE_CLAMP = 1e-8
 # The barycenter iterates on the eigenvectors of the weighted mean whose
 # eigenvalues exceed this fraction of the largest; a shared null direction
 # comes back from eigh at about eps * lambda_max.
@@ -98,30 +97,11 @@ _REFINE_BACKWARD = 4.0
 _REFINE_STEPS = 3
 
 
-def _clamp(w: np.ndarray, what: str) -> np.ndarray:
-    """Clamp ascending eigenvalues of a symmetric PSD matrix at 0.
-
-    Eigenvalues in ``[-1e-8 * lambda_max, 0)`` are treated as roundoff
-    and clamped; anything lower fails the PSD check.
-    """
-    lam_max = max(float(w[-1]), 0.0)
-    floor = -EIGENVALUE_CLAMP_REL * lam_max
-    if float(w[0]) < floor:
-        raise NotPsdError(
-            f"{what} is not PSD: eigenvalue {w[0]:.3e} below clamp threshold {floor:.3e}"
-        )
-    return np.clip(w, 0.0, None)
-
-
-def _below_clamp(w: np.ndarray) -> np.ndarray:
-    """Which rows of ascending eigenvalues :func:`_clamp` would reject."""
-    return w[..., 0] < -EIGENVALUE_CLAMP_REL * np.maximum(w[..., -1], 0.0)
-
-
 def _clamped_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric PSD matrix, clamping tiny negatives to 0."""
+    """Eigendecompose a symmetric PSD matrix, its eigenvalues through the
+    floor (:func:`~fedeval.errors._eigenvalue_floor`)."""
     w, v = np.linalg.eigh(a)
-    return _clamp(w, what), v
+    return _eigenvalue_floor(w, what), v
 
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -144,7 +124,8 @@ def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Requires symmetry within ``1e-10 * ||a||_F`` and eigenvalues above
-    ``-1e-8 * lambda_max`` (clamped to zero when negative).
+    ``-EIGENVALUE_CLAMP_REL * lambda_max`` (clamped to zero when
+    negative; :mod:`fedeval.errors` holds the rule).
     """
     return _root(*_clamped_eigh(_symmetric(a), "matrix"))
 
@@ -162,7 +143,7 @@ class FrechetResult(_JsonFields):
 class _References:
     """Gaussian references stacked along the leading axis: means, roots
     ``A_i^1/2``, traces ``Tr A_i`` and the eigenvalues each root was taken
-    from.  Which rows' eigenvalues :func:`_clamp` rejects is found once,
+    from.  Which rows' eigenvalues the floor rejects is found once,
     when the stack is built; the error is raised when the row is scored
     (or by :meth:`check_roots`)."""
 
@@ -173,7 +154,7 @@ class _References:
     rejected: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rejected = _below_clamp(self.spectra)
+        self.rejected = _below_floor(self.spectra)
 
     def __getitem__(self, rows: slice) -> "_References":
         return _References(
@@ -183,7 +164,7 @@ class _References:
     def check_roots(self) -> None:
         """Raise the first rejected root's :class:`NotPsdError`, if any."""
         if self.rejected.any():
-            _clamp(self.spectra[np.argmax(self.rejected)], "matrix")
+            _eigenvalue_floor(self.spectra[np.argmax(self.rejected)], "matrix")
 
 
 def _references(refs: list) -> _References:
@@ -218,31 +199,27 @@ def _distances(refs: _References, mean: np.ndarray, cov: np.ndarray):
         mean_term = ((refs.means - mean) ** 2).sum(axis=-1)
         trace_term = (refs.traces + np.trace(cov, axis1=-2, axis2=-1)) - 2.0 * cross
         value = mean_term + trace_term
-    finite = np.isfinite(inner).all(axis=(-2, -1))
-    # Every check of every row in one boolean; a value that is NaN fails both bounds.
-    passed = (value >= -VALUE_CLAMP) & (value < np.inf) & finite & ~_below_clamp(w)
+    # Every check of every row in one boolean.
+    passed, clamped = _cancelling_rows(value, VALUE_CLAMP)
+    passed &= np.isfinite(inner).all(axis=(-2, -1)) & ~_below_floor(w)
     if refs.rejected.any() or not passed.all():
         # The first failing row (in C order over a stack of targets) raises
         # its first failing check: its root, its product, then its value.
         d = w.shape[-1]
         spectra = np.broadcast_to(refs.spectra, w.shape).reshape(-1, d)
-        rows = zip(spectra, w.reshape(-1, d), finite.reshape(-1), value.reshape(-1))
-        for spectrum, row, row_finite, v in rows:
-            _clamp(spectrum, "matrix")
-            if not row_finite:
-                raise NumericalError("covariance product is not finite")
-            _clamp(row, "covariance product")
-            if not np.isfinite(v):
-                raise NumericalError("distance is not finite")
-            if v < -VALUE_CLAMP:
-                raise NumericalError(f"distance {float(v)!r} below clamp threshold")
-    return np.where(value < 0.0, 0.0, value), mean_term, trace_term
+        rows = zip(spectra, inner.reshape(-1, d, d), w.reshape(-1, d), value.reshape(-1))
+        for spectrum, product, row, v in rows:
+            _eigenvalue_floor(spectrum, "matrix")
+            _finite(product, "covariance product")
+            _eigenvalue_floor(row, "covariance product")
+            _cancelling(v, VALUE_CLAMP, "distance")
+    return clamped, mean_term, trace_term
 
 
 def _positive_definite(covs: np.ndarray) -> bool:
     """Whether every covariance of a stack has a Cholesky factor.  Then each
     one's eigenvalues are at worst roundoff below 0, far inside the clamp
-    of :func:`_clamp`, so rooting it would pass."""
+    of the eigenvalue floor, so rooting it would pass."""
     try:
         np.linalg.cholesky(_symmetrized(covs))
     except np.linalg.LinAlgError:
@@ -284,7 +261,8 @@ def frechet_distance(a, b) -> FrechetResult:
     ``a`` and ``b`` are anything with ``mean`` and ``cov`` attributes
     (:class:`GaussianStats` or :class:`GaussianModel`); ``a`` is the
     reference side, whose covariance root is taken.  Values in
-    ``[-1e-8, 0)`` are clamped to zero.
+    ``[-VALUE_CLAMP, 0)`` are clamped to zero (:mod:`fedeval.errors`
+    holds the rule).
     """
     return _results(_distances(_references([a]), b.mean, b.cov))[0]
 
@@ -547,9 +525,7 @@ def _barycenter(clients: ClientSet, tol: float, max_iter: int):
         raise ValueError(f"barycenter max_iter must be at least 1, got {max_iter!r}")
     stats = clients.stats_list()
     weights = clients.weights
-    # The between part, unused here, overflows for means far apart.
-    with np.errstate(over="ignore"):
-        mean, cov, _ = _mixture_moments(stats, weights)
+    mean, cov, _ = _mixture_moments(stats, weights)
     covs = np.stack([s.cov for s in stats])
     # The start's eigendecomposition finds the range and is the first iterate's.
     w, v = _clamped_eigh(cov, "matrix")
@@ -649,9 +625,8 @@ def fid_avg_decomposition(
     aggregate (:func:`_against`).  ``const_part`` is
     ``sum_i w_i (||m - m_i||^2 + Tr C_i) + Tr C - 2 Tr M(C)``, with
     ``Tr M(C)`` from the map the solver evaluated at the ``C`` it
-    returns, so no eigensolve is needed.  It is checked as a distance is:
-    a value that is not finite or is below ``-VALUE_CLAMP`` raises
-    :class:`NumericalError`, and one in between is clamped to 0.  The
+    returns, so no eigensolve is needed.  It is checked as a distance is,
+    by the cancelling-value rule with ``VALUE_CLAMP``.  The
     errors raise in this order: the barycenter's, ``barycenter_part``'s,
     ``const_part``'s, then the aggregate's.
     """
@@ -663,14 +638,10 @@ def fid_avg_decomposition(
     stats = clients.stats_list()
     with np.errstate(over="ignore", invalid="ignore"):
         spread = [((s.mean - solution.mean) ** 2).sum() + np.trace(s.cov) for s in stats]
-        const = float(clients.weights @ spread + trace - 2.0 * trace_map)
-    if not np.isfinite(const):
-        raise NumericalError("distance is not finite")
-    if const < -VALUE_CLAMP:
-        raise NumericalError(f"distance {const!r} below clamp threshold")
+        const = clients.weights @ spread + trace - 2.0 * trace_map
     return DecompositionResult(
         barycenter_part=barycenter_part,
-        const_part=max(const, 0.0),
+        const_part=_cancelling(const, VALUE_CLAMP, "distance"),
         solution=solution,
         avg=_avg(clients, _against(gen, g, stats)),
     )

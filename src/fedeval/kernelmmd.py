@@ -24,7 +24,10 @@ the aggregations are then O(K^2) algebra on the sums.  A block sum
 depends only on its two sample sets: a client's score is bit for bit
 ``mmd2(client, gen)`` whether or not the cross-client pairs are listed,
 and the protocol simulator's kernel_blocks round sends this statistic's
-entries.  A kernel sum that is not finite raises ``NumericalError``.
+entries.  A kernel sum that is not finite raises ``NumericalError``, and
+so does a score: a vstat value goes through the cancelling-value rule
+of :mod:`fedeval.errors` (``VSTAT_CLAMP``), and a ustat value,
+``kid_avg`` and the gap through its finiteness rule.
 
 The polynomial kernel scales and offsets the ``x @ y.T`` product in
 place and takes the power by repeated products, not by a ``pow`` per
@@ -42,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tiles
-from .errors import NumericalError, SampleCountError
+from .errors import VSTAT_CLAMP, NumericalError, SampleCountError, _cancelling, _finite
 from .statkit import ClientSet, _is_real, _JsonFields, _read_json, _real, as_embeddings
 
-VSTAT_CLAMP = 1e-10
 # Largest polynomial kernel degree; each degree above 2 is one more pass
 # over every Gram tile.
 MAX_DEGREE = 100
@@ -220,21 +222,18 @@ def _within_mean(total: float, trace: float, n: int, estimator: str, label: str)
         return float(total / (n * n))
     if n < 2:
         raise SampleCountError(f"ustat requires >= 2 samples in {label}")
-    return float((total - trace) / (n * (n - 1)))
-
-
-def _clamp_vstat(value: float) -> float:
-    if value < 0.0:
-        if value < -VSTAT_CLAMP:
-            raise NumericalError(f"vstat MMD {value!r} below clamp threshold")
-        value = 0.0
-    return value
+    return float((float(total) - float(trace)) / (n * (n - 1)))
 
 
 def _mmd_result(within_ref, within_gen, cross, estimator) -> MmdResult:
+    """The squared MMD of three block means (Python floats, so nothing
+    warns): a vstat value by the cancelling-value rule with
+    ``VSTAT_CLAMP``, a ustat value by the finiteness rule."""
     value = within_ref + within_gen - 2.0 * cross
     if estimator == "vstat":
-        value = _clamp_vstat(value)
+        value = _cancelling(value, VSTAT_CLAMP, "vstat MMD")
+    else:
+        _finite(value, "ustat MMD")
     return MmdResult(
         value=value,
         within_ref=within_ref,
@@ -284,8 +283,10 @@ class KernelStats:
 
     def kid_avg(self, estimator: str = "vstat") -> KidAvgResult:
         per_client = [self.client_mmd2(i, estimator) for i in range(len(self.weights))]
-        values = np.array([r.value for r in per_client])
-        return KidAvgResult(value=float(self.weights @ values), per_client=per_client)
+        # Weights may sum to 1 + 1e-12, so a mean of finite scores can overflow.
+        with np.errstate(over="ignore"):
+            value = float(self.weights @ np.array([r.value for r in per_client]))
+        return KidAvgResult(value=_finite(value, "kid_avg"), per_client=per_client)
 
     def _cross_sums(self) -> np.ndarray:
         sums = np.ascontiguousarray(self.sums[: len(self.weights), : len(self.weights)])
@@ -294,6 +295,8 @@ class KernelStats:
         return sums
 
     def kid_all(self, estimator: str = "vstat") -> float:
+        """The pooled score: ``ustat`` of the concatenated client samples,
+        ``vstat`` of the weighted mixture's mean embedding."""
         k = len(self.weights)
         counts, m = self.counts[:k], self.counts[k]
         # contiguous, so that a reduction over it adds in the same order
@@ -302,18 +305,18 @@ class KernelStats:
             if not self.natural_weights:
                 raise ValueError("ustat pooled score requires weights n_i / n")
             n = int(counts.sum())
-            return _mmd_result(
-                _within_mean(self._cross_sums().sum(), self.traces[:k].sum(), n, estimator, "ref"),
-                _within_mean(self.sums[k, k], self.traces[k], m, estimator, "gen"),
-                float(gen_sums.sum() / (n * m)),
-                estimator,
-            ).value
-        _check_estimator(estimator)
-        w = self.weights
-        b = self._cross_sums() / np.outer(counts, counts)
-        b_gen = gen_sums / (counts * m)
-        gen_gen = self.sums[k, k] / m**2
-        return float(_clamp_vstat(float(w @ b @ w) + gen_gen - 2.0 * float(w @ b_gen)))
+            # A sum of finite block sums can overflow; the value's rule rejects it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                total, trace = self._cross_sums().sum(), self.traces[:k].sum()
+                cross = float(gen_sums.sum() / (n * m))
+            within = _within_mean(total, trace, n, estimator, "ref")
+        else:
+            _check_estimator(estimator)
+            w = self.weights
+            within = float(w @ (self._cross_sums() / np.outer(counts, counts)) @ w)
+            cross = float(w @ (gen_sums / (counts * m)))
+        gen = _within_mean(self.sums[k, k], self.traces[k], m, estimator, "gen")
+        return _mmd_result(within, gen, cross, estimator).value
 
     def gap(self) -> float:
         """Weighted mean squared MMD between the client mixture and each client."""
@@ -322,9 +325,9 @@ class KernelStats:
         b = self._cross_sums() / np.outer(counts, counts)
         mix_mix = float(w @ b @ w)
         gap = 0.0
-        for i, w_i in enumerate(w):
-            gap += w_i * (mix_mix + b[i, i] - 2.0 * float(w @ b[:, i]))
-        return float(gap)
+        for i, w_i in enumerate(w.tolist()):
+            gap += w_i * (mix_mix + float(b[i, i]) - 2.0 * float(w @ b[:, i]))
+        return _finite(gap, "gap")
 
 
 def _kernel_stats(spec, mats, gen, cross, weights, natural_weights) -> KernelStats:

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotPsdError, NumericalError, SampleCountError
+from .errors import NotPsdError, SampleCountError, _finite
 
 FEVB_MAGIC = b"FEVB"
 FEVB_VERSION = 1
@@ -588,13 +588,17 @@ def _mixture_moments(stats: list[GaussianStats], w: np.ndarray):
     """The mixture of ``stats`` under weights ``w``: its mean ``m``, within
     part ``W = sum_i w_i C_i`` and between part ``B = sum_i w_i d_i d_i^T``
     over the centred means ``d_i = m_i - m``, both symmetrized.  Centring
-    keeps a shift common to every client out of ``B``'s roundoff."""
+    keeps a shift common to every client out of ``B``'s roundoff.  A part
+    that overflows (means about 1e200 apart, say) comes back with entries
+    that are not finite, without a warning; :class:`GaussianStats` rejects
+    such a part where a caller keeps it."""
     means = np.stack([s.mean for s in stats])
-    mean = w @ means
-    within = np.einsum("i,ijk->jk", w, np.stack([s.cov for s in stats]))
-    centred = means - mean
-    between = (w * centred.T) @ centred
-    return mean, _symmetrized(within), _symmetrized(between)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = w @ means
+        within = np.einsum("i,ijk->jk", w, np.stack([s.cov for s in stats]))
+        centred = means - mean
+        between = (w * centred.T) @ centred
+        return mean, _symmetrized(within), _symmetrized(between)
 
 
 def pool_moments(clients: ClientSet, estimator: str = "population") -> GaussianStats:
@@ -645,9 +649,7 @@ def gaussian_log_density(x, model: GaussianModel) -> np.ndarray:
         solved = np.linalg.solve(chol, diff.T)
         quad = np.sum(solved**2, axis=0)
         density = -0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
-    if not np.isfinite(density).all():
-        raise NumericalError("log-density is not finite")
-    return density
+    return _finite(density, "log-density")
 
 
 def log_likelihood_scores(
@@ -667,6 +669,5 @@ def log_likelihood_scores(
         per_client = [float(np.mean(d)) for d in densities]
         avg = float(clients.weights @ np.asarray(per_client))
         all_score = float(np.mean(np.concatenate(densities))) if pooled else None
-    if not np.isfinite([*per_client, avg, 0.0 if all_score is None else all_score]).all():
-        raise NumericalError("mean log-density is not finite")
+    _finite([*per_client, avg, 0.0 if all_score is None else all_score], "mean log-density")
     return LogLikelihoodScores(per_client=per_client, avg=avg, all=all_score)

@@ -1260,6 +1260,48 @@ def test_non_finite_log_likelihood_exit_2(tmp_path):
     assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: log-density is not finite\n")
 
 
+KID_SCORES = [
+    ["--ref", "ref.csv"],
+    ["--clients", "clients.json", "--gap"],
+    ["--clients", "clients.json", "--agg", "all"],
+]
+
+
+@pytest.mark.parametrize("scores", KID_SCORES)
+def test_non_finite_kid_exit_2(tmp_path, monkeypatch, scores):
+    """Kernel sums that are finite (degree 1, samples 1e154 and -1e154)
+    but a score that overflows: one error line and exit 2, with no
+    warning, not Infinity (and a NaN gap) with exit 0."""
+    monkeypatch.chdir(tmp_path)
+    kernel = {"kind": "polynomial", "degree": 1, "scale": 1.0, "offset": 0.0}
+    Path("kernel.json").write_text(json.dumps(kernel))
+    Path("ref.csv").write_text("1e154\n")
+    Path("gen.csv").write_text("-1e154\n")
+    entries = [{"id": name, "embeddings": "ref.csv"} for name in ("a", "b")]
+    Path("clients.json").write_text(json.dumps({"clients": entries}))
+    args = ["kid", "--gen", "gen.csv", "--kernel", "kernel.json", *scores]
+    assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: vstat MMD is not finite\n")
+
+
+@pytest.mark.parametrize("subcommand", [["fid", "--agg", "all"], ["stats"], ["counterexample"]])
+def test_overflowing_mixture_is_one_input_error(tmp_path, subcommand):
+    """Two moments clients with means +-1e200 (d=3): the pool's between part
+    overflows, and each subcommand that pools them gives the one error line
+    of a non-finite Gaussian, exit 1, with no warning before it."""
+    entries = []
+    for i, side in enumerate((-1.0, 1.0)):
+        stats = fedeval.GaussianStats(n=4, mean=np.full(3, side * 1e200), cov=np.eye(3))
+        save_stats(stats, tmp_path / f"c{i}.json")
+        entries.append({"id": f"c{i}", "moments": f"c{i}.json"})
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": entries}))
+    save_stats(fedeval.GaussianStats(n=4, mean=np.zeros(3), cov=np.eye(3)), tmp_path / "gen.json")
+    args = [*subcommand, "--clients", tmp_path / "clients.json"]
+    if subcommand[0] == "fid":
+        args += ["--gen", tmp_path / "gen.json"]
+    expected = (1, "fedeval: error: non-finite entry in Gaussian parameters\n")
+    assert _run_warnings_as_errors(args) == expected
+
+
 def test_covariance_near_float_max_is_scored(workspace, capsys):
     """A valid covariance whose entries are near float max is symmetrized
     without overflow and scored."""

@@ -41,7 +41,8 @@ from fedeval import (
     variance_limited_sweep,
 )
 from fedeval.fedsim import materialize_client, materialize_generator, write_score_csv
-from fedeval.frechet import _clamp, _references, psd_sqrt
+from fedeval.errors import _eigenvalue_floor
+from fedeval.frechet import _references, psd_sqrt
 from fedeval.kernelmmd import kernel_stats
 
 from conftest import random_raw_clients
@@ -478,7 +479,7 @@ def oracle_psd_sqrt(a):
     if np.linalg.norm(a - a.T) > 1e-10 * scale:
         raise NotPsdError("matrix is not symmetric")
     w, v = np.linalg.eigh((a + a.T) / 2.0)
-    b = (v * np.sqrt(_clamp(w, "matrix"))) @ v.T
+    b = (v * np.sqrt(_eigenvalue_floor(w, "matrix"))) @ v.T
     return (b + b.T) / 2.0
 
 

@@ -56,6 +56,7 @@ from fedeval import (
     NumericalError,
     barycenter,
     counterexample,
+    errors,
     fid_all,
     fid_avg,
     fid_avg_decomposition,
@@ -85,7 +86,7 @@ SETTINGS = settings(
 def oracle_clamped_eigh(a, what):
     w, v = np.linalg.eigh(a)
     lam_max = max(float(w[-1]), 0.0)
-    floor = -frechet.EIGENVALUE_CLAMP_REL * lam_max
+    floor = -errors.EIGENVALUE_CLAMP_REL * lam_max
     if float(w[0]) < floor:
         raise NotPsdError(
             f"{what} is not PSD: eigenvalue {w[0]:.3e} below clamp threshold {floor:.3e}"
@@ -775,13 +776,13 @@ def test_distances_check_no_reference_spectrum(monkeypatch, rng):
     refs = frechet._references(clients.stats_list())
     g = _gen(rng, 4)
     seen = []
-    original = frechet._below_clamp
+    original = frechet._below_floor
 
     def recording(w):
         seen.append(w)
         return original(w)
 
-    monkeypatch.setattr(frechet, "_below_clamp", recording)
+    monkeypatch.setattr(frechet, "_below_floor", recording)
     for _ in range(3):
         frechet._distances(refs, g.mean, g.cov)
     assert len(seen) == 3

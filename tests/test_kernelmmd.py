@@ -23,7 +23,7 @@ from fedeval import (
 )
 
 from fedeval.errors import NumericalError
-from fedeval.kernelmmd import kernel_stats
+from fedeval.kernelmmd import KernelStats, kernel_stats
 
 from conftest import random_raw_clients
 
@@ -349,26 +349,72 @@ def test_non_finite_kernel_sum_raises(spec, rng):
             score()
 
 
-def test_vstat_roundoff_below_zero_clamps_to_zero():
-    # a plug-in score a hair below 0 (block sums 1, 1 - 3e-12 and a cross
-    # sum of 1) is roundoff and reads 0; further below is an error
-    from fedeval.kernelmmd import VSTAT_CLAMP, KernelStats, _clamp_vstat
-
-    stats = KernelStats(
+def _one_client_stats(gen_sum: float):
+    """Block sums 1 for the client and the cross pair, ``gen_sum`` for the
+    generator: a plug-in score of ``gen_sum - 1`` on both paths."""
+    return KernelStats(
         weights=np.ones(1),
         natural_weights=True,
         counts=np.array([1, 1]),
-        sums=np.array([[1.0, 1.0], [1.0, 1.0 - 3e-12]]),
-        traces=np.array([1.0, 1.0 - 3e-12]),
+        sums=np.array([[1.0, 1.0], [1.0, gen_sum]]),
+        traces=np.array([1.0, gen_sum]),
     )
+
+
+def test_vstat_roundoff_below_zero_clamps_to_zero():
+    # a plug-in score a hair below 0 (block sums 1, 1 - 3e-12 and a cross
+    # sum of 1) is roundoff and reads 0; further below is an error
+    from fedeval.errors import VSTAT_CLAMP, _cancelling
+
+    stats = _one_client_stats(1.0 - 3e-12)
     result = stats.client_mmd2(0)
     assert result.within_ref + result.within_gen - 2.0 * result.cross < 0.0
     assert repr(result.value) == "0.0"
     assert repr(stats.kid_all()) == "0.0"
-    assert repr(_clamp_vstat(-VSTAT_CLAMP)) == "0.0"
-    assert _clamp_vstat(0.25) == 0.25
+    assert repr(_cancelling(-VSTAT_CLAMP, VSTAT_CLAMP, "vstat MMD")) == "0.0"
+    assert _cancelling(0.25, VSTAT_CLAMP, "vstat MMD") == 0.25
     with pytest.raises(NumericalError, match="below clamp threshold"):
-        _clamp_vstat(-2 * VSTAT_CLAMP)
+        _cancelling(-2 * VSTAT_CLAMP, VSTAT_CLAMP, "vstat MMD")
+    # the per-client and the pooled path give one text, the Python float's
+    # repr (numpy 2 would write a numpy scalar as np.float64(...))
+    stats = _one_client_stats(1.0 - 2e-6)
+    message = "^vstat MMD -1\\.9999999998354667e-06 below clamp threshold$"
+    for score in (lambda: stats.client_mmd2(0), stats.kid_all):
+        with pytest.raises(NumericalError, match=message):
+            score()
+
+
+def test_non_finite_kernel_scores_raise():
+    """Finite kernel sums whose scores overflow: a vstat value is refused
+    by the cancelling-value rule, the ustat values, ``kid_avg`` and the gap
+    by the finiteness rule, each without a warning."""
+    spec = KernelSpec(kind="polynomial", degree=1, scale=1.0, offset=0.0)
+    x, gen = np.array([[1e154]]), np.array([[-1e154]])
+    clients = ClientSet([Client(id="a", embeddings=x), Client(id="b", embeddings=x)])
+    stats = kernel_stats(clients, gen, spec)
+    for score in (lambda: mmd2(spec, x, gen), stats.kid_avg, stats.kid_all):
+        with pytest.raises(NumericalError, match="^vstat MMD is not finite$"):
+            score()
+    with pytest.raises(NumericalError, match="^gap is not finite$"):
+        stats.gap()
+    # the off-diagonal kernel sum of two samples, total - trace, overflows
+    spec = KernelSpec(kind="polynomial", degree=1, scale=1.0, offset=-1e308)
+    ref = np.sqrt(1.5e308) * np.eye(2)
+    with pytest.raises(NumericalError, match="^ustat MMD is not finite$"):
+        mmd2(spec, ref, ref, "ustat")
+    # finite per-client scores at the float limit, under weights that sum
+    # to 1 + 5e-13 (within the client set's tolerance): their mean overflows
+    top = np.finfo(float).max
+    stats = KernelStats(
+        weights=np.array([0.5, 0.5 + 5e-13]),
+        natural_weights=False,
+        counts=np.array([1, 1, 1]),
+        sums=np.diag([top, top, 0.0]),
+        traces=np.array([top, top, 0.0]),
+    )
+    assert stats.client_mmd2(0).value == stats.client_mmd2(1).value == top
+    with pytest.raises(NumericalError, match="^kid_avg is not finite$"):
+        stats.kid_avg()
 
 
 def test_pooled_scores_need_the_cross_client_blocks(rng):
