@@ -20,35 +20,6 @@ import numpy as np
 from . import statkit
 from .errors import NumericalError
 
-# Which subcommand exercises each public library operation (one each).
-OPERATION_SUBCOMMANDS = {
-    "statkit.ingest": "stats",
-    "statkit.moments": "stats",
-    "statkit.pool_moments": "stats",
-    "statkit.log_likelihood_scores": "stats",
-    "frechet.psd_sqrt": "barycenter",
-    "frechet.frechet_distance": "fid",
-    "frechet.fid_all": "fid",
-    "frechet.fid_avg": "fid",
-    "frechet.barycenter": "barycenter",
-    "frechet.fid_avg_decomposition": "barycenter",
-    "kernelmmd.kernel_eval": "kid",
-    "kernelmmd.mmd2": "kid",
-    "kernelmmd.kid_avg": "kid",
-    "kernelmmd.kid_all": "kid",
-    "kernelmmd.kid_constant_gap": "kid",
-    "prdc.knn_radii": "prdc",
-    "prdc.prdc_scores": "prdc",
-    "prdc.prdc_aggregate": "prdc",
-    "counterexample.construct": "counterexample",
-    "counterexample.search_matched_pair": "counterexample",
-    "fedsim.run_round": "simulate",
-    "fedsim.mode_collapse_timeline": "simulate",
-    "fedsim.toy_mixture_sweep": "sweep",
-    "fedsim.variance_limited_sweep": "sweep",
-    "fedsim.compare_rankings": "rank",
-}
-
 # Most steps a --grid start:stop:step may span; a finer grid is refused
 # before any point is built, not left to run out of memory.
 MAX_GRID_STEPS = 10**6
@@ -238,8 +209,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_simulate(args) -> int:
     """Run a scenario: a collapse timeline's ratios and detections, or a
     round per generator, whose rows hold only scalar scores.  A PRDC
-    score is computed but written nowhere, except, in ``scores`` mode,
-    as each client's reply in the trace (``--out-trace``)."""
+    score is computed but written nowhere and held nowhere, except, in
+    ``scores`` mode, as each client's reply in the trace (``--out-trace``)."""
     from . import fedsim
 
     scenario = fedsim.load_scenario(args.scenario)

@@ -36,8 +36,11 @@ cancelling value: ``_cancelling``, array form ``_cancelling_rows``
 finiteness: ``_finite``
     threshold  none
     text       ``<what> is not finite``, ``<what>`` one of
-               ``covariance product``, ``ustat MMD``, ``kid_avg``,
-               ``gap``, ``log-density``, ``mean log-density``
+               ``covariance product``, ``ustat MMD``, ``gap``,
+               ``log-density``, or, for an avg aggregation's weighted
+               mean (``statkit._weighted_mean``, the one place an avg is
+               summed), ``fid_avg``, ``kid_avg``, ``mean log-density``,
+               ``prdc_avg``
     exit       2
 inline, per element, at the loops of the tile passes and Fréchet stacks
     threshold  none: squared distances are clipped at 0

@@ -660,14 +660,15 @@ def default_collapse_scenario(seed: int = 0) -> Scenario:
 
 
 def run_scenario(scenario: Scenario) -> dict:
-    """Materialize and run a scenario; returns rows plus report/trace data.
+    """Materialize and run a scenario; returns its rows and, for a round,
+    its message trace (for a collapse scenario, the timeline result).
 
     A collapse scenario draws only its clients here: the timeline draws
     each generator in its step.  A round's rows keep only its scalar
     scores: a PRDC score (a record of four) is computed when asked for
-    but left out of the rows, so it is in the returned reports and, in
-    ``scores`` mode, in the trace's ``ScoreReply`` bodies, and nowhere
-    else.
+    but left out of the rows, so a ``raw`` round's PRDC is held nowhere,
+    and a ``scores`` round's per-client PRDC only in the trace's
+    ``ScoreReply`` bodies.
     """
     if scenario.kind == "collapse":
         clients, _ = _materialize(scenario.clients, [], scenario.seed)
@@ -683,7 +684,6 @@ def run_scenario(scenario: Scenario) -> dict:
     clients, generators = scenario.materialize()
     trace = ProtocolTrace()
     rows = []
-    reports = []
     for spec, gen in zip(scenario.generators, generators):
         report, round_trace = run_round(
             clients, gen, scenario.mode, scenario.metrics, kernel=scenario.kernel
@@ -698,8 +698,7 @@ def run_scenario(scenario: Scenario) -> dict:
             }
         )
         rows.append(row)
-        reports.append(report)
-    return {"kind": "round", "rows": rows, "reports": reports, "trace": trace}
+    return {"kind": "round", "rows": rows, "trace": trace}
 
 
 TOY_SWEEP_COLUMNS = (

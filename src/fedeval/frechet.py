@@ -72,11 +72,13 @@ from .errors import VALUE_CLAMP, ConvergenceError, NotPsdError, NumericalError
 from .errors import _below_floor, _cancelling, _cancelling_rows, _eigenvalue_floor, _finite
 from .statkit import (
     SYMMETRY_RTOL,
+    AvgResult,
     ClientSet,
     _far,
     _JsonFields,
     _mixture_moments,
     _symmetrized,
+    _weighted_mean,
     pool_moments,
 )
 
@@ -272,21 +274,14 @@ def fid_all(clients: ClientSet, g) -> FrechetResult:
     return _fid(clients, g, avg=False)[1]
 
 
-@dataclass
-class FidAvgResult:
-    """Weighted mean of per-client distances, with the per-client breakdown."""
-
-    value: float
-    per_client: list[FrechetResult]
-
-
-def fid_avg(clients: ClientSet, g) -> FidAvgResult:
-    """Weighted mean of per-client distances to ``g`` (clients in id order)."""
+def fid_avg(clients: ClientSet, g) -> AvgResult:
+    """Weighted mean of per-client distances to ``g`` (clients in id order),
+    each a :class:`FrechetResult`."""
     return _fid(clients, g, pooled=False)[0]
 
 
-def _avg(clients: ClientSet, rows) -> FidAvgResult:
-    return FidAvgResult(value=float(clients.weights @ rows[0]), per_client=_results(rows))
+def _avg(clients: ClientSet, rows) -> AvgResult:
+    return AvgResult(_weighted_mean(clients.weights, rows[0], "fid_avg"), _results(rows))
 
 
 def _fid(clients: ClientSet, g, avg: bool = True, pooled: bool = True):
@@ -612,7 +607,7 @@ class DecompositionResult:
     barycenter_part: float
     const_part: float
     solution: BarycenterSolution
-    avg: FidAvgResult
+    avg: AvgResult
 
 
 def fid_avg_decomposition(

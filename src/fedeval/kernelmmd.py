@@ -46,7 +46,8 @@ import numpy as np
 
 from . import tiles
 from .errors import VSTAT_CLAMP, NumericalError, SampleCountError, _cancelling, _finite
-from .statkit import ClientSet, _is_real, _JsonFields, _read_json, _real, as_embeddings
+from .statkit import AvgResult, ClientSet, _is_real, _JsonFields, _read_json, _real, _weighted_mean
+from .statkit import as_embeddings
 
 # Largest polynomial kernel degree; each degree above 2 is one more pass
 # over every Gram tile.
@@ -244,14 +245,6 @@ def _mmd_result(within_ref, within_gen, cross, estimator) -> MmdResult:
 
 
 @dataclass
-class KidAvgResult:
-    """Weighted mean of per-client squared-MMD scores."""
-
-    value: float
-    per_client: list[MmdResult]
-
-
-@dataclass
 class KernelStats:
     """Kernel block sums of K weighted clients and one generator set, block K.
 
@@ -281,18 +274,27 @@ class KernelStats:
             estimator,
         )
 
-    def kid_avg(self, estimator: str = "vstat") -> KidAvgResult:
+    def kid_avg(self, estimator: str = "vstat") -> AvgResult:
+        """Weighted mean of the per-client scores, each an :class:`MmdResult`."""
         per_client = [self.client_mmd2(i, estimator) for i in range(len(self.weights))]
-        # Weights may sum to 1 + 1e-12, so a mean of finite scores can overflow.
-        with np.errstate(over="ignore"):
-            value = float(self.weights @ np.array([r.value for r in per_client]))
-        return KidAvgResult(value=_finite(value, "kid_avg"), per_client=per_client)
+        values = [r.value for r in per_client]
+        return AvgResult(_weighted_mean(self.weights, values, "kid_avg"), per_client)
 
     def _cross_sums(self) -> np.ndarray:
         sums = np.ascontiguousarray(self.sums[: len(self.weights), : len(self.weights)])
         if np.isnan(sums).any():
             raise ValueError("kernel statistic was built without cross-client blocks")
         return sums
+
+    def _mixture(self) -> tuple[np.ndarray, float]:
+        """The clients' block means ``b = sums / (n_i n_j)`` and the mixture's
+        ``w b w``.  Weights may sum to 1 + 1e-12, so ``w b w`` can overflow;
+        it does so without a warning, and the caller's rule rejects it."""
+        w = self.weights
+        counts = self.counts[: len(w)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = self._cross_sums() / np.outer(counts, counts)
+            return b, float(w @ b @ w)
 
     def kid_all(self, estimator: str = "vstat") -> float:
         """The pooled score: ``ustat`` of the concatenated client samples,
@@ -312,21 +314,20 @@ class KernelStats:
             within = _within_mean(total, trace, n, estimator, "ref")
         else:
             _check_estimator(estimator)
-            w = self.weights
-            within = float(w @ (self._cross_sums() / np.outer(counts, counts)) @ w)
-            cross = float(w @ (gen_sums / (counts * m)))
+            within = self._mixture()[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                cross = float(self.weights @ (gen_sums / (counts * m)))
         gen = _within_mean(self.sums[k, k], self.traces[k], m, estimator, "gen")
         return _mmd_result(within, gen, cross, estimator).value
 
     def gap(self) -> float:
         """Weighted mean squared MMD between the client mixture and each client."""
         w = self.weights
-        counts = self.counts[: len(w)]
-        b = self._cross_sums() / np.outer(counts, counts)
-        mix_mix = float(w @ b @ w)
+        b, mix_mix = self._mixture()
         gap = 0.0
-        for i, w_i in enumerate(w.tolist()):
-            gap += w_i * (mix_mix + float(b[i, i]) - 2.0 * float(w @ b[:, i]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, w_i in enumerate(w.tolist()):
+                gap += w_i * (mix_mix + float(b[i, i]) - 2.0 * float(w @ b[:, i]))
         return _finite(gap, "gap")
 
 
@@ -385,7 +386,7 @@ def mmd2(spec: KernelSpec, ref, gen, estimator: str = "vstat") -> MmdResult:
 
 def kid_avg(
     clients: ClientSet, gen, spec: KernelSpec | None = None, estimator: str = "vstat"
-) -> KidAvgResult:
+) -> AvgResult:
     """Weighted mean of per-client scores against ``gen`` (clients in id order)."""
     _check_estimator(estimator)
     return kernel_stats(clients, gen, spec, cross=False).kid_avg(estimator)

@@ -40,13 +40,13 @@ distances are not finite raises ``NumericalError``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import tiles
 from .errors import NumericalError, SampleCountError
-from .statkit import ClientSet, _JsonFields, as_embeddings
+from .statkit import ClientSet, _JsonFields, _weighted_mean, as_embeddings
 
 DEFAULT_K = 5
 
@@ -295,11 +295,6 @@ def prdc_aggregate(
     """
     gen = as_embeddings(gen)
     all_, per_client = _scores(clients.client_embeddings(), gen, k, pooled)
-    w = clients.weights
-    avg = PrdcResult(
-        precision=float(w @ [r.precision for r in per_client]),
-        recall=float(w @ [r.recall for r in per_client]),
-        density=float(w @ [r.density for r in per_client]),
-        coverage=float(w @ [r.coverage for r in per_client]),
-    )
+    columns = zip(*map(astuple, per_client))
+    avg = PrdcResult(*(_weighted_mean(clients.weights, c, "prdc_avg") for c in columns))
     return PrdcAggregate(all=all_, avg=avg, per_client=per_client)

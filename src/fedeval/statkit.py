@@ -6,7 +6,10 @@ values on top of it:
 
 * :class:`GaussianStats` -- ``(n, mean, cov)`` sufficient statistics,
 * :class:`GaussianModel` -- a Gaussian surrogate without a sample count,
-* :class:`ClientSet` -- an ordered, weighted collection of clients.
+* :class:`ClientSet` -- an ordered, weighted collection of clients,
+* :class:`AvgResult` -- an avg aggregation: the weighted mean of
+  per-client scores (:func:`_weighted_mean`, the one place an avg is
+  summed) with the per-client results.
 
 File formats
 ------------
@@ -615,11 +618,27 @@ def pool_moments(clients: ClientSet, estimator: str = "population") -> GaussianS
         stats = clients.stats_list()
     else:
         stats = [moments(c.embeddings, estimator) if c.stats is None else c.stats for c in clients]
-    w = clients.weights
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"client weights sum to {w.sum()!r}, expected 1")
-    mean, within, between = _mixture_moments(stats, w)
+    mean, within, between = _mixture_moments(stats, clients.weights)
     return GaussianStats(n=int(sum(s.n for s in stats)), mean=mean, cov=within + between)
+
+
+@dataclass
+class AvgResult:
+    """The avg aggregation: the weighted mean of per-client scores, with the
+    per-client breakdown."""
+
+    value: float
+    per_client: list
+
+
+def _weighted_mean(weights: np.ndarray, values, what: str) -> float:
+    """``weights @ values`` as a Python float: every avg aggregation is this
+    one sum.  Weights may sum to 1 + 1e-12, so a mean of finite values can
+    overflow; it does so without a warning and is then a
+    :class:`NumericalError` (``<what> is not finite``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(weights @ values)
+    return _finite(value, what)
 
 
 @dataclass
@@ -667,7 +686,7 @@ def log_likelihood_scores(
     densities = [gaussian_log_density(x, model) for x in clients.client_embeddings()]
     with np.errstate(over="ignore"):
         per_client = [float(np.mean(d)) for d in densities]
-        avg = float(clients.weights @ np.asarray(per_client))
         all_score = float(np.mean(np.concatenate(densities))) if pooled else None
-    _finite([*per_client, avg, 0.0 if all_score is None else all_score], "mean log-density")
+    _finite([*per_client, 0.0 if all_score is None else all_score], "mean log-density")
+    avg = _weighted_mean(clients.weights, per_client, "mean log-density")
     return LogLikelihoodScores(per_client=per_client, avg=avg, all=all_score)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import fedeval
 from fedeval import moments, write_embeddings
-from fedeval.cli import OPERATION_SUBCOMMANDS, build_parser, main, parse_grid
+from fedeval.cli import build_parser, main, parse_grid
 from fedeval.statkit import save_stats
 
 
@@ -1121,25 +1121,6 @@ def test_refused_allocation_is_one_error_line(tmp_path):
         assert proc.stderr.count("\n") == 1
 
 
-def test_every_operation_mapped_to_exactly_one_subcommand():
-    import importlib
-
-    parser = build_parser()
-    subcommands = {
-        a.dest: a.choices for a in parser._actions if hasattr(a, "choices") and a.choices
-    }["command"]
-    seen = {}
-    for op, sub in OPERATION_SUBCOMMANDS.items():
-        assert sub in subcommands, f"{op} mapped to unknown subcommand {sub}"
-        module_name, func_name = op.split(".")
-        module = importlib.import_module(f"fedeval.{module_name}")
-        assert callable(getattr(module, func_name)), f"{op} does not resolve"
-        assert op not in seen
-        seen[op] = sub
-    # the registry covers the complete public operation surface
-    assert len(OPERATION_SUBCOMMANDS) == 25
-
-
 @pytest.fixture
 def inputs_dir(workspace):
     """The workspace, plus a score table for ``rank`` to compare against."""
@@ -1264,23 +1245,56 @@ KID_SCORES = [
     ["--ref", "ref.csv"],
     ["--clients", "clients.json", "--gap"],
     ["--clients", "clients.json", "--agg", "all"],
+    ["--clients", "weighted.json", "--agg", "all"],
 ]
+
+# sqrt(DBL_MAX) * (1 - 1e-16): its square, 1.7976931348623151e308, is
+# finite, and its mean under weights that sum to 1 + 9e-13, which a client
+# set accepts, overflows.
+TOP = 1.3407807929942594e154
+TOP_WEIGHTS = (0.5000000000009, 0.5)
 
 
 @pytest.mark.parametrize("scores", KID_SCORES)
 def test_non_finite_kid_exit_2(tmp_path, monkeypatch, scores):
     """Kernel sums that are finite (degree 1, samples 1e154 and -1e154)
     but a score that overflows: one error line and exit 2, with no
-    warning, not Infinity (and a NaN gap) with exit 0."""
+    warning, not Infinity (and a NaN gap) with exit 0.  The weighted
+    clients' block means are finite, and their mixture term ``w b w``
+    overflows."""
     monkeypatch.chdir(tmp_path)
     kernel = {"kind": "polynomial", "degree": 1, "scale": 1.0, "offset": 0.0}
     Path("kernel.json").write_text(json.dumps(kernel))
     Path("ref.csv").write_text("1e154\n")
     Path("gen.csv").write_text("-1e154\n")
+    Path("top.csv").write_text(f"{TOP!r}\n")
     entries = [{"id": name, "embeddings": "ref.csv"} for name in ("a", "b")]
     Path("clients.json").write_text(json.dumps({"clients": entries}))
+    entries = [
+        {"id": name, "weight": weight, "embeddings": "top.csv"}
+        for name, weight in zip("ab", TOP_WEIGHTS)
+    ]
+    Path("weighted.json").write_text(json.dumps({"clients": entries}))
     args = ["kid", "--gen", "gen.csv", "--kernel", "kernel.json", *scores]
     assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: vstat MMD is not finite\n")
+
+
+@pytest.mark.parametrize("agg", ["avg", "both"])
+def test_non_finite_fid_avg_exit_2(tmp_path, agg):
+    """Two one-dimensional moments clients with mean ``TOP`` and weights
+    that sum to 1 + 9e-13, against a generator at 0: each distance is
+    finite and their weighted mean overflows.  The clients are scored
+    before the pool, so both aggregations give the avg's one error line
+    and exit 2, with no warning, not ``"fid_avg": Infinity`` with exit 0."""
+    entries = []
+    for name, weight in zip("ab", TOP_WEIGHTS):
+        save_stats(fedeval.GaussianStats(n=4, mean=[TOP], cov=[[1.0]]), tmp_path / f"{name}.json")
+        entries.append({"id": name, "weight": weight, "moments": f"{name}.json"})
+    (tmp_path / "clients.json").write_text(json.dumps({"clients": entries}))
+    save_stats(fedeval.GaussianStats(n=4, mean=[0.0], cov=[[1.0]]), tmp_path / "gen.json")
+    args = ["fid", "--clients", tmp_path / "clients.json", "--gen", tmp_path / "gen.json"]
+    args += ["--agg", agg]
+    assert _run_warnings_as_errors(args) == (2, "fedeval: numerical failure: fid_avg is not finite\n")
 
 
 @pytest.mark.parametrize("subcommand", [["fid", "--agg", "all"], ["stats"], ["counterexample"]])

@@ -150,8 +150,9 @@ def test_distance_dimension_mismatch():
 
 
 def test_distance_overflow_raises():
-    """A covariance product or a value that overflows is a NumericalError
-    naming it, with no warning; in a stack the first failing row raises."""
+    """A covariance product, a value or a weighted mean of values that
+    overflows is a NumericalError naming it, with no warning; in a stack
+    the first failing row raises."""
     unit = SimpleNamespace(mean=np.zeros(2), cov=np.eye(2))
     far = SimpleNamespace(mean=np.array([1e308, 0.0]), cov=np.eye(2))
     huge = SimpleNamespace(mean=np.zeros(2), cov=1e200 * np.eye(2))
@@ -163,6 +164,13 @@ def test_distance_overflow_raises():
         _distances(_references([far, huge]), huge.mean, huge.cov)
     with pytest.raises(NumericalError, match="^covariance product is not finite$"):
         _distances(_references([huge, far]), huge.mean, huge.cov)
+    # finite distances sqrt(DBL_MAX)^2 (1 - 2e-16) under weights that
+    # sum to 1 + 9e-13: their weighted mean overflows
+    top = GaussianStats(n=4, mean=[1.3407807929942594e154], cov=[[1.0]])
+    clients = ClientSet([Client(id="a", weight=0.5000000000009, stats=top),
+                         Client(id="b", weight=0.5, stats=top)])
+    with pytest.raises(NumericalError, match="^fid_avg is not finite$"):
+        fid_avg(clients, GaussianStats(n=4, mean=[0.0], cov=[[1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,8 @@ def test_vstat_roundoff_below_zero_clamps_to_zero():
 def test_non_finite_kernel_scores_raise():
     """Finite kernel sums whose scores overflow: a vstat value is refused
     by the cancelling-value rule, the ustat values, ``kid_avg`` and the gap
-    by the finiteness rule, each without a warning."""
+    by the finiteness rule, each without a warning (a ``RuntimeWarning``
+    fails the suite)."""
     spec = KernelSpec(kind="polynomial", degree=1, scale=1.0, offset=0.0)
     x, gen = np.array([[1e154]]), np.array([[-1e154]])
     clients = ClientSet([Client(id="a", embeddings=x), Client(id="b", embeddings=x)])
@@ -398,10 +399,10 @@ def test_non_finite_kernel_scores_raise():
     with pytest.raises(NumericalError, match="^gap is not finite$"):
         stats.gap()
     # the off-diagonal kernel sum of two samples, total - trace, overflows
-    spec = KernelSpec(kind="polynomial", degree=1, scale=1.0, offset=-1e308)
+    shifted = KernelSpec(kind="polynomial", degree=1, scale=1.0, offset=-1e308)
     ref = np.sqrt(1.5e308) * np.eye(2)
     with pytest.raises(NumericalError, match="^ustat MMD is not finite$"):
-        mmd2(spec, ref, ref, "ustat")
+        mmd2(shifted, ref, ref, "ustat")
     # finite per-client scores at the float limit, under weights that sum
     # to 1 + 5e-13 (within the client set's tolerance): their mean overflows
     top = np.finfo(float).max
@@ -415,6 +416,16 @@ def test_non_finite_kernel_scores_raise():
     assert stats.client_mmd2(0).value == stats.client_mmd2(1).value == top
     with pytest.raises(NumericalError, match="^kid_avg is not finite$"):
         stats.kid_avg()
+    # finite block means sqrt(DBL_MAX)^2 (1 - 2e-16) under weights that sum
+    # to 1 + 9e-13: the mixture term w b w of the pooled score and the gap
+    # overflows
+    x = np.array([[1.3407807929942594e154]])
+    clients = ClientSet([Client(id="a", weight=0.5000000000009, embeddings=x),
+                         Client(id="b", weight=0.5, embeddings=x)])
+    with pytest.raises(NumericalError, match="^vstat MMD is not finite$"):
+        kid_all(clients, np.zeros((1, 1)), spec)
+    with pytest.raises(NumericalError, match="^gap is not finite$"):
+        kid_constant_gap(clients, spec)
 
 
 def test_pooled_scores_need_the_cross_client_blocks(rng):

@@ -1,5 +1,7 @@
 """Every Python file parses as Python 3.10, the oldest version
-``requires-python`` admits."""
+``requires-python`` admits: the package, tests, demos, benchmark and the
+CI workflow's scripts (``.github/scripts``, which the ``min-deps`` job
+runs on Python 3.10)."""
 
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
-    p for top in ("src", "tests", "demos", "perfbench") for p in (ROOT / top).rglob("*.py")
+    p
+    for top in ("src", "tests", "demos", "perfbench", ".github/scripts")
+    for p in (ROOT / top).rglob("*.py")
 )
 
 
