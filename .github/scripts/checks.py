@@ -6,9 +6,12 @@
     python .github/scripts/checks.py oracles
         prints the usable CPUs and the three BLAS thread variables, then
         runs ``perfbench/run.py`` for 3 s on seeds 0, 1 and 2 of each
-        workload, then once traced for 2 s on gauss-rank seed 0; fails
-        unless every run exits 0 and reports ``"correct": true`` with at
-        least one attempted evaluation.  The tile passes (``fedeval.tiles``)
+        workload, then traced for 2 s on gauss-rank and on fed-protocol
+        seed 0; fails unless every run exits 0 and reports ``"correct":
+        true`` with at least one attempted evaluation, and unless the traced
+        fed-protocol run counts ``fedsim.run_round`` calls (a simulated
+        round that bypasses that module binding escapes the tracer's round,
+        message and byte counts).  The tile passes (``fedeval.tiles``)
         run on two threads only with BLAS pinned to one thread and at
         least two usable CPUs; ``perfbench/run.py`` pins BLAS for its
         worker, so the CPU count tells whether kernel-knn's runs took the
@@ -28,7 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 WORKLOADS = ("gauss-rank", "kernel-knn", "fed-protocol")
 # (workload, seed, seconds, trace) of every oracle run.
-ORACLE_RUNS = [(w, seed, 3, 0) for w in WORKLOADS for seed in (0, 1, 2)] + [("gauss-rank", 0, 2, 1)]
+ORACLE_RUNS = [(w, seed, 3, 0) for w in WORKLOADS for seed in (0, 1, 2)] + [
+    ("gauss-rank", 0, 2, 1),
+    ("fed-protocol", 0, 2, 1),
+]
 
 
 def demos() -> bool:
@@ -57,6 +63,11 @@ def oracles() -> bool:
               f"attempted: {result['attempted']}", flush=True)
         if not (result["correct"] is True and result["attempted"] >= 1):
             return False
+        if trace and workload == "fed-protocol":
+            rounds = result["metrics"]["fedsim.run_round.calls"]["value"]
+            print(f"{workload} seed {seed} trace {trace} fedsim.run_round.calls: {rounds}", flush=True)
+            if not rounds > 0:
+                return False
     return True
 
 

@@ -209,8 +209,10 @@ def _cmd_counterexample(args) -> int:
 def _cmd_simulate(args) -> int:
     """Run a scenario: a collapse timeline's ratios and detections, or a
     round per generator, whose rows hold only scalar scores.  A PRDC
-    score is computed but written nowhere and held nowhere, except, in
-    ``scores`` mode, as each client's reply in the trace (``--out-trace``)."""
+    score is written only in ``scores`` mode, as each client's reply in
+    the trace (``--out-trace``); any other round validates a PRDC request,
+    with its error lines, and computes no PRDC score unless
+    ``fedsim.run_scenario`` says it must."""
     from . import fedsim
 
     scenario = fedsim.load_scenario(args.scenario)

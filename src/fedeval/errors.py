@@ -49,7 +49,10 @@ inline, per element, at the loops of the tile passes and Fréchet stacks
                (``frechet._references``, ``frechet._distances``)
     text       ``kernel sum is not finite`` (``kernelmmd._tiled_sums``),
                ``squared distance is not finite``
-               (``prdc._tile_distances``)
+               (``prdc._tile_distances``); ``prdc._check_aggregate``,
+               which validates a PRDC request without scoring it, runs
+               the pass for this error only when some row's squared norm
+               exceeds ``DBL_MAX / 16``, below which none can fire
     exit       2
 
 ``tests/test_guards.py`` lists every other site that clips, reads a

@@ -25,7 +25,11 @@ asks for no pooled score, so no pooled statistic is built
 ``log_likelihood_scores(pooled=False)``).
 Each row of the mode-collapse timeline and of both sweeps is scored by
 the same aggregation (the toy sweep's analytic columns on the exact
-Gaussian parameters).
+Gaussian parameters).  A scenario's round (``run_scenario``) asks
+``run_round`` only for the scores its outputs hold: the rows hold the
+scalar ones, and a ``scores`` round's trace each client's PRDC too.  Any
+other round validates a PRDC request but, except in the two cases
+``run_scenario`` names, computes no PRDC score.
 
 Requesting a score the mode cannot produce is a hard
 :class:`~fedeval.errors.CapabilityError`, never an approximation.
@@ -45,7 +49,7 @@ import numpy as np
 from .errors import CapabilityError, _eigenvalue_floor
 from .frechet import _fid, _references
 from .kernelmmd import KernelSpec, KernelStats, kernel_stats
-from .prdc import prdc_aggregate
+from .prdc import _check_aggregate, prdc_aggregate
 from .statkit import (
     Client,
     ClientSet,
@@ -659,16 +663,38 @@ def default_collapse_scenario(seed: int = 0) -> Scenario:
     )
 
 
+# The score families a scenario round's rows hold: the scalar ones.  A PRDC
+# score, a record of four, is held only by a scores round's trace, one
+# ScoreReply body per client.
+_ROW_FAMILIES = ("fid", "kid", "ll")
+
+
+def _written(mode, metrics, generator) -> tuple[list[str], list[str]]:
+    """A scenario round's request, checked as ``run_round`` checks it, and
+    the part of it that the round's outputs hold: its row's scalar scores,
+    and in ``scores`` mode every requested family, whose per-client values
+    the ``ScoreReply`` bodies carry."""
+    mode = _normalize_mode(mode)
+    requested = _normalize_metrics(metrics)
+    _check_capabilities(mode, requested, generator)
+    if mode == SCORES:
+        return requested, requested
+    return requested, [m for m in requested if m.startswith(_ROW_FAMILIES)]
+
+
 def run_scenario(scenario: Scenario) -> dict:
     """Materialize and run a scenario; returns its rows and, for a round,
     its message trace (for a collapse scenario, the timeline result).
 
     A collapse scenario draws only its clients here: the timeline draws
     each generator in its step.  A round's rows keep only its scalar
-    scores: a PRDC score (a record of four) is computed when asked for
-    but left out of the rows, so a ``raw`` round's PRDC is held nowhere,
-    and a ``scores`` round's per-client PRDC only in the trace's
-    ``ScoreReply`` bodies.
+    scores, and each round computes only what its outputs hold
+    (``_written``).  A ``scores`` round's per-client PRDC is held in the
+    trace's ``ScoreReply`` bodies.  Any other round validates a PRDC
+    request, with PRDC's own errors after the other families', but
+    computes no PRDC score unless a squared distance may overflow
+    (``prdc._check_aggregate``) or it asks for PRDC alone: an empty
+    request is no round, so that round runs the whole request.
     """
     if scenario.kind == "collapse":
         clients, _ = _materialize(scenario.clients, [], scenario.seed)
@@ -685,18 +711,15 @@ def run_scenario(scenario: Scenario) -> dict:
     trace = ProtocolTrace()
     rows = []
     for spec, gen in zip(scenario.generators, generators):
+        requested, written = _written(scenario.mode, scenario.metrics, gen)
         report, round_trace = run_round(
-            clients, gen, scenario.mode, scenario.metrics, kernel=scenario.kernel
+            clients, gen, scenario.mode, written or requested, kernel=scenario.kernel
         )
+        if written and written != requested:
+            _check_aggregate(clients, gen, pooled="prdc_all" in requested)
         trace.messages.extend(round_trace.messages)
         row = {"generator": spec.id}
-        row.update(
-            {
-                k: v
-                for k, v in report.scores.items()
-                if not isinstance(v, dict)
-            }
-        )
+        row.update({m: v for m, v in report.scores.items() if m.startswith(_ROW_FAMILIES)})
         rows.append(row)
     return {"kind": "round", "rows": rows, "trace": trace}
 

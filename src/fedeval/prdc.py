@@ -298,3 +298,23 @@ def prdc_aggregate(
     columns = zip(*map(astuple, per_client))
     avg = PrdcResult(*(_weighted_mean(clients.weights, c, "prdc_avg") for c in columns))
     return PrdcAggregate(all=all_, avg=avg, per_client=per_client)
+
+
+# A squared distance |x|^2 + |y|^2 - 2 x.y between rows whose squared norms
+# are at most this is finite: |2 x.y| <= |x|^2 + |y|^2, so it is at most
+# DBL_MAX / 4, with room for the roundoff of the norms and the product.
+_NORM_BOUND = np.finfo(np.float64).max / 16
+
+
+def _check_aggregate(clients: ClientSet, gen, k: int = DEFAULT_K, pooled: bool = True) -> None:
+    """Raise what ``prdc_aggregate(clients, gen, k, pooled)`` raises, in its
+    order, and compute no score when none of its squared distances can
+    overflow: every row's squared norm is at most ``_NORM_BOUND``.
+    Otherwise it runs ``prdc_aggregate`` for its error, if any."""
+    gen = as_embeddings(gen)
+    mats = clients.client_embeddings()
+    _check_blocks(mats, gen, k)
+    with np.errstate(over="ignore"):
+        largest = max(tiles._row_norms(x).max() for x in [*mats, gen])
+    if not largest <= _NORM_BOUND:
+        prdc_aggregate(clients, gen, k, pooled)

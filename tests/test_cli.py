@@ -1217,6 +1217,74 @@ def test_scenario_whose_statistics_overflow_warns_nothing(tmp_path, case):
     assert _run_warnings_as_errors(["simulate", "--scenario", tmp_path / "s.json"]) == (1, expected)
 
 
+_RAW_METRICS = ["fid_avg", "fid_all", "kid_avg", "kid_all", "prdc_avg", "prdc_all"]
+_TINY_CLIENT = [
+    {"id": "c1", "mean": [0.0, 0.0], "cov": 1.0, "n": 20},
+    {"id": "c2", "mean": [2.0, 0.0], "cov": 1.0, "n": 4},
+]
+_KNN = "fedeval: numerical failure: k-NN radii require more than k=5 samples, got 4\n"
+_DISTANCE = "fedeval: numerical failure: squared distance is not finite\n"
+
+
+def _line(*means, metrics):
+    """A one-dimensional raw round: one 20-sample client per mean and a
+    30-sample generator at the one client's mean, or at 0 (unit variances)."""
+    clients = [{"id": f"c{i}", "mean": [m], "cov": 1.0, "n": 20} for i, m in enumerate(means)]
+    gen = {"id": "g1", "kind": "gaussian", "mean": [means[0] if len(means) == 1 else 0.0],
+           "cov": 1.0, "n": 30}
+    return {"mode": "raw", "metrics": metrics, "clients": clients, "generators": [gen]}
+
+
+# PRDC requests of rounds whose outputs hold no PRDC, and the exit code and
+# stderr of each, as when the round computed the PRDC scores: a raw round
+# with a client too small for k-NN radii (PRDC's check comes after the
+# other families'), the modes that cannot compute PRDC, and raw rounds at
+# the float range, where a squared distance overflows (the client and the
+# generator at 1.5e154; two clients at -/+8e153, whose cross pair only the
+# pooled score takes) or every row's squared norm is beyond the bound below
+# which none can, while the distances stay finite (exit 0).
+UNWRITTEN_PRDC = {
+    "raw-tiny-client": ({"mode": "raw", "metrics": _RAW_METRICS, "clients": _TINY_CLIENT}, 2, _KNN),
+    "raw-tiny-client-prdc-only": (
+        {"mode": "raw", "metrics": ["prdc_avg"], "clients": _TINY_CLIENT}, 2, _KNN
+    ),
+    "raw-tiny-generator": (
+        {"mode": "raw", "metrics": ["kid_avg", "prdc_all"],
+         **_generator_field(n=4)},
+        2,
+        _KNN,
+    ),
+    "moments": (
+        {"mode": "moments", "metrics": ["fid_avg", "prdc_avg"]},
+        1,
+        "fedeval: error: mode 'moments' cannot compute ['prdc_avg']; "
+        "supported: ['fid_all', 'fid_avg']\n",
+    ),
+    "kernel_blocks": (
+        {"mode": "kernel_blocks", "metrics": ["kid_avg", "prdc_all"]},
+        1,
+        "fedeval: error: mode 'kernel_blocks' cannot compute ['prdc_all']; "
+        "supported: ['kid_all', 'kid_avg']\n",
+    ),
+    "raw-overflow": (_line(1.5e154, metrics=["fid_avg", "prdc_avg"]), 2, _DISTANCE),
+    "raw-overflow-cross-pair": (_line(-8e153, 8e153, metrics=["fid_avg", "prdc_all"]), 2, _DISTANCE),
+    "raw-no-cross-pair": (_line(-8e153, 8e153, metrics=["fid_avg", "prdc_avg"]), 0, ""),
+    "raw-overflow-kernel-first": (
+        _line(1.5e154, metrics=["fid_avg", "kid_avg", "prdc_avg"]),
+        2,
+        "fedeval: numerical failure: kernel sum is not finite\n",
+    ),
+    "raw-beyond-norm-bound": (_line(5e153, metrics=["fid_avg", "prdc_avg", "prdc_all"]), 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITTEN_PRDC))
+def test_unwritten_prdc_request_keeps_its_error(tmp_path, case):
+    fields, code, expected = UNWRITTEN_PRDC[case]
+    (tmp_path / "s.json").write_text(json.dumps(small_scenario(**fields)))
+    assert _run_warnings_as_errors(["simulate", "--scenario", tmp_path / "s.json"]) == (code, expected)
+
+
 def test_finite_inputs_whose_moments_overflow_warn_nothing(workspace):
     tmp, _ = workspace
     write_embeddings(np.full((4, 2), 1e308), tmp / "big.fevb")

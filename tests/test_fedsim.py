@@ -31,6 +31,7 @@ from fedeval import (
     log_likelihood_scores,
     mode_collapse_timeline,
     moments,
+    prdc,
     prdc_aggregate,
     prdc_scores,
     run_round,
@@ -45,7 +46,7 @@ from fedeval.errors import _eigenvalue_floor
 from fedeval.frechet import _references, psd_sqrt
 from fedeval.kernelmmd import kernel_stats
 
-from conftest import random_raw_clients
+from conftest import random_cov, random_raw_clients
 
 
 def make_clients(rng, k=3, n=20, d=3, spread=2.0):
@@ -272,6 +273,22 @@ MODE_METRICS = {
 }
 
 
+def _assert_round_matches_library(clients, gen, mode, kernel, k_neighbors):
+    """Every metric ``mode`` allows, for the raw ``gen`` and for its
+    moments, scores as the direct library calls do, bit for bit."""
+    kid_stats = kernel_stats(clients, gen, kernel, cross=mode != "scores")
+    for generator, metrics in zip((gen, moments(gen)), MODE_METRICS[mode]):
+        if metrics is None:
+            continue
+        report, _ = run_round(clients, generator, mode, metrics, kernel=kernel, k_neighbors=k_neighbors)
+        scores, per_client = _library_round(clients, generator, metrics, kid_stats, k_neighbors)
+        assert list(report.scores) == metrics
+        assert list(report.per_client) == list(per_client)
+        assert report.client_ids == clients.ids
+        assert report.scores == scores, (mode, metrics)
+        assert report.per_client == per_client, (mode, metrics)
+
+
 @pytest.mark.parametrize("mode", list(MODE_METRICS))
 def test_round_matches_library(mode):
     # Every round calls the library on the clients' own statistics or
@@ -280,25 +297,43 @@ def test_round_matches_library(mode):
     # is kid_avg's statistic and scores-mode prdc each client's prdc_scores,
     # raw-mode kid the one pass CLI `kid --agg both` takes, and the
     # kernel_blocks replies carry that statistic's entries.
-    kernel = KernelSpec()
-    k_neighbors = 3
     for seed in range(8):
         rng = np.random.default_rng(seed + 200)
         clients = make_clients(rng, k=int(rng.integers(1, 5)), n=int(rng.integers(6, 25)))
         gen = rng.normal(size=(int(rng.integers(5, 20)), 3))
-        kid_stats = kernel_stats(clients, gen, kernel, cross=mode != "scores")
-        for generator, metrics in zip((gen, moments(gen)), MODE_METRICS[mode]):
-            if metrics is None:
-                continue
-            report, _ = run_round(
-                clients, generator, mode, metrics, kernel=kernel, k_neighbors=k_neighbors
+        _assert_round_matches_library(clients, gen, mode, KernelSpec(), k_neighbors=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(MODE_METRICS)),
+    st.integers(1, 4),
+    st.sampled_from(["polynomial", "rbf"]),
+    st.booleans(),
+)
+def test_round_matches_library_on_random_clients(seed, mode, k_neighbors, kernel_kind, natural):
+    """Protocol == library for every mode and every metric it allows, over
+    1-4 random clients of k+1 to 24 samples in 1-4 dimensions, with natural
+    or explicit weights and either kernel."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    k = int(rng.integers(1, 5))
+    weights = rng.random(k) + 0.1
+    weights /= weights.sum()
+    sizes = rng.integers(k_neighbors + 1, 25, size=k)
+    clients = ClientSet(
+        [
+            Client(
+                id=f"c{i}",
+                embeddings=2.0 * rng.normal(size=d) + rng.normal(size=(int(sizes[i]), d)),
+                weight=None if natural else float(weights[i]),
             )
-            scores, per_client = _library_round(clients, generator, metrics, kid_stats, k_neighbors)
-            assert list(report.scores) == metrics
-            assert list(report.per_client) == list(per_client)
-            assert report.client_ids == clients.ids
-            assert report.scores == scores, (mode, metrics)
-            assert report.per_client == per_client, (mode, metrics)
+            for i in range(k)
+        ]
+    )
+    gen = rng.normal(size=(int(rng.integers(max(k_neighbors, d) + 2, 25)), d))
+    _assert_round_matches_library(clients, gen, mode, KernelSpec(kind=kernel_kind), k_neighbors)
 
 
 @settings(max_examples=100, deadline=None)
@@ -834,6 +869,128 @@ def test_round_scenario_produces_rows_and_trace(rng, tmp_path):
     write_score_csv(outcome["rows"], tmp_path / "rows.csv")
     header = (tmp_path / "rows.csv").read_text().splitlines()[0]
     assert header == "generator,fid_avg,fid_all"
+
+
+# Each metric that more than one mode allows and a round's rows hold, and
+# those modes.
+CROSS_MODE = {
+    "fid_avg": ("scores", "moments", "raw"),
+    "fid_all": ("moments", "raw"),
+    "kid_avg": ("scores", "raw", "kernel_blocks"),
+    "kid_all": ("raw", "kernel_blocks"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.lists(st.integers(2, 24), min_size=2, max_size=3),
+    st.sampled_from(["polynomial", "rbf"]),
+)
+def test_cross_mode_rows_agree(seed, k, d, gen_sizes, kernel_kind):
+    """A metric that several modes allow has the same bits in each mode's
+    ``run_scenario`` rows, for random clients and generators."""
+    rng = np.random.default_rng(seed)
+    clients = [
+        ClientSpec(id=f"c{i}", mean=2.0 * rng.normal(size=d), cov=random_cov(rng, d),
+                   n=int(rng.integers(2, 25)))
+        for i in range(k)
+    ]
+    generators = [
+        GeneratorSpec(id=f"g{j}", kind="gaussian", mean=rng.normal(size=d),
+                      cov=random_cov(rng, d), n=m)
+        for j, m in enumerate(gen_sizes)
+    ]
+    rows = {}
+    for mode in fedsim.MODES:
+        scenario = Scenario(
+            name="cross-mode", kind="round", clients=clients, generators=generators,
+            metrics=[m for m, modes in CROSS_MODE.items() if mode in modes], mode=mode,
+            kernel=KernelSpec(kind=kernel_kind), seed=seed % 1000,
+        )
+        rows[mode] = run_scenario(scenario)["rows"]
+    for metric, modes in CROSS_MODE.items():
+        values = {mode: [repr(row[metric]) for row in rows[mode]] for mode in modes}
+        assert len({tuple(v) for v in values.values()}) == 1, (metric, values)
+
+
+@pytest.fixture
+def prdc_passes(monkeypatch):
+    """The PRDC tile passes run (their walks' names), in call order."""
+    passes = []
+    real_run_pass = tiles._run_pass
+
+    def counting(step, *args, **kwargs):
+        if getattr(step, "func", None) in (prdc._nearest_walk, prdc._balls_walk):
+            passes.append(step.func.__name__)
+        return real_run_pass(step, *args, **kwargs)
+
+    monkeypatch.setattr(tiles, "_run_pass", counting)
+    return passes
+
+
+def _prdc_scenario(mode, metrics):
+    return Scenario(
+        name="prdc",
+        kind="round",
+        clients=[ClientSpec(id=f"c{i}", mean=[2.0 * i, 0.0, 1.0], cov=1.0, n=12 + 3 * i) for i in range(3)],
+        generators=[
+            GeneratorSpec(id="g1", kind="gaussian", mean=[1.0, 0.0, 0.0], cov=1.5, n=20),
+            GeneratorSpec(id="g2", kind="gaussian", mean=[0.0, 1.0, 0.0], cov=0.5, n=25),
+        ],
+        metrics=metrics,
+        mode=mode,
+        seed=5,
+    )
+
+
+def _whole_request(scenario):
+    """The rows and the trace text of a scenario's rounds, each asked for
+    the scenario's whole request, the rows keeping its scalar scores."""
+    clients, generators = scenario.materialize()
+    rows, trace = [], fedsim.ProtocolTrace()
+    for spec, gen in zip(scenario.generators, generators):
+        report, round_trace = run_round(clients, gen, scenario.mode, scenario.metrics)
+        trace.messages.extend(round_trace.messages)
+        scalars = {m: v for m, v in report.scores.items() if not isinstance(v, dict)}
+        rows.append({"generator": spec.id, **scalars})
+    return rows, statkit.json_text(trace.to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "mode, metrics, passes",
+    [
+        ("raw", ["fid_avg", "fid_all", "kid_avg", "kid_all", "prdc_avg", "prdc_all"], []),
+        ("raw", ["kid_avg", "prdc_avg"], []),
+        ("raw", ["fid_all", "prdc_all"], []),
+        # an empty request is no round, so a raw round asking for PRDC alone
+        # runs the whole request: the self pairs, the cross-client pairs and
+        # the ball tests of each generator
+        ("raw", ["prdc_avg", "prdc_all"], ["_nearest_walk", "_nearest_walk", "_balls_walk"] * 2),
+        # a scores round's trace holds each client's PRDC: its own pairs
+        ("scores", ["fid_avg", "kid_avg", "prdc_avg"], ["_nearest_walk", "_balls_walk"] * 2),
+    ],
+)
+def test_scenario_round_runs_the_prdc_passes_its_outputs_hold(prdc_passes, mode, metrics, passes):
+    """A raw round's rows and trace hold no PRDC score, so run_scenario
+    computes none; every round's outputs are those of the whole request."""
+    scenario = _prdc_scenario(mode, metrics)
+    outcome = run_scenario(scenario)
+    assert prdc_passes == passes
+    rows, trace = _whole_request(scenario)
+    assert outcome["rows"] == rows
+    assert statkit.json_text(outcome["trace"].to_json_dict()) == trace
+
+
+def test_scores_scenario_round_replies_carry_per_client_prdc():
+    scenario = _prdc_scenario("scores", ["fid_avg", "kid_avg", "prdc_avg"])
+    messages = run_scenario(scenario)["trace"].messages
+    replies = [m.body["value"] for m in messages if m.body.get("metric") == "prdc_avg"]
+    clients, generators = scenario.materialize()
+    own = [prdc_aggregate(clients, gen, pooled=False).per_client for gen in generators]
+    assert replies == [r.to_json_dict() for results in own for r in results]
 
 
 # ---------------------------------------------------------------------------

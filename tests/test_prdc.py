@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedeval import (
     Client,
@@ -11,6 +13,7 @@ from fedeval import (
     SampleCountError,
     knn_radii,
     prdc_aggregate,
+    prdc,
     prdc_scores,
 )
 from fedeval.errors import NumericalError
@@ -232,3 +235,51 @@ def test_dimension_mismatch_rejected(rng):
     for call in (lambda: prdc_scores(x, gen, k=2), lambda: prdc_aggregate(clients, gen, k=2)):
         with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
             call()
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, type and text
+        return type(exc), str(exc)
+    return None
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 1e153, 5e153, 8e153, 1.5e154]),
+    st.booleans(),
+)
+def test_check_aggregate_raises_what_prdc_aggregate_raises(monkeypatch, seed, k, d, scale, pooled):
+    """``prdc._check_aggregate`` raises what prdc_aggregate raises (a
+    dimension mismatch, too few samples for k, a squared distance that
+    overflows at the float range) and nothing when it passes, and it runs
+    prdc_aggregate only when some row's squared norm is beyond its bound."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 14, size=int(rng.integers(1, 4)))
+    clients = ClientSet(
+        [
+            Client(id=f"c{i}", embeddings=scale * (rng.normal(size=d) + 0.5 * rng.normal(size=(n, d))))
+            for i, n in enumerate(sizes.tolist())
+        ]
+    )
+    gen = scale * rng.normal(size=(int(rng.integers(1, 14)), d + int(rng.random() < 0.2)))
+    expected = _error(prdc_aggregate, clients, gen, k, pooled)
+    calls = []
+    real = prdc.prdc_aggregate
+    with monkeypatch.context() as patch:
+        patch.setattr(prdc, "prdc_aggregate", lambda *args: calls.append(args) or real(*args))
+        assert _error(prdc._check_aggregate, clients, gen, k, pooled) == expected
+    with np.errstate(over="ignore"):
+        largest = max(np.sum(x * x, axis=1).max() for x in [*clients.client_embeddings(), gen])
+    if calls:
+        assert largest > prdc._NORM_BOUND
+    elif expected is None:
+        assert largest <= prdc._NORM_BOUND
+    else:
+        assert expected[1] != "squared distance is not finite"
